@@ -29,6 +29,7 @@ from .identities import (
     VerificationReport,
     adding_angle,
     de_moivre,
+    de_moivre_powers,
     parse_identities_json,
     render,
     verify_identity,
@@ -70,6 +71,7 @@ __all__ = [
     "adding_angle",
     "arg",
     "de_moivre",
+    "de_moivre_powers",
     "depress",
     "element_literal",
     "errors",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -40,6 +41,26 @@ def _add_common_options(parser: argparse.ArgumentParser, top_level: bool) -> Non
         default=default(None),
         help="sampling seed (default: ATRIG_SEED environment variable, then 0)",
     )
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,8 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=verify.SUITE_NAMES, required=True)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--samples", type=_positive_int, default=None)
+    p.add_argument("--tol", type=_positive_float, default=None)
     leaf_parsers.append(p)
 
     for leaf in leaf_parsers:

@@ -210,29 +210,34 @@ def _coeff_array(pres: PrincipalPresentation) -> np.ndarray:
     return arr
 
 
-def _times_k(coords: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Coordinates of k * z: shift one power up, fold k^n back down."""
-    top = coords[-1]
-    out = np.empty_like(coords)
-    out[0] = -c[0] * top
-    out[1:] = coords[:-1] - c[1:] * top
-    return out
+def _rep_stack(coords: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Left-multiplication matrices of stacked coordinates.
 
-
-def _rep_from_coords(coords: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Left-multiplication matrix; column j holds z * k^j."""
-    n = coords.size
-    cols = np.empty((n, n))
-    col = np.array(coords, dtype=float)
-    cols[:, 0] = col
+    ``coords`` has shape (..., n) and the result (..., n, n).  Column j of
+    each matrix holds z * k^j: the column before it shifted one power up,
+    with k^n folded back down through the modulus.  A guard row of -0.0
+    above the matrix supplies the shifted-in entry, so every column is one
+    subtraction, rounded exactly like ``-c0 * top`` and
+    ``prev[i-1] - c_i * top`` (signed zeros included).  Each returned
+    matrix is C-contiguous, so matmul passes it to the same BLAS routine,
+    with the same summation order, as a standalone matrix.
+    """
+    if coords.ndim == 2 and len(coords) == 1:
+        # A batch of one is built as a single matrix: the column ufuncs
+        # cost less per call on 1-D operands than on (1, n) ones.
+        return _rep_stack(coords[0], c)[None]
+    n = coords.shape[-1]
+    buf = np.empty(coords.shape[:-1] + (n + 1, n))
+    buf[..., 0, :] = -0.0
+    buf[..., 1:, 0] = coords
     for j in range(1, n):
-        col = _times_k(col, c)
-        cols[:, j] = col
-    return cols
+        np.subtract(buf[..., :n, j - 1], c * buf[..., n:, j - 1], out=buf[..., 1:, j])
+    return buf[..., 1:, :]
 
 
 def _mul_coords(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    return _rep_from_coords(a, c) @ b
+    """Algebra products a * b of stacked coordinates, row by row: (..., n)."""
+    return np.matmul(_rep_stack(a, c), b[..., None])[..., 0]
 
 
 # -- public operations --------------------------------------------------------
@@ -244,7 +249,7 @@ def rep_matrix(z: AlgebraElement) -> np.ndarray:
     Column j (0-based) equals the coordinates of z * k^j, so the first
     column is z itself and rep_matrix(1) is the identity.
     """
-    return _rep_from_coords(z.coords, _coeff_array(z.presentation))
+    return _rep_stack(z.coords, _coeff_array(z.presentation))
 
 
 def mul(z: AlgebraElement, w: AlgebraElement) -> AlgebraElement:

@@ -37,6 +37,11 @@ class NonSemisimple(AlgebraError):
     """The modulus polynomial has numerically repeated roots."""
 
 
+class InvalidArgument(AlgebraError, ValueError):
+    """Argument outside the numeric range an operation accepts: not finite,
+    or too large for the exponential's scaling and squaring."""
+
+
 class NoConvergence(AlgebraError):
     """An iterative routine failed to meet its tolerance."""
 

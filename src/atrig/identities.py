@@ -224,19 +224,24 @@ def adding_angle(pres: PrincipalPresentation) -> IdentitySet:
     return IdentitySet(pres, "adding_angle", None, tuple(_reduce(product, coeffs)))
 
 
-def de_moivre(
-    pres: PrincipalPresentation, power: int, power_cap: int = DEFAULT_POWER_CAP
-) -> IdentitySet:
-    """Identities for s_i(power*alpha) from the power of a generic exponential."""
-    if not isinstance(power, int) or power < 1:
-        raise InvalidPower(f"power must be a positive integer, got {power!r}")
-    if power > power_cap:
-        raise InvalidPower(f"power {power} exceeds the cap {power_cap}")
+def de_moivre_powers(
+    pres: PrincipalPresentation, max_power: int, power_cap: int = DEFAULT_POWER_CAP
+) -> list[IdentitySet]:
+    """De Moivre identity sets for powers 1..max_power, built as one chain.
+
+    Each power is the previous one times a generic exponential, reduced
+    modulo the modulus, so the whole list costs what the top power alone does.
+    """
+    if not isinstance(max_power, int) or max_power < 1:
+        raise InvalidPower(f"power must be a positive integer, got {max_power!r}")
+    if max_power > power_cap:
+        raise InvalidPower(f"power {max_power} exceeds the cap {power_cap}")
     coeffs = _rational_coeffs(pres)
     n = pres.degree
     base = _generic_exponential(n, "a")
     result = list(base)
-    for _ in range(power - 1):
+    sets = [IdentitySet(pres, "de_moivre", 1, tuple(result))]
+    for power in range(2, max_power + 1):
         conv = [SymPoly.zero() for _ in range(2 * n - 1)]
         for d1, f1 in enumerate(result):
             if f1.is_zero():
@@ -244,7 +249,15 @@ def de_moivre(
             for d2, f2 in enumerate(base):
                 conv[d1 + d2] = conv[d1 + d2] + f1 * f2
         result = _reduce(conv, coeffs)
-    return IdentitySet(pres, "de_moivre", power, tuple(result))
+        sets.append(IdentitySet(pres, "de_moivre", power, tuple(result)))
+    return sets
+
+
+def de_moivre(
+    pres: PrincipalPresentation, power: int, power_cap: int = DEFAULT_POWER_CAP
+) -> IdentitySet:
+    """Identities for s_i(power*alpha) from the power of a generic exponential."""
+    return de_moivre_powers(pres, power, power_cap)[-1]
 
 
 def verify_identity(
@@ -260,22 +273,22 @@ def verify_identity(
     n = pres.degree
     rng = np.random.default_rng(seed)
     alphas = rng.uniform(-2.0, 2.0, samples)
-    comp_a = np.stack([trig_components(pres, 1, t) for t in alphas])
+    comp_a = trig_components(pres, 1, alphas)
     values = {TrigSymbol("a", i + 1): comp_a[:, i] for i in range(n)}
     if ids.kind == "adding_angle":
         betas = rng.uniform(-2.0, 2.0, samples)
-        comp_b = np.stack([trig_components(pres, 1, t) for t in betas])
+        comp_b = trig_components(pres, 1, betas)
         values.update({TrigSymbol("b", i + 1): comp_b[:, i] for i in range(n)})
-        lhs = np.stack([trig_components(pres, 1, a + b) for a, b in zip(alphas, betas)])
+        lhs = trig_components(pres, 1, alphas + betas)
     elif ids.kind == "de_moivre":
-        lhs = np.stack([trig_components(pres, 1, ids.power * t) for t in alphas])
+        lhs = trig_components(pres, 1, ids.power * alphas)
     else:
         raise ValueError(f"unknown identity kind {ids.kind!r}")
 
     residuals = []
     for i, formula in enumerate(ids.formulas):
         rhs = formula.evaluate(values)
-        residuals.append(float(np.max(np.abs(lhs[:, i] - rhs))))
+        residuals.append(float(np.abs(lhs[:, i] - rhs).max(initial=0.0)))
     return VerificationReport(
         kind=ids.kind,
         samples=samples,

@@ -18,6 +18,7 @@ import numpy as np
 from . import core
 from .core import AlgebraElement, PrincipalPresentation
 from .errors import (
+    InvalidArgument,
     InvalidPower,
     NoConvergence,
     NonPositivePythagorean,
@@ -42,6 +43,8 @@ class SeriesPolicy:
             raise ValueError("tolerance must be positive")
         if self.max_terms < 1:
             raise ValueError("max_terms must be at least 1")
+        if not 0.0 < self.squaring_threshold < math.inf:
+            raise ValueError("squaring_threshold must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -81,57 +84,129 @@ class PolarForm:
 
 _DEFAULT_POLICY = SeriesPolicy()
 
+#: Largest squaring count whose scale factor 2**s is a finite double.
+_MAX_SQUARINGS = 1023
+
+
+def _squaring_count(norm: float, threshold: float) -> int:
+    """The smallest s >= 0 with norm <= threshold * 2**s.
+
+    Comparing frexp mantissas and exponents is exact and cannot overflow,
+    however large the norm.
+    """
+    if norm <= threshold:
+        return 0
+    mant, expo = math.frexp(norm)
+    t_mant, t_expo = math.frexp(threshold)
+    return expo - t_expo + (mant > t_mant)
+
+
+def _exp_coords(
+    coords: np.ndarray, pres: PrincipalPresentation, policy: SeriesPolicy
+) -> np.ndarray:
+    """exp of every row of ``coords`` (shape (m, n)), as an (m, n) array.
+
+    Each row gets exactly the arithmetic it would get alone: its own
+    squaring count, its own term-by-term stopping test, and squarings
+    applied only while it still needs them.  A converged row leaves the
+    series at once, so no term is added after its stop.
+    """
+    m, n = coords.shape
+    if m == 0:
+        return np.empty((0, n))
+    threshold = policy.squaring_threshold
+    norms = np.abs(coords).max(axis=1)
+    largest = float(norms.max())
+    if not math.isfinite(largest):
+        raise InvalidArgument("exp requires finite coordinates")
+    least = most = 0
+    if largest > threshold:
+        counts = [_squaring_count(x, threshold) for x in norms.tolist()]
+        least, most = min(counts), max(counts)
+        if most > _MAX_SQUARINGS:
+            raise InvalidArgument(
+                f"exp needs {most} squarings; 2**{most} is not a finite double"
+            )
+        if least == most:
+            coords = np.ldexp(coords, -most)
+        else:
+            counts = np.array(counts)
+            coords = np.ldexp(coords, -counts[:, None])
+
+    # Vectors are kept as (rows, n, 1) columns, the shape matmul wants.
+    c = core._coeff_array(pres)
+    rep = core._rep_stack(coords, c)
+    acc = np.zeros((m, n, 1))
+    acc[:, 0] = 1.0
+    term = acc.copy()
+    out = acc
+    rows = None  # original index of each live row, once some have left
+    tol = policy.tolerance
+    for k in range(1, policy.max_terms + 1):
+        term = np.matmul(rep, term)
+        term /= k
+        acc += term
+        done = np.abs(term).max(axis=1) <= tol * np.abs(acc).max(axis=1)
+        stopped = np.count_nonzero(done)
+        if stopped == len(done):
+            break
+        if stopped:
+            done = done[:, 0]
+            if rows is None:
+                out, rows = np.empty_like(acc), np.arange(m)
+            out[rows[done]] = acc[done]
+            live = ~done
+            rows, rep, term, acc = rows[live], rep[live], term[live], acc[live]
+    else:
+        raise NoConvergence(
+            f"series did not reach {tol:g} within {policy.max_terms} terms"
+        )
+    if rows is None:
+        out = acc
+    else:
+        out[rows] = acc
+    out = out[:, :, 0]
+
+    for step in range(most):
+        if step < least:
+            out = core._mul_coords(out, out, c)
+        else:
+            need = counts > step
+            part = out[need]
+            out[need] = core._mul_coords(part, part, c)
+    return out
+
 
 def exp(z: AlgebraElement, policy: SeriesPolicy | None = None) -> AlgebraElement:
     """Power series exponential with scaling and squaring.
 
     The argument is halved until its sup-norm drops below the squaring
     threshold, the series is summed until a term falls below the relative
-    tolerance, and the result is squared back up.
+    tolerance, and the result is squared back up.  This is the one-row case
+    of the stacked kernel behind ``trig_components``.  Non-finite input, or
+    input too large to scale into a double, raises ``InvalidArgument``.
     """
     pol = policy if policy is not None else _DEFAULT_POLICY
-    coords = z.coords
-    if not np.all(np.isfinite(coords)):
-        raise ValueError("exp requires finite coordinates")
     pres = z.presentation
-    n = pres.degree
-    c = core._coeff_array(pres)
-
-    norm = float(np.max(np.abs(coords)))
-    squarings = 0
-    while norm > pol.squaring_threshold * (2.0 ** squarings):
-        squarings += 1
-    scaled = coords / (2.0 ** squarings)
-
-    rep = core._rep_from_coords(scaled, c)
-    acc = np.zeros(n)
-    acc[0] = 1.0
-    term = acc.copy()
-    for m in range(1, pol.max_terms + 1):
-        term = rep @ term / m
-        acc = acc + term
-        if float(np.max(np.abs(term))) <= pol.tolerance * float(np.max(np.abs(acc))):
-            break
-    else:
-        raise NoConvergence(
-            f"series did not reach {pol.tolerance:g} within {pol.max_terms} terms"
-        )
-    for _ in range(squarings):
-        acc = core._mul_coords(acc, acc, c)
-    return AlgebraElement(pres, acc)
+    return AlgebraElement(pres, _exp_coords(z.coords[None, :], pres, pol)[0])
 
 
-def trig_components(pres: PrincipalPresentation, m: int, theta: float) -> np.ndarray:
+def trig_components(pres: PrincipalPresentation, m: int, theta) -> np.ndarray:
     """Coordinates s_1(theta), ..., s_n(theta) of exp(k^m * theta).
 
     For m = 1 these are the generalized trigonometric functions of the
     algebra (cosh/sinh-like for k^n = 1, cos/sin-like for k^n = -1).
+    ``theta`` may be a scalar or an array; the result has shape
+    ``theta.shape + (n,)`` and comes from one stacked exponential, each row
+    equal to the exponential at that theta alone.
     """
-    if not 1 <= m <= pres.degree - 1:
-        raise InvalidPower(f"m must lie in [1, {pres.degree - 1}], got {m}")
-    coords = np.zeros(pres.degree)
-    coords[m] = float(theta)
-    return exp(AlgebraElement(pres, coords)).coords
+    n = pres.degree
+    if not 1 <= m <= n - 1:
+        raise InvalidPower(f"m must lie in [1, {n - 1}], got {m}")
+    thetas = np.asarray(theta, dtype=float)
+    coords = np.zeros((thetas.size, n))
+    coords[:, m] = thetas.ravel()
+    return _exp_coords(coords, pres, _DEFAULT_POLICY).reshape(thetas.shape + (n,))
 
 
 def modulus(z: AlgebraElement) -> float:

@@ -13,9 +13,9 @@ import numpy as np
 from . import core
 from .core import AlgebraElement, PrincipalPresentation, make_presentation, preset
 from .errors import NonSemisimple
-from .identities import adding_angle, de_moivre, verify_identity
+from .identities import adding_angle, de_moivre_powers, verify_identity
 from .spectral import SpectralDecomposition, find_roots
-from .transcendental import exp, log, modulus, polar
+from .transcendental import exp, log, modulus, polar, trig_components
 
 
 @dataclass
@@ -96,18 +96,18 @@ def random_ld_sample(
     return exp(AlgebraElement(pres, w))
 
 
-def _generator_exponential(pres: PrincipalPresentation, power: int, theta: float):
-    coords = np.zeros(pres.degree)
-    coords[power] = theta
-    return exp(AlgebraElement(pres, coords))
-
-
 def _case_label(pres: PrincipalPresentation, index: int | None = None) -> str:
     if pres.label:
         return pres.label
     if index is not None:
         return f"random-{index} (deg {pres.degree})"
     return f"deg {pres.degree}"
+
+
+def _unit_deviation(pres: PrincipalPresentation, m: int, thetas: np.ndarray) -> np.ndarray:
+    """|F(exp(k^m theta)) - 1| at every theta, from one stacked exponential."""
+    reps = core._rep_stack(trig_components(pres, m, thetas), core._coeff_array(pres))
+    return np.abs(np.linalg.det(reps) - 1.0)
 
 
 def kthagorean_suite(
@@ -133,10 +133,7 @@ def kthagorean_suite(
     worst = 0.0
     for label, pres in cases:
         thetas = rng.uniform(-3.0, 3.0, theta_samples)
-        residual = 0.0
-        for theta in thetas:
-            value = core.pythagorean(_generator_exponential(pres, 1, theta))
-            residual = max(residual, abs(value - 1.0))
+        residual = float(_unit_deviation(pres, 1, thetas).max(initial=0.0))
         worst = max(worst, residual)
         details.append({"case": label, "residual": residual, "pass": residual <= tol})
     return SuiteReport("kthagorean", tol, worst, all(d["pass"] for d in details), details)
@@ -156,10 +153,7 @@ def pure_power_suite(
     for pres in preset_grid():
         for m in range(1, pres.degree):
             thetas = rng.uniform(-3.0, 3.0, theta_samples)
-            residual = 0.0
-            for theta in thetas:
-                value = core.pythagorean(_generator_exponential(pres, m, theta))
-                residual = max(residual, abs(value - 1.0))
+            residual = float(_unit_deviation(pres, m, thetas).max(initial=0.0))
             worst = max(worst, residual)
             details.append(
                 {
@@ -172,11 +166,9 @@ def pure_power_suite(
     # Necessity direction: with a nonzero intermediate coefficient the
     # deviation must be macroscopic somewhere on [0.5, 2].
     witness_pres = make_presentation((0.0, 1.0, 0.0), label="k^3+k")
-    deviations = [
-        (abs(core.pythagorean(_generator_exponential(witness_pres, 2, t)) - 1.0), t)
-        for t in np.linspace(0.5, 2.0, 31)
-    ]
-    best, theta = max(deviations)
+    thetas = np.linspace(0.5, 2.0, 31)
+    deviations = _unit_deviation(witness_pres, 2, thetas)
+    best, theta = max(zip(deviations.tolist(), thetas.tolist()))
     details.append(
         {
             "case": "k^3+k m=2 witness",
@@ -206,17 +198,15 @@ def lemma_suite(
     for i in range(n_random):
         degree = int(rng.integers(degrees[0], degrees[1] + 1))
         pres = random_depressed_presentation(rng, degree)
-        c = np.array(pres.modulus_coeffs)
-        residual = 0.0
-        for theta in rng.uniform(-1.5, 1.5, thetas_per_case):
-            plus = core.rep_matrix(_generator_exponential(pres, 1, theta + h))
-            minus = core.rep_matrix(_generator_exponential(pres, 1, theta - h))
-            centre = core.rep_matrix(_generator_exponential(pres, 1, theta))
-            derivative = (plus - minus) / (2.0 * h)
-            expected = np.empty_like(centre)
-            expected[:, : degree - 1] = centre[:, 1:]
-            expected[:, degree - 1] = -centre @ c
-            residual = max(residual, float(np.max(np.abs(derivative - expected))))
+        c = core._coeff_array(pres)
+        thetas = rng.uniform(-1.5, 1.5, thetas_per_case)
+        samples = trig_components(pres, 1, np.stack([thetas + h, thetas - h, thetas]))
+        plus, minus, centre = core._rep_stack(samples, c)
+        derivative = (plus - minus) / (2.0 * h)
+        expected = np.empty_like(centre)
+        expected[..., : degree - 1] = centre[..., 1:]
+        expected[..., degree - 1] = -centre @ c
+        residual = float(np.abs(derivative - expected).max(initial=0.0))
         worst = max(worst, residual)
         details.append(
             {"case": _case_label(pres, i), "residual": residual, "pass": residual <= tol}
@@ -332,10 +322,11 @@ def identities_suite(
     worst = 0.0
     for index, (label, pres) in enumerate(cases):
         sets = [("add-angle", adding_angle(pres))]
-        sets.extend(
-            (f"de-moivre-{power}", de_moivre(pres, power))
-            for power in range(1, max_power + 1)
-        )
+        if max_power > 0:
+            sets.extend(
+                (f"de-moivre-{ids.power}", ids)
+                for ids in de_moivre_powers(pres, max_power)
+            )
         for kind_label, ids in sets:
             report = verify_identity(ids, samples=samples, tol=tol, seed=seed + 97 * index + 1)
             residual = report.max_residual
@@ -419,21 +410,25 @@ def pythagorean_deviation(pres: PrincipalPresentation, thetas) -> float:
     return abs(value - 1.0)
 
 
+def _given(value, default):
+    return default if value is None else value
+
+
 _SUITES = {
     "kthagorean": lambda samples, tol, seed: kthagorean_suite(
-        theta_samples=samples or 100, tol=tol or 1e-9, seed=seed
+        theta_samples=_given(samples, 100), tol=_given(tol, 1e-9), seed=seed
     ),
     "lemma": lambda samples, tol, seed: lemma_suite(
-        n_random=samples or 20, tol=tol or 1e-6, seed=seed
+        n_random=_given(samples, 20), tol=_given(tol, 1e-6), seed=seed
     ),
     "roundtrip": lambda samples, tol, seed: roundtrip_suite(
-        samples=samples or 500, tol=tol or 1e-8, seed=seed
+        samples=_given(samples, 500), tol=_given(tol, 1e-8), seed=seed
     ),
     "identities": lambda samples, tol, seed: identities_suite(
-        samples=samples or 200, tol=tol or 1e-9, seed=seed
+        samples=_given(samples, 200), tol=_given(tol, 1e-9), seed=seed
     ),
     "only-pure-power": lambda samples, tol, seed: pure_power_suite(
-        theta_samples=samples or 100, tol=tol or 1e-9, seed=seed
+        theta_samples=_given(samples, 100), tol=_given(tol, 1e-9), seed=seed
     ),
 }
 

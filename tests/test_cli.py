@@ -190,3 +190,20 @@ def test_human_summary_on_stderr(capsys):
     _, out, err = run_cli(capsys, "--algebra", "H2", "exp", "--z", "0,1")
     assert "exponential" in err
     assert "exponential" not in out
+
+
+@pytest.mark.parametrize("literal", ["nan,0", "inf,0", "1e308,0"])
+def test_exp_refuses_out_of_range_input(capsys, literal):
+    code, out, _ = run_cli(capsys, "--algebra", "H2", "exp", "--z", literal)
+    assert code == 3
+    assert json.loads(out)["error"] == "InvalidArgument"
+
+
+@pytest.mark.parametrize(
+    "option", [["--samples", "0"], ["--samples", "-5"], ["--tol", "0"], ["--tol", "nan"]]
+)
+def test_verify_rejects_non_positive_options(capsys, option):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["verify", "--suite", "kthagorean", *option])
+    assert excinfo.value.code == 2
+    capsys.readouterr()

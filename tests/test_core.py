@@ -379,3 +379,37 @@ def test_element_literal_roundtrip(h3):
         parse_element(h3, "1,2")
     with pytest.raises(ValueError):
         parse_element(h3, "1,x,3")
+
+
+def _rep_reference(coords, c):
+    """Column recurrence written out one column at a time: column j is k * column j-1."""
+    n = len(coords)
+    cols = np.empty((n, n))
+    col = np.array(coords, dtype=float)
+    cols[:, 0] = col
+    for j in range(1, n):
+        top = col[-1]
+        nxt = np.empty(n)
+        nxt[0] = -c[0] * top
+        nxt[1:] = col[:-1] - c[1:] * top
+        cols[:, j] = col = nxt
+    return cols
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 16])
+def test_stacked_rep_matches_column_recurrence(n, rng):
+    from atrig.core import _rep_stack
+
+    moduli = [np.zeros(n), np.eye(n)[0], -np.eye(n)[0], rng.uniform(-2, 2, n)]
+    for c in moduli:
+        batch = rng.uniform(-2, 2, (7, n))
+        batch[1] = 0.0
+        batch[2, ::2] = -0.0
+        stacked = _rep_stack(batch, c)
+        assert stacked.shape == (7, n, n)
+        for row, matrix in zip(batch, stacked):
+            reference = _rep_reference(row, c)
+            # bitwise, so signed zeros must agree too
+            assert np.array_equal(matrix.view(np.int64), reference.view(np.int64))
+            single = _rep_stack(row, c)
+            assert np.array_equal(single.view(np.int64), reference.view(np.int64))

@@ -291,3 +291,29 @@ def test_soundness_on_random_rational_presentations(rng):
         pres = random_rational_presentation(rng, int(rng.integers(2, 6)))
         assert verify_identity(adding_angle(pres), samples=60, tol=1e-9).passed
         assert verify_identity(de_moivre(pres, 3), samples=60, tol=1e-9).passed
+
+
+@pytest.mark.parametrize(
+    "pres",
+    [preset("hyperbolic", 5), preset("nil", 3), make_presentation([0.25, -0.125, 0.0])],
+    ids=["H5", "Gamma3", "rational"],
+)
+def test_de_moivre_powers_chain(pres):
+    from atrig import de_moivre_powers
+
+    chain = de_moivre_powers(pres, 4)
+    assert [ids.power for ids in chain] == [1, 2, 3, 4]
+    assert all(ids.kind == "de_moivre" for ids in chain)
+    for power, ids in enumerate(chain, start=1):
+        assert ids == de_moivre(pres, power)
+        assert verify_identity(ids, samples=20, tol=1e-9).passed
+
+
+def test_de_moivre_powers_validation(h2):
+    from atrig import de_moivre_powers
+
+    with pytest.raises(InvalidPower):
+        de_moivre_powers(h2, 0)
+    with pytest.raises(InvalidPower):
+        de_moivre_powers(h2, 13)
+    assert len(de_moivre_powers(h2, 13, power_cap=13)) == 13

@@ -449,3 +449,124 @@ def test_polar_requires_pure_power():
     pres = make_presentation([0.0, 1.0, 0.0])
     with pytest.raises(UnsupportedAlgebra):
         polar(pres.element([1, 0, 0]))
+
+
+# -- stacked exponential -----------------------------------------------------------
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+_THETA_BANDS = (
+    st.floats(-0.5, 0.5, allow_nan=False),  # no squaring
+    st.floats(0.51, 1.0, allow_nan=False),  # one squaring
+    st.floats(2.5, 9.0, allow_nan=False),  # several squarings
+)
+
+
+@given(
+    source=st.sampled_from(
+        [("hyperbolic", 3), ("complicated", 5), ("nil", 4), ("hyperbolic", 16)]
+        + [("random", n) for n in (2, 3, 4, 5, 6, 16)]
+    ),
+    seed=st.integers(0, 2**16),
+    draws=st.lists(
+        st.tuples(st.integers(0, 2), st.floats(-1.0, 1.0)), min_size=1, max_size=12
+    ),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_batched_trig_components_match_single_calls(source, seed, draws, data):
+    kind, n = source
+    if kind == "random":
+        pres = random_depressed_presentation(np.random.default_rng(seed), n)
+    else:
+        pres = preset(kind, n)
+    m = data.draw(st.integers(1, n - 1))
+    thetas = np.array([data.draw(_THETA_BANDS[band]) * np.sign(sign or 1) for band, sign in draws])
+    thetas = np.concatenate([thetas, [0.0, 0.7, 6.0]])  # always 0, 1 and several squarings
+    singles = []
+    with np.errstate(all="ignore"):
+        for theta in thetas:
+            try:
+                singles.append(trig_components(pres, m, theta))
+            except NoConvergence:
+                singles.append(None)
+        if any(s is None for s in singles):
+            with pytest.raises(NoConvergence):
+                trig_components(pres, m, thetas)
+            return
+        batch = trig_components(pres, m, thetas)
+    assert batch.shape == (thetas.size, n)
+    for row, single in zip(batch, singles):
+        # the same arithmetic row by row, so equal to the last bit
+        assert np.array_equal(_bits(row), _bits(single))
+
+
+def test_trig_components_shapes(h3):
+    scalar = trig_components(h3, 1, 0.3)
+    assert scalar.shape == (3,)
+    assert trig_components(h3, 1, np.float64(0.3)).shape == (3,)
+    vector = trig_components(h3, 1, [0.3, -2.0, 5.0])
+    assert vector.shape == (3, 3)
+    np.testing.assert_array_equal(vector[0], scalar)
+    grid = trig_components(h3, 2, np.linspace(-1, 1, 6).reshape(2, 3))
+    assert grid.shape == (2, 3, 3)
+    assert trig_components(h3, 1, []).shape == (0, 3)
+
+
+def test_trig_components_invalid_power_with_array(h3):
+    with pytest.raises(InvalidPower):
+        trig_components(h3, 0, np.array([0.1, 0.2]))
+    with pytest.raises(InvalidPower):
+        trig_components(h3, 3, [0.1, 0.2])
+
+
+def test_batch_with_one_failing_row_raises():
+    # k^2 = -1e6: theta = 0 converges at once, while theta = 0.4 needs no
+    # squaring but its terms (400^j / j!) still grow past the term limit.
+    pres = make_presentation([1e6, 0.0])
+    np.testing.assert_array_equal(trig_components(pres, 1, [0.0]), [[1.0, 0.0]])
+    with pytest.raises(NoConvergence):
+        trig_components(pres, 1, [0.0, 0.4])
+
+
+def test_exp_refuses_what_it_cannot_scale(h2):
+    from atrig.errors import AlgebraError, InvalidArgument
+
+    for bad in ([float("nan"), 0.0], [0.0, -float("inf")], [1e308, 0.0]):
+        with pytest.raises(InvalidArgument) as excinfo:
+            exp(h2.element(bad))
+        assert isinstance(excinfo.value, AlgebraError)
+        assert isinstance(excinfo.value, ValueError)
+    with pytest.raises(InvalidArgument):
+        trig_components(h2, 1, [0.0, float("nan")])
+    # 2**1022 still scales (1023 squarings); the next double up does not
+    edge = 2.0**1022
+    with np.errstate(all="ignore"):
+        exp(h2.element([edge, 0.0]))
+    with pytest.raises(InvalidArgument):
+        exp(h2.element([np.nextafter(edge, np.inf), 0.0]))
+
+
+@given(
+    norm=st.one_of(
+        st.floats(0.0, 1e6, allow_nan=False),
+        st.integers(-60, 60).map(lambda e: 2.0**e),
+    ),
+    threshold=st.sampled_from([0.5, 0.1, 0.75, 1.0, 3.0, 2.0**-40]),
+)
+def test_squaring_count_is_the_halving_loop(norm, threshold):
+    from atrig.transcendental import _squaring_count
+
+    expected = 0
+    while norm > threshold * 2.0**expected:
+        expected += 1
+    assert _squaring_count(norm, threshold) == expected
+
+
+def test_series_policy_rejects_bad_threshold():
+    for bad in (0.0, -0.5, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            SeriesPolicy(squaring_threshold=bad)
