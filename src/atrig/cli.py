@@ -16,7 +16,7 @@ import sys
 
 from . import core, verify
 from .core import PrincipalPresentation, make_presentation, parse_element, preset
-from .errors import AlgebraError
+from .errors import AlgebraError, InvalidArgument
 from .identities import adding_angle, de_moivre, render
 from .spectral import find_roots
 from .transcendental import BranchSpec, arg, exp, log, polar, trig_components
@@ -201,12 +201,18 @@ def _csv_value(value) -> str:
 
 
 def _emit(payload, args: argparse.Namespace, summary: str) -> None:
+    # Strict JSON has no Infinity or NaN; a result holding one is refused
+    # in every format rather than printed.
+    try:
+        text = json.dumps(payload, allow_nan=False)
+    except ValueError:
+        raise InvalidArgument("the result is not finite") from None
     if args.format == "csv":
         sys.stdout.write("\n".join(_csv_lines(payload)) + "\n")
     elif isinstance(payload, str):
         sys.stdout.write(payload + "\n")
     else:
-        sys.stdout.write(json.dumps(payload) + "\n")
+        sys.stdout.write(text + "\n")
     print(summary, file=sys.stderr)
 
 
@@ -308,7 +314,7 @@ def main(argv=None) -> int:
         return _dispatch(args, parser)
     except AlgebraError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
-        sys.stdout.write(json.dumps(payload) + "\n")
+        sys.stdout.write(json.dumps(payload, allow_nan=False) + "\n")
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

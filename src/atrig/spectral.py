@@ -10,6 +10,7 @@ there, so the decomposition certifies semisimplicity up front.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +48,24 @@ class SpectralDecomposition:
     @property
     def complex_count(self) -> int:
         return len(self.complex_roots)
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        """All n roots as one complex array: the real roots, then each
+        stored complex root followed by its conjugate."""
+        nodes = list(self.real_roots)
+        for xi in self.complex_roots:
+            nodes.extend([xi, xi.conjugate()])
+        arr = np.array(nodes, dtype=complex)
+        arr.setflags(write=False)
+        return arr
+
+    @cached_property
+    def vandermonde(self) -> np.ndarray:
+        """Row i holds 1, x_i, ..., x_i^{n-1} for node x_i."""
+        arr = np.vander(self.nodes, N=self.presentation.degree, increasing=True)
+        arr.setflags(write=False)
+        return arr
 
     def to_json_dict(self) -> dict:
         return {
@@ -178,51 +197,72 @@ def find_roots(
     )
 
 
-def _evaluate(coords: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Horner evaluation of the coordinate polynomial at arbitrary points."""
-    out = np.full_like(points, coords[-1])
-    for c in coords[-2::-1]:
-        out = out * points + c
+def _component_values(coords: np.ndarray, dec: SpectralDecomposition) -> np.ndarray:
+    """Every coordinate row of ``coords`` (m, n) evaluated at all n nodes of
+    ``dec`` by Horner's rule, as (m, n) complex values in node order.
+
+    Values at real roots are real to the last bit, and the value at a
+    conjugate root is the exact conjugate of the value at its partner.
+    """
+    out = np.empty(coords.shape, dtype=complex)
+    out[:] = coords[:, -1:]
+    for j in range(coords.shape[1] - 2, -1, -1):
+        out *= dec.nodes
+        out += coords[:, j : j + 1]
     return out
 
 
+def _interpolate(values: np.ndarray, dec: SpectralDecomposition) -> np.ndarray:
+    """Real coordinates of the rows of ``values`` (m, n), given in node
+    order, from one Vandermonde solve over all rows.
+
+    Each row's interpolation residual is checked on its own; any row that
+    fails raises ``IllConditioned``.
+    """
+    vander = dec.vandermonde
+    rhs = values.T
+    try:
+        coeffs = np.linalg.solve(vander, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise IllConditioned(f"singular interpolation system: {exc}") from None
+    residual = np.abs(vander @ coeffs - rhs).max(axis=0)
+    bound = INTERPOLATION_RESIDUAL_FACTOR * np.maximum(1.0, np.abs(rhs).max(axis=0))
+    passed = residual <= bound  # False for the NaNs of a singular solve
+    if not passed.all():
+        worst = residual[np.argmin(passed)]
+        raise IllConditioned(f"interpolation residual {worst:.3e} too large")
+    return np.ascontiguousarray(coeffs.real.T)
+
+
 def to_components(z: AlgebraElement, dec: SpectralDecomposition) -> ComponentVector:
-    """Evaluate the coordinate polynomial at every root (the forward map)."""
+    """Evaluate the coordinate polynomial at every root (the forward map).
+
+    The one-row case of the stacked evaluation over all roots.
+    """
     if not z.presentation.same_algebra(dec.presentation):
         raise PresentationMismatch("element and decomposition use different algebras")
-    reals = tuple(float(v) for v in _evaluate(z.coords, np.array(dec.real_roots)))
-    if dec.complex_roots:
-        cplx = tuple(complex(v) for v in _evaluate(z.coords, np.array(dec.complex_roots)))
-    else:
-        cplx = ()
-    return ComponentVector(reals, cplx)
+    values = _component_values(z.coords[None, :], dec)[0]
+    r = dec.real_count
+    return ComponentVector(
+        tuple(values[:r].real.tolist()), tuple(values[r::2].tolist())
+    )
 
 
 def from_components(v: ComponentVector, dec: SpectralDecomposition) -> AlgebraElement:
     """Interpolate prescribed component values back to real coordinates.
 
     Solves the complex Vandermonde system over all n roots (conjugate values
-    at conjugate roots) and projects onto real coordinates.
+    at conjugate roots) and projects onto real coordinates; the one-row case
+    of the stacked interpolation, with the decomposition's cached matrix.
     """
-    if len(v.real_parts) != dec.real_count or len(v.complex_parts) != dec.complex_count:
+    r, c = dec.real_count, dec.complex_count
+    if len(v.real_parts) != r or len(v.complex_parts) != c:
         raise ShapeMismatch(
             f"component shape ({len(v.real_parts)}, {len(v.complex_parts)}) does not "
-            f"match decomposition ({dec.real_count}, {dec.complex_count})"
+            f"match decomposition ({r}, {c})"
         )
-    nodes = list(dec.real_roots)
-    values = [complex(x) for x in v.real_parts]
-    for xi, w in zip(dec.complex_roots, v.complex_parts):
-        nodes.extend([xi, xi.conjugate()])
-        values.extend([complex(w), complex(w).conjugate()])
-    nodes_arr = np.array(nodes, dtype=complex)
-    values_arr = np.array(values, dtype=complex)
-    vander = np.vander(nodes_arr, N=dec.presentation.degree, increasing=True)
-    try:
-        coeffs = np.linalg.solve(vander, values_arr)
-    except np.linalg.LinAlgError as exc:
-        raise IllConditioned(f"singular interpolation system: {exc}") from None
-    residual = float(np.max(np.abs(vander @ coeffs - values_arr)))
-    bound = INTERPOLATION_RESIDUAL_FACTOR * max(1.0, float(np.max(np.abs(values_arr))))
-    if not residual <= bound:  # also catches the NaNs of a singular solve
-        raise IllConditioned(f"interpolation residual {residual:.3e} too large")
-    return AlgebraElement(dec.presentation, coeffs.real)
+    values = np.empty((1, r + 2 * c), dtype=complex)
+    values[0, :r] = v.real_parts
+    values[0, r::2] = v.complex_parts
+    values[0, r + 1 :: 2] = np.conj(values[0, r::2])
+    return AlgebraElement(dec.presentation, _interpolate(values, dec)[0])

@@ -27,7 +27,7 @@ from .errors import (
     ShapeMismatch,
     UnsupportedAlgebra,
 )
-from .spectral import ComponentVector, SpectralDecomposition, find_roots, from_components, to_components
+from .spectral import SpectralDecomposition, _component_values, _interpolate, find_roots
 
 
 @dataclass(frozen=True)
@@ -174,6 +174,8 @@ def _exp_coords(
             need = counts > step
             part = out[need]
             out[need] = core._mul_coords(part, part, c)
+    if not np.isfinite(out).all():
+        raise InvalidArgument("exp overflowed: the result is not finite")
     return out
 
 
@@ -183,8 +185,9 @@ def exp(z: AlgebraElement, policy: SeriesPolicy | None = None) -> AlgebraElement
     The argument is halved until its sup-norm drops below the squaring
     threshold, the series is summed until a term falls below the relative
     tolerance, and the result is squared back up.  This is the one-row case
-    of the stacked kernel behind ``trig_components``.  Non-finite input, or
-    input too large to scale into a double, raises ``InvalidArgument``.
+    of the stacked kernel behind ``trig_components``.  Non-finite input,
+    input too large to scale into a double, and a result that overflows
+    raise ``InvalidArgument``.
     """
     pol = policy if policy is not None else _DEFAULT_POLICY
     pres = z.presentation
@@ -209,50 +212,111 @@ def trig_components(pres: PrincipalPresentation, m: int, theta) -> np.ndarray:
     return _exp_coords(coords, pres, _DEFAULT_POLICY).reshape(thetas.shape + (n,))
 
 
-def modulus(z: AlgebraElement) -> float:
-    """The unique positive rho with F(z) = rho^n, for pure-power algebras."""
-    pres = z.presentation
+# The component-wise functions below (log, atan2, pow) go through ``math``
+# one value at a time, as the scalar code did: numpy's vectorized versions
+# differ from the C library in the last bit on some inputs, which would
+# move seeded results.  The stacked work around them (Horner evaluation,
+# interpolation, determinants, the exponential) is done once per batch.
+
+
+def _log_each(values) -> np.ndarray:
+    """math.log of every value of a sequence of floats, as a 1-D array."""
+    return np.array(list(map(math.log, values)), dtype=float)
+
+
+def _modulus_coords(coords: np.ndarray, pres: PrincipalPresentation) -> list[float]:
+    """modulus of every row of ``coords`` (m, n), as a list of m floats: one
+    determinant over the stacked regular representations."""
     if not pres.is_pure_power():
         raise UnsupportedAlgebra(
             f"modulus is defined only for pure-power presentations, not {pres}"
         )
-    value = core.pythagorean(z)
-    if value <= 0.0:
-        raise NonPositivePythagorean(f"Pythagorean value {value:.3e} is not positive")
-    return value ** (1.0 / pres.degree)
+    values = np.linalg.det(core._rep_stack(coords, core._coeff_array(pres))).tolist()
+    power = 1.0 / pres.degree
+    out = []
+    for value in values:
+        if value <= 0.0:
+            raise NonPositivePythagorean(f"Pythagorean value {value:.3e} is not positive")
+        out.append(value**power)
+    return out
+
+
+def modulus(z: AlgebraElement) -> float:
+    """The unique positive rho with F(z) = rho^n, for pure-power algebras."""
+    return _modulus_coords(z.coords[None, :], z.presentation)[0]
 
 
 @lru_cache(maxsize=128)
-def _cached_decomposition(pres: PrincipalPresentation) -> SpectralDecomposition:
-    return find_roots(pres)
+def _decomposition_of(modulus_coeffs: tuple[float, ...]) -> SpectralDecomposition:
+    """The decomposition of a modulus, shared by every presentation with
+    these coefficients whatever its label."""
+    return find_roots(PrincipalPresentation(modulus_coeffs))
 
 
-def _principal_angle(w: complex) -> float:
-    """Argument normalized to (-pi, pi]."""
-    a = math.atan2(w.imag, w.real)
-    if a <= -math.pi:
-        a = math.pi
-    return a
-
-
-def _log_nil(z: AlgebraElement) -> AlgebraElement:
-    coords = z.coords
-    x1 = float(coords[0])
-    if x1 <= 0.0:
-        raise OutsideLogDomain(f"leading coordinate {x1} must be positive")
-    pres = z.presentation
-    n = pres.degree
-    c = core._coeff_array(pres)
-    nilpotent = np.array(coords) / x1
-    nilpotent[0] = 0.0
-    out = np.zeros(n)
+def _log_nil(coords: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Finite alternating series for every row, on a nil presentation."""
+    leading = coords[:, 0].tolist()
+    for x1 in leading:
+        if x1 <= 0.0:
+            raise OutsideLogDomain(f"leading coordinate {x1} must be positive")
+    nilpotent = coords / coords[:, :1]
+    nilpotent[:, 0] = 0.0
+    out = np.zeros_like(nilpotent)
     power = nilpotent.copy()
-    for m in range(1, n):
+    for m in range(1, coords.shape[1]):
         out += ((-1.0) ** (m + 1) / m) * power
-        if m < n - 1:
+        if m < coords.shape[1] - 1:
             power = core._mul_coords(power, nilpotent, c)
-    out[0] = math.log(x1)
-    return AlgebraElement(pres, out)
+    out[:, 0] = _log_each(leading)
+    return out
+
+
+def _log_coords(
+    coords: np.ndarray,
+    pres: PrincipalPresentation,
+    spec: BranchSpec,
+    dec: SpectralDecomposition | None,
+) -> np.ndarray:
+    """log of every row of ``coords`` (m, n), as an (m, n) array.
+
+    Nil presentations take the finite series.  Semisimple ones evaluate
+    all rows at the roots at once, take the logarithm of each component,
+    and interpolate all rows in one solve.  Any row outside the domain
+    raises ``OutsideLogDomain``.
+    """
+    if pres.is_nil():
+        spec.indices_for(0)
+        return _log_nil(coords, core._coeff_array(pres))
+
+    if dec is None:
+        dec = _decomposition_of(pres.modulus_coeffs)
+    elif not dec.presentation.same_algebra(pres):
+        raise PresentationMismatch("decomposition belongs to a different algebra")
+    indices = spec.indices_for(dec.complex_count)
+
+    values = _component_values(coords, dec)
+    r, c = dec.real_count, dec.complex_count
+    reals = values[:, :r].real.ravel().tolist()
+    for x in reals:
+        if x <= 0.0:
+            raise OutsideLogDomain(f"real component {x:.6g} is not positive")
+    pairs = values[:, r::2].ravel().tolist()
+    if 0 in pairs:
+        raise OutsideLogDomain("zero complex component")
+
+    # Component logarithms in node order, row by row: log x at each real
+    # root, then log w and its conjugate at each conjugate pair of roots.
+    offsets = [2.0 * math.pi * b for b in indices]
+    logs = []
+    for i in range(len(values)):
+        logs += map(math.log, reals[i * r : (i + 1) * r])
+        for w, offset in zip(pairs[i * c : (i + 1) * c], offsets):
+            theta = math.atan2(w.imag, w.real)
+            if theta <= -math.pi:  # the principal angle lies in (-pi, pi]
+                theta = math.pi
+            log_w = complex(math.log(abs(w)), theta + offset)
+            logs += (log_w, log_w.conjugate())
+    return _interpolate(np.array(logs, dtype=complex).reshape(values.shape), dec)
 
 
 def log(
@@ -265,41 +329,22 @@ def log(
     Nil presentations (k^n = 0) require a positive leading coordinate and
     use the finite alternating series.  Semisimple presentations require
     positive real components and nonzero complex components; the branch
-    spec picks the 2*pi offset applied to each conjugate pair.
+    spec picks the 2*pi offset applied to each conjugate pair.  This is the
+    one-row case of the stacked logarithm, and the result carries the
+    presentation of ``z``.
     """
     pres = z.presentation
     spec = branch if branch is not None else BranchSpec()
-    if pres.is_nil():
-        spec.indices_for(0)
-        return _log_nil(z)
-
-    if dec is None:
-        dec = _cached_decomposition(pres)
-    elif not dec.presentation.same_algebra(pres):
-        raise PresentationMismatch("decomposition belongs to a different algebra")
-
-    comp = to_components(z, dec)
-    indices = spec.indices_for(dec.complex_count)
-    log_reals = []
-    for r in comp.real_parts:
-        if r <= 0.0:
-            raise OutsideLogDomain(f"real component {r:.6g} is not positive")
-        log_reals.append(math.log(r))
-    log_cplx = []
-    for w, b in zip(comp.complex_parts, indices):
-        if w == 0:
-            raise OutsideLogDomain("zero complex component")
-        theta = _principal_angle(w) + 2.0 * math.pi * b
-        log_cplx.append(complex(math.log(abs(w)), theta))
-    return from_components(ComponentVector(tuple(log_reals), tuple(log_cplx)), dec)
+    return AlgebraElement(pres, _log_coords(z.coords[None, :], pres, spec, dec)[0])
 
 
 def arg(z: AlgebraElement, branch: BranchSpec | None = None) -> AlgebraElement:
     """Logarithm with the real part removed: k*theta_1 + ... + k^{n-1}*theta_{n-1}."""
-    value = log(z, branch)
-    coords = np.array(value.coords)
+    pres = z.presentation
+    spec = branch if branch is not None else BranchSpec()
+    coords = _log_coords(z.coords[None, :], pres, spec, None)[0]
     coords[0] = 0.0
-    return AlgebraElement(z.presentation, coords)
+    return AlgebraElement(pres, coords)
 
 
 def polar(z: AlgebraElement, branch: BranchSpec | None = None) -> PolarForm:

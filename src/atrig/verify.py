@@ -5,7 +5,6 @@ residuals so tolerance behaviour stays observable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,8 +13,19 @@ from . import core
 from .core import AlgebraElement, PrincipalPresentation, make_presentation, preset
 from .errors import NonSemisimple
 from .identities import adding_angle, de_moivre_powers, verify_identity
-from .spectral import SpectralDecomposition, find_roots
-from .transcendental import exp, log, modulus, polar, trig_components
+from .spectral import SpectralDecomposition, _component_values, _interpolate, find_roots
+from .transcendental import (
+    _DEFAULT_POLICY,
+    BranchSpec,
+    _exp_coords,
+    _log_each,
+    _log_coords,
+    _modulus_coords,
+    exp,
+    trig_components,
+)
+
+_PRINCIPAL = BranchSpec()
 
 
 @dataclass
@@ -75,25 +85,37 @@ def random_rational_presentation(
     return make_presentation(coeffs)
 
 
+def random_ld_samples(
+    rng: np.random.Generator,
+    pres: PrincipalPresentation,
+    dec: SpectralDecomposition | None,
+    count: int,
+) -> np.ndarray:
+    """Coordinates (count, n) of exp of random elements whose spectrum is
+    capped, so coordinates of the samples (and of their exponential round
+    trips) stay at a scale where the absolute tolerances are meaningful.
+
+    The draws are those of ``count`` successive ``random_ld_sample`` calls.
+    """
+    w = rng.uniform(-1.0, 1.0, (count, pres.degree))
+    if dec is not None:
+        peaks = np.abs(_component_values(w, dec)).max(axis=1)
+        capped = peaks > 2.0
+        w[capped] *= (2.0 / peaks[capped])[:, None]
+    return _exp_coords(w, pres, _DEFAULT_POLICY)
+
+
 def random_ld_sample(
     rng: np.random.Generator,
     pres: PrincipalPresentation,
     dec: SpectralDecomposition | None = None,
 ) -> AlgebraElement:
-    """exp of a random element whose spectrum is capped, so coordinates of the
-    sample (and of its exponential round trip) stay at a scale where the
-    absolute tolerances are meaningful."""
-    w = rng.uniform(-1.0, 1.0, pres.degree)
-    if dec is not None:
-        nodes = np.array(list(dec.real_roots) + list(dec.complex_roots), dtype=complex)
-        if nodes.size:
-            values = np.full_like(nodes, w[-1])
-            for x in w[-2::-1]:
-                values = values * nodes + x
-            peak = float(np.max(np.abs(values)))
-            if peak > 2.0:
-                w = w * (2.0 / peak)
-    return exp(AlgebraElement(pres, w))
+    """One log-domain sample: the one-row case of ``random_ld_samples``."""
+    return AlgebraElement(pres, random_ld_samples(rng, pres, dec, 1)[0])
+
+
+def _worst_deviation(got: np.ndarray, want: np.ndarray) -> float:
+    return float(np.abs(got - want).max(initial=0.0))
 
 
 def _case_label(pres: PrincipalPresentation, index: int | None = None) -> str:
@@ -236,40 +258,23 @@ def roundtrip_suite(
 
     details = []
     worst = 0.0
-    for label, pres, dec in semisimple:
-        residual = 0.0
-        for _ in range(samples):
-            z = random_ld_sample(rng, pres, dec)
-            back = exp(log(z, dec=dec))
-            residual = max(residual, float(np.max(np.abs(back.coords - z.coords))))
+    roundtrip_cases = semisimple + [
+        (_case_label(pres), pres, None) for pres in preset_grid(kinds=("nil",))
+    ]
+    for label, pres, dec in roundtrip_cases:
+        z = random_ld_samples(rng, pres, dec, samples)
+        back = _exp_coords(_log_coords(z, pres, _PRINCIPAL, dec), pres, _DEFAULT_POLICY)
+        residual = _worst_deviation(back, z)
         worst = max(worst, residual)
         details.append(
             {"case": f"roundtrip:{label}", "residual": residual, "pass": residual <= tol}
         )
-    for pres in preset_grid(kinds=("nil",)):
-        residual = 0.0
-        for _ in range(samples):
-            z = random_ld_sample(rng, pres)
-            back = exp(log(z))
-            residual = max(residual, float(np.max(np.abs(back.coords - z.coords))))
-        worst = max(worst, residual)
-        details.append(
-            {
-                "case": f"roundtrip:{_case_label(pres)}",
-                "residual": residual,
-                "pass": residual <= tol,
-            }
-        )
 
     for pres in preset_grid():
-        dec = None
-        if not pres.is_nil():
-            dec = find_roots(pres)
-        residual = 0.0
-        for _ in range(samples):
-            z = random_ld_sample(rng, pres, dec)
-            real_part = float(log(z).coords[0])
-            residual = max(residual, abs(real_part - math.log(modulus(z))))
+        dec = None if pres.is_nil() else find_roots(pres)
+        z = random_ld_samples(rng, pres, dec, samples)
+        real_parts = _log_coords(z, pres, _PRINCIPAL, dec)[:, 0]
+        residual = _worst_deviation(real_parts, _log_each(_modulus_coords(z, pres)))
         worst = max(worst, residual)
         details.append(
             {
@@ -288,12 +293,12 @@ def polar_suite(samples: int = 200, tol: float = 1e-8, seed: int = 0) -> SuiteRe
     worst = 0.0
     for pres in preset_grid():
         dec = None if pres.is_nil() else find_roots(pres)
-        residual = 0.0
-        for _ in range(samples):
-            z = random_ld_sample(rng, pres, dec)
-            form = polar(z)
-            back = form.recombine()
-            residual = max(residual, float(np.max(np.abs(back.coords - z.coords))))
+        z = random_ld_samples(rng, pres, dec, samples)
+        log_rho = _log_each(_modulus_coords(z, pres))
+        recombined = _log_coords(z, pres, _PRINCIPAL, dec)  # the argument ...
+        recombined[:, 0] = log_rho  # ... plus log(rho)
+        back = _exp_coords(recombined, pres, _DEFAULT_POLICY)
+        residual = _worst_deviation(back, z)
         worst = max(worst, residual)
         details.append(
             {"case": _case_label(pres), "residual": residual, "pass": residual <= tol}
@@ -341,49 +346,48 @@ def identities_suite(
     return SuiteReport("identities", tol, worst, all(d["pass"] for d in details), details)
 
 
+def _cabs(values: np.ndarray) -> np.ndarray:
+    return np.hypot(values.real, values.imag)  # abs() of a Python complex
+
+
+def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products by the textbook formula, as a Python complex computes them."""
+    out = np.empty_like(a)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _relative_deviation(got: np.ndarray, want: np.ndarray) -> float:
+    return float((_cabs(got - want) / np.maximum(1.0, _cabs(want))).max(initial=0.0))
+
+
 def crt_suite(samples: int = 500, tol: float = 1e-9, seed: int = 0) -> SuiteReport:
     """Component isomorphism: homomorphism and both round trips on
     semisimple presets; nil presets must be rejected as non-semisimple."""
-    from .spectral import ComponentVector, from_components, to_components
-
     rng = np.random.default_rng(seed)
     details = []
     worst = 0.0
     for pres in preset_grid(kinds=("hyperbolic", "complicated")):
         dec = find_roots(pres)
-        n = pres.degree
-        residual = 0.0
-        for _ in range(samples):
-            z = AlgebraElement(pres, rng.uniform(-2.0, 2.0, n))
-            w = AlgebraElement(pres, rng.uniform(-2.0, 2.0, n))
-            pz, pw = to_components(z, dec), to_components(w, dec)
-            pzw = to_components(core.mul(z, w), dec)
-            for left, a, b in zip(
-                pzw.real_parts + pzw.complex_parts,
-                pz.real_parts + pz.complex_parts,
-                pw.real_parts + pw.complex_parts,
-            ):
-                product = a * b
-                residual = max(
-                    residual, abs(left - product) / max(1.0, abs(product))
-                )
-            back = from_components(pz, dec)
-            residual = max(residual, float(np.max(np.abs(back.coords - z.coords))))
-            v = ComponentVector(
-                tuple(rng.uniform(-2.0, 2.0, dec.real_count)),
-                tuple(
-                    complex(a, b)
-                    for a, b in zip(
-                        rng.uniform(-2.0, 2.0, dec.complex_count),
-                        rng.uniform(-2.0, 2.0, dec.complex_count),
-                    )
-                ),
-            )
-            w2 = to_components(from_components(v, dec), dec)
-            for got, want in zip(
-                w2.real_parts + w2.complex_parts, v.real_parts + v.complex_parts
-            ):
-                residual = max(residual, abs(got - want) / max(1.0, abs(want)))
+        n, r, c = pres.degree, dec.real_count, dec.complex_count
+        # Per sample: z, w, then the real components and the real and
+        # imaginary parts of the complex ones of a random component vector.
+        draws = rng.uniform(-2.0, 2.0, (samples, 3 * n))
+        z, w = draws[:, :n], draws[:, n : 2 * n]
+        v = np.empty((samples, n), dtype=complex)
+        v[:, :r] = draws[:, 2 * n : 2 * n + r]
+        v[:, r::2].real = draws[:, 2 * n + r : 2 * n + r + c]
+        v[:, r::2].imag = draws[:, 2 * n + r + c :]
+        v[:, r + 1 :: 2] = np.conj(v[:, r::2])
+
+        pz, pw = _component_values(z, dec), _component_values(w, dec)
+        pzw = _component_values(core._mul_coords(z, w, core._coeff_array(pres)), dec)
+        residual = max(
+            _relative_deviation(pzw, _cmul(pz, pw)),
+            _worst_deviation(_interpolate(pz, dec), z),
+            _relative_deviation(_component_values(_interpolate(v, dec), dec), v),
+        )
         worst = max(worst, residual)
         details.append(
             {"case": _case_label(pres), "residual": residual, "pass": residual <= tol}

@@ -207,3 +207,19 @@ def test_verify_rejects_non_positive_options(capsys, option):
         cli.main(["verify", "--suite", "kthagorean", *option])
     assert excinfo.value.code == 2
     capsys.readouterr()
+
+
+def _strict(text):
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("argv", [["exp", "--z", "1000,0"], ["pyth", "--z", "1e200,0"]])
+def test_non_finite_results_are_refused(capsys, argv, fmt):
+    code, out, _ = run_cli(capsys, "--algebra", "H2", "--format", fmt, *argv)
+    assert code == 3
+    assert _strict(out)["error"] == "InvalidArgument"

@@ -1,0 +1,291 @@
+"""Stacked logarithm, component maps and modulus: every row of a batch
+equals the one-row public call, and the batch refuses what a row refuses."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from atrig import (
+    AlgebraElement,
+    BranchSpec,
+    ComponentVector,
+    exp,
+    find_roots,
+    from_components,
+    log,
+    make_presentation,
+    modulus,
+    preset,
+    pythagorean,
+    to_components,
+    transcendental,
+)
+from atrig.errors import AlgebraError, IllConditioned, OutsideLogDomain
+from atrig.spectral import _component_values, _interpolate
+from atrig.transcendental import _log_coords, _modulus_coords
+from atrig.verify import (
+    random_ld_sample,
+    random_ld_samples,
+    random_semisimple_presentation,
+)
+
+
+def _bits(values):
+    arr = np.ascontiguousarray(values)
+    return arr.view(np.int64)
+
+
+def _same_bits(a, b) -> bool:
+    return np.array_equal(_bits(np.asarray(a)), _bits(np.asarray(b)))
+
+
+def _source(kind, n, seed):
+    if kind == "random":
+        return random_semisimple_presentation(np.random.default_rng(seed), n)
+    pres = preset(kind, n)
+    return pres, None if kind == "nil" else find_roots(pres)
+
+
+_DEGREES = (2, 3, 4, 5, 6, 16)
+
+
+@given(
+    source=st.sampled_from(
+        [(kind, n) for kind in ("hyperbolic", "complicated", "nil", "random") for n in _DEGREES]
+    ),
+    seed=st.integers(0, 2**16),
+    scales=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=10),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_stacked_kernels_match_one_row_calls(source, seed, scales, data):
+    kind, n = source
+    pres, dec = _source(kind, n, seed)
+    rng = np.random.default_rng(seed + 1)
+    # Positive multiples of log-domain samples stay in the domain.
+    batch = random_ld_samples(rng, pres, dec, len(scales)) * np.array(scales)[:, None]
+    spec = BranchSpec()
+    if dec is not None and dec.complex_count:
+        indices = data.draw(
+            st.lists(st.integers(-2, 2), min_size=dec.complex_count, max_size=dec.complex_count)
+        )
+        spec = BranchSpec(tuple(indices))
+    rows = [AlgebraElement(pres, row) for row in batch]
+
+    def agree(stacked, single):
+        """Each row must equal its single call, or the batch refuse as a row does."""
+        outcomes = []
+        for z in rows:
+            try:
+                outcomes.append(single(z))
+            except AlgebraError as exc:
+                outcomes.append(exc)
+        refusals = [type(o) for o in outcomes if isinstance(o, AlgebraError)]
+        if refusals:
+            with pytest.raises(AlgebraError) as excinfo:
+                stacked()
+            assert type(excinfo.value) in refusals
+            return
+        result = stacked()
+        assert len(result) == len(rows)
+        for got, want in zip(result, outcomes):
+            assert _same_bits(got, want)
+
+    with np.errstate(all="ignore"):
+        agree(
+            lambda: _log_coords(batch, pres, spec, dec),
+            lambda z: log(z, spec, dec).coords,
+        )
+        if pres.is_pure_power():
+            agree(lambda: _modulus_coords(batch, pres), lambda z: modulus(z))
+        if dec is not None:
+            r = dec.real_count
+            values = _component_values(batch, dec)
+            for row, z in zip(values, rows):
+                comp = to_components(z, dec)
+                assert _same_bits(row[:r].real, comp.real_parts)
+                assert _same_bits(row[r::2], np.array(comp.complex_parts, dtype=complex))
+            agree(
+                lambda: _interpolate(values, dec),
+                lambda z: from_components(to_components(z, dec), dec).coords,
+            )
+
+
+def _old_to_components(coords, dec):
+    """The forward map before it was stacked: real and complex roots apart."""
+
+    def horner(points):
+        out = np.full_like(points, coords[-1])
+        for c in coords[-2::-1]:
+            out = out * points + c
+        return out
+
+    reals = tuple(float(v) for v in horner(np.array(dec.real_roots)))
+    cplx = tuple(complex(v) for v in horner(np.array(dec.complex_roots))) if dec.complex_roots else ()
+    return reals, cplx
+
+
+def _old_from_components(v, dec):
+    """The inverse map before it was stacked: a fresh Vandermonde per call."""
+    nodes = list(dec.real_roots)
+    values = [complex(x) for x in v.real_parts]
+    for xi, w in zip(dec.complex_roots, v.complex_parts):
+        nodes.extend([xi, xi.conjugate()])
+        values.extend([complex(w), complex(w).conjugate()])
+    vander = np.vander(np.array(nodes, dtype=complex), N=dec.presentation.degree, increasing=True)
+    return np.linalg.solve(vander, np.array(values, dtype=complex)).real
+
+
+@pytest.mark.parametrize("kind", ["hyperbolic", "complicated", "random"])
+@pytest.mark.parametrize("n", [2, 3, 5, 6, 16])
+def test_component_maps_keep_the_unstacked_arithmetic(kind, n):
+    pres, dec = _source(kind, n, seed=n)
+    rng = np.random.default_rng(n)
+    for _ in range(10):
+        z = AlgebraElement(pres, rng.uniform(-2.0, 2.0, n))
+        comp = to_components(z, dec)
+        reals, cplx = _old_to_components(z.coords, dec)
+        assert _same_bits(comp.real_parts, reals)
+        assert _same_bits(np.array(comp.complex_parts, dtype=complex), np.array(cplx, dtype=complex))
+        assert _same_bits(from_components(comp, dec).coords, _old_from_components(comp, dec))
+
+
+def _old_log(z, dec):
+    """The semisimple logarithm before it was stacked, component by component."""
+    reals, cplx = _old_to_components(z.coords, dec)
+    log_reals = tuple(math.log(r) for r in reals)
+    log_cplx = []
+    for w in cplx:
+        theta = math.atan2(w.imag, w.real)
+        if theta <= -math.pi:
+            theta = math.pi
+        log_cplx.append(complex(math.log(abs(w)), theta + 0.0))
+    return _old_from_components(ComponentVector(log_reals, tuple(log_cplx)), dec)
+
+
+@pytest.mark.parametrize("kind", ["hyperbolic", "complicated", "random"])
+@pytest.mark.parametrize("n", [2, 3, 5, 6, 16])
+def test_log_and_modulus_keep_the_unstacked_arithmetic(kind, n):
+    # Through math.log/atan2 and abs(), not numpy's vector versions, which
+    # differ from them in the last bit on some inputs.
+    pres, dec = _source(kind, n, seed=n)
+    rng = np.random.default_rng(n + 100)
+    for z in random_ld_samples(rng, pres, dec, 20):
+        z = AlgebraElement(pres, z)
+        assert _same_bits(log(z, dec=dec).coords, _old_log(z, dec))
+        if pres.is_pure_power():
+            assert modulus(z) == pythagorean(z) ** (1.0 / n)
+
+
+def test_empty_batches():
+    h3, c3, gamma3 = preset("hyperbolic", 3), preset("complicated", 3), preset("nil", 3)
+    empty = np.empty((0, 3))
+    for pres in (h3, c3):
+        dec = find_roots(pres)
+        assert _log_coords(empty, pres, BranchSpec(), dec).shape == (0, 3)
+        assert _component_values(empty, dec).shape == (0, 3)
+        assert _interpolate(np.empty((0, 3), dtype=complex), dec).shape == (0, 3)
+        assert _modulus_coords(empty, pres) == []
+    assert _log_coords(empty, gamma3, BranchSpec(), None).shape == (0, 3)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    assert random_ld_samples(rng, h3, find_roots(h3), 0).shape == (0, 3)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize(
+    "pres, bad",
+    [
+        (preset("hyperbolic", 3), [-1.0, 0.0, 0.0]),  # negative real component
+        (preset("complicated", 2), [0.0, 0.0]),  # zero complex component
+        (preset("complicated", 4), [0.0, 0.0, 0.0, 0.0]),
+        (preset("nil", 3), [-2.0, 0.5, 0.1]),  # non-positive leading coordinate
+        (preset("nil", 4), [0.0, 1.0, 0.0, 0.0]),
+    ],
+)
+def test_one_row_outside_the_domain_refuses_the_batch(pres, bad):
+    dec = None if pres.is_nil() else find_roots(pres)
+    good = random_ld_samples(np.random.default_rng(3), pres, dec, 6)
+    _log_coords(good, pres, BranchSpec(), dec)  # the rest of the batch is fine
+    with pytest.raises(OutsideLogDomain):
+        log(AlgebraElement(pres, bad))
+    for at in (0, 3, 6):
+        with pytest.raises(OutsideLogDomain):
+            _log_coords(np.insert(good, at, bad, axis=0), pres, BranchSpec(), dec)
+
+
+def test_one_failing_interpolation_row_refuses_the_batch():
+    pres = preset("complicated", 3)
+    dec = find_roots(pres)
+    values = _component_values(np.random.default_rng(5).uniform(-2, 2, (5, 3)), dec)
+    _interpolate(values, dec)
+    bad = values[:1].copy()
+    bad[0, 1] = np.nan  # its residual is NaN, which no bound admits
+    for at in (0, 2, 5):
+        with pytest.raises(IllConditioned):
+            _interpolate(np.insert(values, at, bad, axis=0), dec)
+    with pytest.raises(IllConditioned):
+        from_components(ComponentVector((float("nan"),), (1j,)), dec)
+
+
+def _old_random_ld_sample(rng, pres, dec=None):
+    """The sampler before it was stacked, one element per call."""
+    w = rng.uniform(-1.0, 1.0, pres.degree)
+    if dec is not None:
+        nodes = np.array(list(dec.real_roots) + list(dec.complex_roots), dtype=complex)
+        if nodes.size:
+            values = np.full_like(nodes, w[-1])
+            for x in w[-2::-1]:
+                values = values * nodes + x
+            peak = float(np.max(np.abs(values)))
+            if peak > 2.0:
+                w = w * (2.0 / peak)
+    return exp(AlgebraElement(pres, w))
+
+
+@pytest.mark.parametrize(
+    "kind, n",
+    [("hyperbolic", 2), ("hyperbolic", 6), ("complicated", 5), ("nil", 4), ("random", 4), ("random", 16)],
+)
+@pytest.mark.parametrize("with_dec", [True, False])
+def test_random_ld_sample_keeps_its_stream(kind, n, with_dec):
+    pres, dec = _source(kind, n, seed=7)
+    dec = dec if with_dec else None
+    old, one, many = (np.random.default_rng(11) for _ in range(3))
+    expected = [_old_random_ld_sample(old, pres, dec) for _ in range(8)]
+    singles = [random_ld_sample(one, pres, dec) for _ in range(8)]
+    stacked = random_ld_samples(many, pres, dec, 8)
+    for want, got, row in zip(expected, singles, stacked):
+        assert got.presentation is pres
+        assert _same_bits(got.coords, want.coords)
+        assert _same_bits(row, want.coords)
+    assert one.bit_generator.state == old.bit_generator.state
+    assert many.bit_generator.state == old.bit_generator.state
+
+
+@pytest.mark.parametrize("labelled_first", [True, False])
+def test_decomposition_cache_is_keyed_on_the_modulus(monkeypatch, labelled_first):
+    calls = []
+    real_find_roots = transcendental.find_roots
+
+    def counting(pres, *args, **kwargs):
+        calls.append(pres)
+        return real_find_roots(pres, *args, **kwargs)
+
+    monkeypatch.setattr(transcendental, "find_roots", counting)
+    transcendental._decomposition_of.cache_clear()
+    try:
+        labelled = preset("hyperbolic", 3)
+        bare = make_presentation([-1.0, 0.0, 0.0])
+        order = (labelled, bare) if labelled_first else (bare, labelled)
+        results = [log(pres.element([1.5, 0.2, -0.1])) for pres in order]
+    finally:
+        transcendental._decomposition_of.cache_clear()
+    assert len(calls) == 1
+    for pres, result in zip(order, results):
+        assert result.presentation is pres
+    assert results[0].presentation.label != results[1].presentation.label
+    assert _same_bits(results[0].coords, results[1].coords)

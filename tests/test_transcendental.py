@@ -542,12 +542,18 @@ def test_exp_refuses_what_it_cannot_scale(h2):
         assert isinstance(excinfo.value, ValueError)
     with pytest.raises(InvalidArgument):
         trig_components(h2, 1, [0.0, float("nan")])
-    # 2**1022 still scales (1023 squarings); the next double up does not
+    # 2**1022 still scales (1023 squarings); the next double up does not.
+    # On Gamma2, exp(edge * k) = 1 + edge * k exactly; on H2, exp(edge)
+    # scales but overflows, which is refused as well.
     edge = 2.0**1022
-    with np.errstate(all="ignore"):
+    gamma2 = preset("nil", 2)
+    np.testing.assert_array_equal(exp(gamma2.element([0.0, edge])).coords, [1.0, edge])
+    with np.errstate(all="ignore"), pytest.raises(InvalidArgument, match="not finite"):
         exp(h2.element([edge, 0.0]))
-    with pytest.raises(InvalidArgument):
+    with pytest.raises(InvalidArgument, match="squarings"):
         exp(h2.element([np.nextafter(edge, np.inf), 0.0]))
+    with pytest.raises(InvalidArgument, match="squarings"):
+        exp(gamma2.element([0.0, np.nextafter(edge, np.inf)]))
 
 
 @given(
