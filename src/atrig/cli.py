@@ -14,6 +14,8 @@ import os
 import re
 import sys
 
+import numpy as np
+
 from . import core, verify
 from .core import PrincipalPresentation, make_presentation, parse_element, preset
 from .errors import AlgebraError, InvalidArgument
@@ -311,7 +313,10 @@ def main(argv=None) -> int:
     raw = list(sys.argv[1:] if argv is None else argv)
     args = parser.parse_args(_normalize_argv(raw))
     try:
-        return _dispatch(args, parser)
+        # A result that overflows is refused by _emit, so numpy's warnings
+        # about it are noise.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _dispatch(args, parser)
     except AlgebraError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         sys.stdout.write(json.dumps(payload, allow_nan=False) + "\n")

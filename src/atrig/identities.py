@@ -211,17 +211,24 @@ def _generic_exponential(n: int, tag: str) -> list[SymPoly]:
     return [SymPoly.symbol(TrigSymbol(tag, i + 1)) for i in range(n)]
 
 
+def _multiply(f: list[SymPoly], g: list[SymPoly], coeffs: list[Fraction]) -> list[SymPoly]:
+    """The product of two elements over the power basis, reduced modulo the
+    modulus."""
+    product = [SymPoly.zero() for _ in range(len(f) + len(g) - 1)]
+    for d1, f1 in enumerate(f):
+        if f1.is_zero():
+            continue
+        for d2, g2 in enumerate(g):
+            product[d1 + d2] = product[d1 + d2] + f1 * g2
+    return _reduce(product, coeffs)
+
+
 def adding_angle(pres: PrincipalPresentation) -> IdentitySet:
     """Identities for s_i(alpha+beta) from multiplying two generic exponentials."""
     coeffs = _rational_coeffs(pres)
     n = pres.degree
-    first = _generic_exponential(n, "a")
-    second = _generic_exponential(n, "b")
-    product = [SymPoly.zero() for _ in range(2 * n - 1)]
-    for j in range(n):
-        for l in range(n):
-            product[j + l] = product[j + l] + first[j] * second[l]
-    return IdentitySet(pres, "adding_angle", None, tuple(_reduce(product, coeffs)))
+    product = _multiply(_generic_exponential(n, "a"), _generic_exponential(n, "b"), coeffs)
+    return IdentitySet(pres, "adding_angle", None, tuple(product))
 
 
 def de_moivre_powers(
@@ -237,18 +244,10 @@ def de_moivre_powers(
     if max_power > power_cap:
         raise InvalidPower(f"power {max_power} exceeds the cap {power_cap}")
     coeffs = _rational_coeffs(pres)
-    n = pres.degree
-    base = _generic_exponential(n, "a")
-    result = list(base)
+    base = result = _generic_exponential(pres.degree, "a")
     sets = [IdentitySet(pres, "de_moivre", 1, tuple(result))]
     for power in range(2, max_power + 1):
-        conv = [SymPoly.zero() for _ in range(2 * n - 1)]
-        for d1, f1 in enumerate(result):
-            if f1.is_zero():
-                continue
-            for d2, f2 in enumerate(base):
-                conv[d1 + d2] = conv[d1 + d2] + f1 * f2
-        result = _reduce(conv, coeffs)
+        result = _multiply(result, base, coeffs)
         sets.append(IdentitySet(pres, "de_moivre", power, tuple(result)))
     return sets
 

@@ -167,13 +167,16 @@ def _exp_coords(
         out[rows] = acc
     out = out[:, :, 0]
 
-    for step in range(most):
-        if step < least:
-            out = core._mul_coords(out, out, c)
-        else:
-            need = counts > step
-            part = out[need]
-            out[need] = core._mul_coords(part, part, c)
+    # An overflowing squaring is refused by the finite check below, so
+    # numpy's warnings about it are noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(most):
+            if step < least:
+                out = core._mul_coords(out, out, c)
+            else:
+                need = counts > step
+                part = out[need]
+                out[need] = core._mul_coords(part, part, c)
     if not np.isfinite(out).all():
         raise InvalidArgument("exp overflowed: the result is not finite")
     return out
@@ -235,8 +238,10 @@ def _modulus_coords(coords: np.ndarray, pres: PrincipalPresentation) -> list[flo
     power = 1.0 / pres.degree
     out = []
     for value in values:
-        if value <= 0.0:
+        if not value > 0.0:
             raise NonPositivePythagorean(f"Pythagorean value {value:.3e} is not positive")
+        if value == math.inf:
+            raise InvalidArgument("modulus overflowed: the Pythagorean value is not finite")
         out.append(value**power)
     return out
 
@@ -255,9 +260,11 @@ def _decomposition_of(modulus_coeffs: tuple[float, ...]) -> SpectralDecompositio
 
 def _log_nil(coords: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Finite alternating series for every row, on a nil presentation."""
+    if not np.isfinite(coords).all():
+        raise OutsideLogDomain("log requires finite coordinates")
     leading = coords[:, 0].tolist()
     for x1 in leading:
-        if x1 <= 0.0:
+        if not x1 > 0.0:
             raise OutsideLogDomain(f"leading coordinate {x1} must be positive")
     nilpotent = coords / coords[:, :1]
     nilpotent[:, 0] = 0.0
@@ -298,7 +305,7 @@ def _log_coords(
     r, c = dec.real_count, dec.complex_count
     reals = values[:, :r].real.ravel().tolist()
     for x in reals:
-        if x <= 0.0:
+        if not x > 0.0:
             raise OutsideLogDomain(f"real component {x:.6g} is not positive")
     pairs = values[:, r::2].ravel().tolist()
     if 0 in pairs:

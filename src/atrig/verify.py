@@ -17,6 +17,7 @@ from .spectral import SpectralDecomposition, _component_values, _interpolate, fi
 from .transcendental import (
     _DEFAULT_POLICY,
     BranchSpec,
+    _decomposition_of,
     _exp_coords,
     _log_each,
     _log_coords,
@@ -126,6 +127,38 @@ def _case_label(pres: PrincipalPresentation, index: int | None = None) -> str:
     return f"deg {pres.degree}"
 
 
+def _cases(rng, grid, n_random: int, degrees, draw) -> list[tuple[str, PrincipalPresentation]]:
+    """The labelled presets of ``grid``, then ``n_random`` presentations
+    drawn by ``draw(rng, degree)`` at degrees drawn from ``degrees``."""
+    cases = [(_case_label(p), p) for p in grid]
+    for i in range(n_random):
+        pres = draw(rng, int(rng.integers(degrees[0], degrees[1] + 1)))
+        cases.append((_case_label(pres, i), pres))
+    return cases
+
+
+def _decomposition(pres: PrincipalPresentation) -> SpectralDecomposition | None:
+    """The shared decomposition of a semisimple presentation; None if nil."""
+    return None if pres.is_nil() else _decomposition_of(pres.modulus_coeffs)
+
+
+def _row(case: str, residual: float, verdict: float | bool, extra: dict | None = None) -> dict:
+    # A float verdict is the tolerance the residual must not exceed; a bool
+    # is the verdict itself.
+    passed = verdict if isinstance(verdict, bool) else residual <= verdict
+    return {"case": case, "residual": residual, **(extra or {}), "pass": passed}
+
+
+def _report(suite: str, tol: float, rows, checks=()) -> SuiteReport:
+    """A report from ``(case, residual, verdict)`` rows, plus ``checks``
+    (rows with an optional dict of extra fields) that count toward the pass
+    but not toward the worst residual."""
+    details = [_row(*row) for row in rows]
+    worst = max([0.0] + [d["residual"] for d in details])
+    details += [_row(*check) for check in checks]
+    return SuiteReport(suite, tol, worst, all(d["pass"] for d in details), details)
+
+
 def _unit_deviation(pres: PrincipalPresentation, m: int, thetas: np.ndarray) -> np.ndarray:
     """|F(exp(k^m theta)) - 1| at every theta, from one stacked exponential."""
     reps = core._rep_stack(trig_components(pres, m, thetas), core._coeff_array(pres))
@@ -143,22 +176,18 @@ def kthagorean_suite(
     """max |F(exp(k theta)) - 1| over random theta, for presets and random
     depressed presentations; the determinant of exp(k theta) must be 1."""
     rng = np.random.default_rng(seed)
-    cases: list[tuple[str, PrincipalPresentation]] = [
-        (_case_label(p), p) for p in preset_grid()
-    ]
-    for i in range(n_random):
-        degree = int(rng.integers(degrees[0], degrees[1] + 1))
-        pres = random_depressed_presentation(rng, degree, coeff_range)
-        cases.append((_case_label(pres, i), pres))
-
-    details = []
-    worst = 0.0
+    cases = _cases(
+        rng,
+        preset_grid(),
+        n_random,
+        degrees,
+        lambda rng, degree: random_depressed_presentation(rng, degree, coeff_range),
+    )
+    rows = []
     for label, pres in cases:
         thetas = rng.uniform(-3.0, 3.0, theta_samples)
-        residual = float(_unit_deviation(pres, 1, thetas).max(initial=0.0))
-        worst = max(worst, residual)
-        details.append({"case": label, "residual": residual, "pass": residual <= tol})
-    return SuiteReport("kthagorean", tol, worst, all(d["pass"] for d in details), details)
+        rows.append((label, float(_unit_deviation(pres, 1, thetas).max(initial=0.0)), tol))
+    return _report("kthagorean", tol, rows)
 
 
 WITNESS_THRESHOLD = 1e-3
@@ -170,20 +199,12 @@ def pure_power_suite(
     """F(exp(k^m theta)) = 1 for every m on pure-power presets, plus a
     counterexample search on k^3 + k showing the condition is necessary."""
     rng = np.random.default_rng(seed)
-    details = []
-    worst = 0.0
+    rows = []
     for pres in preset_grid():
         for m in range(1, pres.degree):
             thetas = rng.uniform(-3.0, 3.0, theta_samples)
             residual = float(_unit_deviation(pres, m, thetas).max(initial=0.0))
-            worst = max(worst, residual)
-            details.append(
-                {
-                    "case": f"{_case_label(pres)} m={m}",
-                    "residual": residual,
-                    "pass": residual <= tol,
-                }
-            )
+            rows.append((f"{_case_label(pres)} m={m}", residual, tol))
 
     # Necessity direction: with a nonzero intermediate coefficient the
     # deviation must be macroscopic somewhere on [0.5, 2].
@@ -191,17 +212,8 @@ def pure_power_suite(
     thetas = np.linspace(0.5, 2.0, 31)
     deviations = _unit_deviation(witness_pres, 2, thetas)
     best, theta = max(zip(deviations.tolist(), thetas.tolist()))
-    details.append(
-        {
-            "case": "k^3+k m=2 witness",
-            "residual": best,
-            "theta": float(theta),
-            "pass": best > WITNESS_THRESHOLD,
-        }
-    )
-    return SuiteReport(
-        "only-pure-power", tol, worst, all(d["pass"] for d in details), details
-    )
+    witness = ("k^3+k m=2 witness", best, best > WITNESS_THRESHOLD, {"theta": float(theta)})
+    return _report("only-pure-power", tol, rows, checks=[witness])
 
 
 def lemma_suite(
@@ -215,8 +227,7 @@ def lemma_suite(
     """Finite-difference check of the column relations of M(exp(k theta)):
     u_i' = u_{i+1} for i < n, and u_n' = -sum_j c_j u_{j+1}."""
     rng = np.random.default_rng(seed)
-    details = []
-    worst = 0.0
+    rows = []
     for i in range(n_random):
         degree = int(rng.integers(degrees[0], degrees[1] + 1))
         pres = random_depressed_presentation(rng, degree)
@@ -229,11 +240,8 @@ def lemma_suite(
         expected[..., : degree - 1] = centre[..., 1:]
         expected[..., degree - 1] = -centre @ c
         residual = float(np.abs(derivative - expected).max(initial=0.0))
-        worst = max(worst, residual)
-        details.append(
-            {"case": _case_label(pres, i), "residual": residual, "pass": residual <= tol}
-        )
-    return SuiteReport("lemma", tol, worst, all(d["pass"] for d in details), details)
+        rows.append((_case_label(pres, i), residual, tol))
+    return _report("lemma", tol, rows)
 
 
 def roundtrip_suite(
@@ -248,62 +256,43 @@ def roundtrip_suite(
     semisimple path (presets plus random semisimple presentations) and the
     nil path; plus Re(log z) = log(modulus z) on pure-power presets."""
     rng = np.random.default_rng(seed)
-    semisimple: list[tuple[str, PrincipalPresentation, SpectralDecomposition]] = []
-    for pres in preset_grid(kinds=("hyperbolic", "complicated")):
-        semisimple.append((_case_label(pres), pres, find_roots(pres)))
-    for i in range(n_random):
-        degree = int(rng.integers(degrees[0], degrees[1] + 1))
-        pres, dec = random_semisimple_presentation(rng, degree)
-        semisimple.append((_case_label(pres, i), pres, dec))
-
-    details = []
-    worst = 0.0
-    roundtrip_cases = semisimple + [
-        (_case_label(pres), pres, None) for pres in preset_grid(kinds=("nil",))
-    ]
-    for label, pres, dec in roundtrip_cases:
+    cases = _cases(
+        rng,
+        preset_grid(kinds=("hyperbolic", "complicated")),
+        n_random,
+        degrees,
+        lambda rng, degree: random_semisimple_presentation(rng, degree)[0],
+    )
+    cases += [(_case_label(pres), pres) for pres in preset_grid(kinds=("nil",))]
+    rows = []
+    for label, pres in cases:
+        dec = _decomposition(pres)
         z = random_ld_samples(rng, pres, dec, samples)
         back = _exp_coords(_log_coords(z, pres, _PRINCIPAL, dec), pres, _DEFAULT_POLICY)
-        residual = _worst_deviation(back, z)
-        worst = max(worst, residual)
-        details.append(
-            {"case": f"roundtrip:{label}", "residual": residual, "pass": residual <= tol}
-        )
+        rows.append((f"roundtrip:{label}", _worst_deviation(back, z), tol))
 
     for pres in preset_grid():
-        dec = None if pres.is_nil() else find_roots(pres)
+        dec = _decomposition(pres)
         z = random_ld_samples(rng, pres, dec, samples)
         real_parts = _log_coords(z, pres, _PRINCIPAL, dec)[:, 0]
         residual = _worst_deviation(real_parts, _log_each(_modulus_coords(z, pres)))
-        worst = max(worst, residual)
-        details.append(
-            {
-                "case": f"re-law:{_case_label(pres)}",
-                "residual": residual,
-                "pass": residual <= re_law_tol,
-            }
-        )
-    return SuiteReport("roundtrip", tol, worst, all(d["pass"] for d in details), details)
+        rows.append((f"re-law:{_case_label(pres)}", residual, re_law_tol))
+    return _report("roundtrip", tol, rows)
 
 
 def polar_suite(samples: int = 200, tol: float = 1e-8, seed: int = 0) -> SuiteReport:
     """exp(log(rho) + arg) reproduces z on pure-power presets."""
     rng = np.random.default_rng(seed)
-    details = []
-    worst = 0.0
+    rows = []
     for pres in preset_grid():
-        dec = None if pres.is_nil() else find_roots(pres)
+        dec = _decomposition(pres)
         z = random_ld_samples(rng, pres, dec, samples)
         log_rho = _log_each(_modulus_coords(z, pres))
         recombined = _log_coords(z, pres, _PRINCIPAL, dec)  # the argument ...
         recombined[:, 0] = log_rho  # ... plus log(rho)
         back = _exp_coords(recombined, pres, _DEFAULT_POLICY)
-        residual = _worst_deviation(back, z)
-        worst = max(worst, residual)
-        details.append(
-            {"case": _case_label(pres), "residual": residual, "pass": residual <= tol}
-        )
-    return SuiteReport("polar", tol, worst, all(d["pass"] for d in details), details)
+        rows.append((_case_label(pres), _worst_deviation(back, z), tol))
+    return _report("polar", tol, rows)
 
 
 def identities_suite(
@@ -317,14 +306,10 @@ def identities_suite(
     """Numeric certification of generated identities on presets of dims 2-5
     and random rational-coefficient presentations."""
     rng = np.random.default_rng(seed)
-    cases = [(_case_label(p), p) for p in preset_grid(dims=dims)]
-    for i in range(n_random):
-        degree = int(rng.integers(min(dims), max(dims) + 1))
-        pres = random_rational_presentation(rng, degree)
-        cases.append((_case_label(pres, i), pres))
-
-    details = []
-    worst = 0.0
+    cases = _cases(
+        rng, preset_grid(dims=dims), n_random, (min(dims), max(dims)), random_rational_presentation
+    )
+    rows = []
     for index, (label, pres) in enumerate(cases):
         sets = [("add-angle", adding_angle(pres))]
         if max_power > 0:
@@ -334,16 +319,8 @@ def identities_suite(
             )
         for kind_label, ids in sets:
             report = verify_identity(ids, samples=samples, tol=tol, seed=seed + 97 * index + 1)
-            residual = report.max_residual
-            worst = max(worst, residual)
-            details.append(
-                {
-                    "case": f"{kind_label}:{label}",
-                    "residual": residual,
-                    "pass": report.passed,
-                }
-            )
-    return SuiteReport("identities", tol, worst, all(d["pass"] for d in details), details)
+            rows.append((f"{kind_label}:{label}", report.max_residual, report.passed))
+    return _report("identities", tol, rows)
 
 
 def _cabs(values: np.ndarray) -> np.ndarray:
@@ -366,10 +343,9 @@ def crt_suite(samples: int = 500, tol: float = 1e-9, seed: int = 0) -> SuiteRepo
     """Component isomorphism: homomorphism and both round trips on
     semisimple presets; nil presets must be rejected as non-semisimple."""
     rng = np.random.default_rng(seed)
-    details = []
-    worst = 0.0
+    rows = []
     for pres in preset_grid(kinds=("hyperbolic", "complicated")):
-        dec = find_roots(pres)
+        dec = _decomposition(pres)
         n, r, c = pres.degree, dec.real_count, dec.complex_count
         # Per sample: z, w, then the real components and the real and
         # imaginary parts of the complex ones of a random component vector.
@@ -388,21 +364,16 @@ def crt_suite(samples: int = 500, tol: float = 1e-9, seed: int = 0) -> SuiteRepo
             _worst_deviation(_interpolate(pz, dec), z),
             _relative_deviation(_component_values(_interpolate(v, dec), dec), v),
         )
-        worst = max(worst, residual)
-        details.append(
-            {"case": _case_label(pres), "residual": residual, "pass": residual <= tol}
-        )
-    for n in range(2, 7):
-        pres = preset("nil", n)
+        rows.append((_case_label(pres), residual, tol))
+    rejections = []
+    for pres in preset_grid(kinds=("nil",)):
         try:
             find_roots(pres)
             rejected = False
         except NonSemisimple:
             rejected = True
-        details.append(
-            {"case": f"reject:{_case_label(pres)}", "residual": 0.0, "pass": rejected}
-        )
-    return SuiteReport("crt", tol, worst, all(d["pass"] for d in details), details)
+        rejections.append((f"reject:{_case_label(pres)}", 0.0, rejected))
+    return _report("crt", tol, rows, checks=rejections)
 
 
 def pythagorean_deviation(pres: PrincipalPresentation, thetas) -> float:
@@ -414,26 +385,18 @@ def pythagorean_deviation(pres: PrincipalPresentation, thetas) -> float:
     return abs(value - 1.0)
 
 
-def _given(value, default):
-    return default if value is None else value
-
-
+# Suite name -> (suite function, the parameter that --samples sets).  The
+# function is looked up on the module when the suite runs, so a wrapper
+# rebound onto the module is the one called.  Every default lives in the
+# function's signature.
 _SUITES = {
-    "kthagorean": lambda samples, tol, seed: kthagorean_suite(
-        theta_samples=_given(samples, 100), tol=_given(tol, 1e-9), seed=seed
-    ),
-    "lemma": lambda samples, tol, seed: lemma_suite(
-        n_random=_given(samples, 20), tol=_given(tol, 1e-6), seed=seed
-    ),
-    "roundtrip": lambda samples, tol, seed: roundtrip_suite(
-        samples=_given(samples, 500), tol=_given(tol, 1e-8), seed=seed
-    ),
-    "identities": lambda samples, tol, seed: identities_suite(
-        samples=_given(samples, 200), tol=_given(tol, 1e-9), seed=seed
-    ),
-    "only-pure-power": lambda samples, tol, seed: pure_power_suite(
-        theta_samples=_given(samples, 100), tol=_given(tol, 1e-9), seed=seed
-    ),
+    "kthagorean": ("kthagorean_suite", "theta_samples"),
+    "lemma": ("lemma_suite", "n_random"),
+    "roundtrip": ("roundtrip_suite", "samples"),
+    "identities": ("identities_suite", "samples"),
+    "only-pure-power": ("pure_power_suite", "theta_samples"),
+    "polar": ("polar_suite", "samples"),
+    "crt": ("crt_suite", "samples"),
 }
 
 SUITE_NAMES = tuple(_SUITES)
@@ -442,8 +405,11 @@ SUITE_NAMES = tuple(_SUITES)
 def run_suite(
     name: str, samples: int | None = None, tol: float | None = None, seed: int = 0
 ) -> SuiteReport:
+    """Run a suite by name; ``samples`` and ``tol`` left as None keep the
+    suite's defaults."""
     try:
-        runner = _SUITES[name]
+        function, samples_parameter = _SUITES[name]
     except KeyError:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}") from None
-    return runner(samples, tol, seed)
+    given = {samples_parameter: samples, "tol": tol}
+    return globals()[function](seed=seed, **{k: v for k, v in given.items() if v is not None})

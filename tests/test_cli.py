@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from atrig import cli
+from atrig import cli, verify
 
 
 def run_cli(capsys, *argv):
@@ -94,14 +94,62 @@ def test_identity_de_moivre_json(capsys):
     assert data["s1"] == [[1, ["s1a", "s1a", "s1a"]], [3, ["s1a", "s2a", "s2a"]]]
 
 
-def test_verify_suite_passes(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--suite", "kthagorean", "--samples", "5")
+# Report rows per suite at --samples 2: lemma's --samples is its number of
+# random presentations; every other suite's case list is fixed.
+_CASES_AT_TWO_SAMPLES = {
+    "kthagorean": 65,
+    "lemma": 2,
+    "roundtrip": 40,
+    "identities": 160,
+    "only-pure-power": 46,
+    "polar": 15,
+    "crt": 15,
+}
+
+
+@pytest.mark.parametrize("suite", verify.SUITE_NAMES)
+def test_verify_suite_passes(capsys, suite):
+    code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--samples", "2")
     assert code == 0
-    data = json.loads(out)
-    assert data["suite"] == "kthagorean"
+    data = _strict(out)
+    assert data["suite"] == suite
     assert data["pass"] is True
-    assert data["cases"] == 65
+    assert data["cases"] == len(data["details"]) == _CASES_AT_TWO_SAMPLES[suite]
     assert all("residual" in row for row in data["details"])
+
+
+_SAMPLES_PARAMETER = {
+    "kthagorean": ("kthagorean_suite", "theta_samples"),
+    "lemma": ("lemma_suite", "n_random"),
+    "roundtrip": ("roundtrip_suite", "samples"),
+    "identities": ("identities_suite", "samples"),
+    "only-pure-power": ("pure_power_suite", "theta_samples"),
+    "polar": ("polar_suite", "samples"),
+    "crt": ("crt_suite", "samples"),
+}
+
+
+@pytest.mark.parametrize("suite", verify.SUITE_NAMES)
+def test_run_suite_is_the_direct_call(suite):
+    function, parameter = _SAMPLES_PARAMETER[suite]
+    direct = getattr(verify, function)(**{parameter: 2}, tol=1e-3, seed=5)
+    assert verify.run_suite(suite, 2, 1e-3, 5) == direct
+
+
+def test_run_suite_calls_the_module_attribute(monkeypatch):
+    # Wrappers rebound onto the module (as a tracer does) must be the
+    # functions that run.
+    calls = []
+    original = verify.crt_suite
+
+    def wrapper(**kwargs):
+        calls.append(kwargs)
+        return original(**kwargs)
+
+    monkeypatch.setattr(verify, "crt_suite", wrapper)
+    report = verify.run_suite("crt", 2)
+    assert calls == [{"seed": 0, "samples": 2}]
+    assert report.suite == "crt" and report.passed
 
 
 def test_verify_suite_failure_exit_code(capsys):
@@ -216,10 +264,11 @@ def _strict(text):
     return json.loads(text, parse_constant=refuse)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("argv", [["exp", "--z", "1000,0"], ["pyth", "--z", "1e200,0"]])
 def test_non_finite_results_are_refused(capsys, argv, fmt):
-    code, out, _ = run_cli(capsys, "--algebra", "H2", "--format", fmt, *argv)
+    code, out, err = run_cli(capsys, "--algebra", "H2", "--format", fmt, *argv)
     assert code == 3
     assert _strict(out)["error"] == "InvalidArgument"
+    assert err.splitlines() == [err.strip()] and err.startswith("error: InvalidArgument")
