@@ -29,7 +29,6 @@ from .identities import (
     VerificationReport,
     adding_angle,
     de_moivre,
-    de_moivre_powers,
     parse_identities_json,
     render,
     verify_identity,
@@ -71,7 +70,6 @@ __all__ = [
     "adding_angle",
     "arg",
     "de_moivre",
-    "de_moivre_powers",
     "depress",
     "element_literal",
     "errors",

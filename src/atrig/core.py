@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -18,6 +19,7 @@ import numpy as np
 
 from .errors import (
     EmptyCoefficients,
+    InvalidArgument,
     InvalidDegree,
     InvalidKind,
     NonFiniteCoefficient,
@@ -28,6 +30,8 @@ from .errors import (
 #: Scale-aware invertibility guard: z is treated as a unit iff
 #: |F(z)| > UNIT_TOLERANCE * max(1, ||z||_inf ** n).
 UNIT_TOLERANCE = 1e-12
+_LOG_UNIT_TOLERANCE = math.log(UNIT_TOLERANCE)
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 PRESET_KINDS = ("hyperbolic", "complicated", "nil")
 
@@ -266,10 +270,14 @@ def pythagorean(z: AlgebraElement) -> float:
 def invert(z: AlgebraElement) -> AlgebraElement:
     """Multiplicative inverse, solving M(z) w = e1."""
     matrix = rep_matrix(z)
-    det = float(np.linalg.det(matrix))
+    # The unit test in logarithms: neither F(z) nor the scale can overflow.
+    sign, log_det = np.linalg.slogdet(matrix)
+    if not log_det < _LOG_FLOAT_MAX:
+        raise InvalidArgument(f"Pythagorean value is not finite: log|F(z)| = {log_det}")
     n = z.presentation.degree
-    scale = max(1.0, float(np.max(np.abs(z.coords))) ** n)
-    if abs(det) <= UNIT_TOLERANCE * scale:
+    log_scale = n * math.log(max(1.0, float(np.max(np.abs(z.coords)))))
+    if log_det <= _LOG_UNIT_TOLERANCE + log_scale:
+        det = float(sign) * math.exp(log_det)
         raise NotAUnit(f"Pythagorean value {det:.3e} is below the unit tolerance")
     rhs = np.zeros(n)
     rhs[0] = 1.0

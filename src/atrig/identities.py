@@ -3,8 +3,10 @@
 Expanding exp(k(a+b)) = exp(ka) exp(kb) or exp(k l a) = exp(ka)^l over the
 power basis and reducing modulo the modulus polynomial yields, for each
 component function s_i, a polynomial identity with exact rational
-coefficients.  This module generates those identities, certifies them
-numerically, and renders them as LaTeX or JSON.
+coefficients: by the multinomial theorem, each coefficient is a multinomial
+count times one coordinate of a reduced power of k.  This module generates
+those identities, certifies them numerically, and renders them as LaTeX or
+JSON.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
+from itertools import combinations_with_replacement, groupby, product
 from typing import NamedTuple
 
 import numpy as np
@@ -23,8 +25,8 @@ from .core import PrincipalPresentation
 from .errors import InvalidPower, NonRationalCoefficients
 from .transcendental import trig_components
 
-#: Default ceiling on the De Moivre power, bounding term explosion.
-DEFAULT_POWER_CAP = 12
+#: Ceiling on the De Moivre power, bounding term explosion.
+POWER_CAP = 12
 
 _TAG_ARGUMENT = {"a": "alpha", "b": "beta"}
 
@@ -82,10 +84,6 @@ class SymPoly:
         self._terms = clean
 
     @classmethod
-    def zero(cls) -> "SymPoly":
-        return cls()
-
-    @classmethod
     def symbol(cls, sym: TrigSymbol) -> "SymPoly":
         return cls({(sym,): Fraction(1)})
 
@@ -101,30 +99,6 @@ class SymPoly:
         for mono, q in other._terms.items():
             merged[mono] = merged.get(mono, Fraction(0)) + q
         return SymPoly(merged)
-
-    def __neg__(self) -> "SymPoly":
-        return SymPoly({m: -q for m, q in self._terms.items()})
-
-    def __sub__(self, other: "SymPoly") -> "SymPoly":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, SymPoly):
-            out: dict[tuple[TrigSymbol, ...], Fraction] = {}
-            for m1, q1 in self._terms.items():
-                for m2, q2 in other._terms.items():
-                    key = tuple(sorted(m1 + m2))
-                    out[key] = out.get(key, Fraction(0)) + q1 * q2
-            return SymPoly(out)
-        if isinstance(other, (Fraction, int)):
-            q = Fraction(other)
-            return SymPoly({m: c * q for m, c in self._terms.items()})
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (Fraction, int)):
-            return self * other
-        return NotImplemented
 
     def __eq__(self, other):
         if not isinstance(other, SymPoly):
@@ -193,70 +167,65 @@ def _rational_coeffs(pres: PrincipalPresentation) -> list[Fraction]:
     return out
 
 
-def _reduce(vec: list[SymPoly], coeffs: list[Fraction]) -> list[SymPoly]:
-    """Fold powers k^d with d >= n down via k^n = -sum c_j k^j, exactly."""
+def _powers_of_k(coeffs: list[Fraction], top: int) -> list[list[Fraction]]:
+    """Exact coordinates of k^0, ..., k^top reduced modulo the modulus.
+
+    Each power is the one before it times k: shifted one place up, with the
+    k^n that falls off the top folded back through k^n = -sum c_j k^j (the
+    column recurrence of ``core._rep_stack``).
+    """
+    column = [Fraction(1)] + [Fraction(0)] * (len(coeffs) - 1)
+    powers = [column]
+    for _ in range(top):
+        carry = column[-1]
+        column = [-coeffs[0] * carry] + [
+            below - c * carry for below, c in zip(column, coeffs[1:])
+        ]
+        powers.append(column)
+    return powers
+
+
+def _multinomial(pick: tuple[int, ...]) -> int:
+    """Number of orderings of a sorted multiset."""
+    repeats = (math.factorial(len(list(run))) for _, run in groupby(pick))
+    return math.factorial(len(pick)) // math.prod(repeats)
+
+
+def _expand(pres: PrincipalPresentation, powers: dict[str, int]) -> tuple[SymPoly, ...]:
+    """The coordinates of the product over tags of exp(k tag)^power.
+
+    With exp(k tag) = sum_i s_{i+1}(tag) k^i, the multinomial theorem gives
+    one monomial per choice of a multiset of component indices for each tag.
+    Its coefficient in formula i is the multinomial count times coordinate i
+    of k^(sum of the chosen indices).  The choices come in canonical term
+    order and each is a distinct monomial, so nothing needs collecting.
+    """
+    coeffs = _rational_coeffs(pres)
     n = len(coeffs)
-    vec = list(vec)
-    for d in range(len(vec) - 1, n - 1, -1):
-        top = vec[d]
-        if top.is_zero():
-            continue
-        for j, cj in enumerate(coeffs):
-            if cj != 0:
-                vec[d - n + j] = vec[d - n + j] - cj * top
-    return vec[:n]
-
-
-def _generic_exponential(n: int, tag: str) -> list[SymPoly]:
-    return [SymPoly.symbol(TrigSymbol(tag, i + 1)) for i in range(n)]
-
-
-def _multiply(f: list[SymPoly], g: list[SymPoly], coeffs: list[Fraction]) -> list[SymPoly]:
-    """The product of two elements over the power basis, reduced modulo the
-    modulus."""
-    product = [SymPoly.zero() for _ in range(len(f) + len(g) - 1)]
-    for d1, f1 in enumerate(f):
-        if f1.is_zero():
-            continue
-        for d2, g2 in enumerate(g):
-            product[d1 + d2] = product[d1 + d2] + f1 * g2
-    return _reduce(product, coeffs)
+    reduced = _powers_of_k(coeffs, (n - 1) * sum(powers.values()))
+    formulas: list[dict] = [{} for _ in range(n)]
+    choices = (combinations_with_replacement(range(n), power) for power in powers.values())
+    for picks in product(*choices):
+        count = math.prod(_multinomial(pick) for pick in picks)
+        mono = tuple(TrigSymbol(tag, i + 1) for tag, pick in zip(powers, picks) for i in pick)
+        for formula, coordinate in zip(formulas, reduced[sum(map(sum, picks))]):
+            if coordinate:
+                formula[mono] = count * coordinate
+    return tuple(SymPoly(terms) for terms in formulas)
 
 
 def adding_angle(pres: PrincipalPresentation) -> IdentitySet:
-    """Identities for s_i(alpha+beta) from multiplying two generic exponentials."""
-    coeffs = _rational_coeffs(pres)
-    n = pres.degree
-    product = _multiply(_generic_exponential(n, "a"), _generic_exponential(n, "b"), coeffs)
-    return IdentitySet(pres, "adding_angle", None, tuple(product))
+    """Identities for s_i(alpha+beta), the coordinates of exp(k alpha) exp(k beta)."""
+    return IdentitySet(pres, "adding_angle", None, _expand(pres, {"a": 1, "b": 1}))
 
 
-def de_moivre_powers(
-    pres: PrincipalPresentation, max_power: int, power_cap: int = DEFAULT_POWER_CAP
-) -> list[IdentitySet]:
-    """De Moivre identity sets for powers 1..max_power, built as one chain.
-
-    Each power is the previous one times a generic exponential, reduced
-    modulo the modulus, so the whole list costs what the top power alone does.
-    """
-    if not isinstance(max_power, int) or max_power < 1:
-        raise InvalidPower(f"power must be a positive integer, got {max_power!r}")
-    if max_power > power_cap:
-        raise InvalidPower(f"power {max_power} exceeds the cap {power_cap}")
-    coeffs = _rational_coeffs(pres)
-    base = result = _generic_exponential(pres.degree, "a")
-    sets = [IdentitySet(pres, "de_moivre", 1, tuple(result))]
-    for power in range(2, max_power + 1):
-        result = _multiply(result, base, coeffs)
-        sets.append(IdentitySet(pres, "de_moivre", power, tuple(result)))
-    return sets
-
-
-def de_moivre(
-    pres: PrincipalPresentation, power: int, power_cap: int = DEFAULT_POWER_CAP
-) -> IdentitySet:
-    """Identities for s_i(power*alpha) from the power of a generic exponential."""
-    return de_moivre_powers(pres, power, power_cap)[-1]
+def de_moivre(pres: PrincipalPresentation, power: int) -> IdentitySet:
+    """Identities for s_i(power*alpha), the coordinates of exp(k alpha)^power."""
+    if not isinstance(power, int) or power < 1:
+        raise InvalidPower(f"power must be a positive integer, got {power!r}")
+    if power > POWER_CAP:
+        raise InvalidPower(f"power {power} exceeds the cap {POWER_CAP}")
+    return IdentitySet(pres, "de_moivre", power, _expand(pres, {"a": power}))
 
 
 def verify_identity(

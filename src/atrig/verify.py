@@ -12,7 +12,7 @@ import numpy as np
 from . import core
 from .core import AlgebraElement, PrincipalPresentation, make_presentation, preset
 from .errors import NonSemisimple
-from .identities import adding_angle, de_moivre_powers, verify_identity
+from .identities import adding_angle, de_moivre, verify_identity
 from .spectral import SpectralDecomposition, _component_values, _interpolate, find_roots
 from .transcendental import (
     _DEFAULT_POLICY,
@@ -22,7 +22,6 @@ from .transcendental import (
     _log_each,
     _log_coords,
     _modulus_coords,
-    exp,
     trig_components,
 )
 
@@ -312,11 +311,7 @@ def identities_suite(
     rows = []
     for index, (label, pres) in enumerate(cases):
         sets = [("add-angle", adding_angle(pres))]
-        if max_power > 0:
-            sets.extend(
-                (f"de-moivre-{ids.power}", ids)
-                for ids in de_moivre_powers(pres, max_power)
-            )
+        sets.extend((f"de-moivre-{p}", de_moivre(pres, p)) for p in range(1, max_power + 1))
         for kind_label, ids in sets:
             report = verify_identity(ids, samples=samples, tol=tol, seed=seed + 97 * index + 1)
             rows.append((f"{kind_label}:{label}", report.max_residual, report.passed))
@@ -374,15 +369,6 @@ def crt_suite(samples: int = 500, tol: float = 1e-9, seed: int = 0) -> SuiteRepo
             rejected = True
         rejections.append((f"reject:{_case_label(pres)}", 0.0, rejected))
     return _report("crt", tol, rows, checks=rejections)
-
-
-def pythagorean_deviation(pres: PrincipalPresentation, thetas) -> float:
-    """|F(exp(k theta_1 + ... + k^{n-1} theta_{n-1})) - 1|: a numeric probe
-    for presentations outside the pure-power family (no claim attached)."""
-    coords = np.zeros(pres.degree)
-    coords[1:] = np.asarray(thetas, dtype=float)
-    value = core.pythagorean(exp(AlgebraElement(pres, coords)))
-    return abs(value - 1.0)
 
 
 # Suite name -> (suite function, the parameter that --samples sets).  The

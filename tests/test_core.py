@@ -28,6 +28,7 @@ from atrig import (
 from atrig.core import PRESET_KINDS, PrincipalPresentation
 from atrig.errors import (
     EmptyCoefficients,
+    InvalidArgument,
     InvalidDegree,
     InvalidKind,
     NonFiniteCoefficient,
@@ -346,6 +347,7 @@ def test_pythagorean_homogeneity(rng):
 # -- inversion -------------------------------------------------------------------
 
 
+@pytest.mark.filterwarnings("error")
 def test_invert_examples(h2, c2):
     np.testing.assert_allclose(invert(c2.element([0, 1])).coords, [0, -1], atol=1e-15)
     pres = preset("hyperbolic", 4)
@@ -354,6 +356,12 @@ def test_invert_examples(h2, c2):
     )
     with pytest.raises(NotAUnit):
         invert(h2.element([1, 1]))
+    # F(z) = 1e400 is not a finite double.  The zero divisor has F(z) = 0
+    # while its unit scale, 1e400, overflows too.
+    with pytest.raises(InvalidArgument):
+        invert(h2.element([1e200, 0]))
+    with pytest.raises(NotAUnit):
+        invert(h2.element([1e200, 1e200]))
 
 
 def test_invert_is_right_inverse(rng):

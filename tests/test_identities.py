@@ -6,6 +6,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atrig import (
     IdentitySet,
@@ -22,6 +24,7 @@ from atrig import (
 )
 from atrig.core import PrincipalPresentation
 from atrig.errors import InvalidPower, NonRationalCoefficients
+from atrig.identities import POWER_CAP
 from atrig.verify import random_rational_presentation
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -132,8 +135,7 @@ def test_de_moivre_power_validation(h2):
     with pytest.raises(InvalidPower):
         de_moivre(h2, 0)
     with pytest.raises(InvalidPower):
-        de_moivre(h2, 13)  # default cap
-    de_moivre(h2, 13, power_cap=13)  # configurable
+        de_moivre(h2, 13)  # the cap
 
 
 def test_de_moivre_two_specializes_adding_angle(rng):
@@ -293,27 +295,69 @@ def test_soundness_on_random_rational_presentations(rng):
         assert verify_identity(de_moivre(pres, 3), samples=60, tol=1e-9).passed
 
 
-@pytest.mark.parametrize(
-    "pres",
-    [preset("hyperbolic", 5), preset("nil", 3), make_presentation([0.25, -0.125, 0.0])],
-    ids=["H5", "Gamma3", "rational"],
-)
-def test_de_moivre_powers_chain(pres):
-    from atrig import de_moivre_powers
-
-    chain = de_moivre_powers(pres, 4)
-    assert [ids.power for ids in chain] == [1, 2, 3, 4]
-    assert all(ids.kind == "de_moivre" for ids in chain)
-    for power, ids in enumerate(chain, start=1):
-        assert ids == de_moivre(pres, power)
-        assert verify_identity(ids, samples=20, tol=1e-9).passed
+# -- exact reference ------------------------------------------------------------------
 
 
-def test_de_moivre_powers_validation(h2):
-    from atrig import de_moivre_powers
+def _mulmod(x, y, coeffs):
+    """Exact schoolbook product of two coordinate lists modulo the modulus."""
+    n = len(coeffs)
+    out = [Fraction(0)] * (2 * n - 1)
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            out[i + j] += xi * yj
+    for d in range(2 * n - 2, n - 1, -1):
+        top = out[d]
+        for j, c in enumerate(coeffs):
+            out[d - n + j] -= c * top
+    return out[:n]
 
-    with pytest.raises(InvalidPower):
-        de_moivre_powers(h2, 0)
-    with pytest.raises(InvalidPower):
-        de_moivre_powers(h2, 13)
-    assert len(de_moivre_powers(h2, 13, power_cap=13)) == 13
+
+def _exact_value(formula, values):
+    total = Fraction(0)
+    for mono, q in formula.terms():
+        term = q
+        for symbol in mono:
+            term *= values[symbol]
+        total += term
+    return total
+
+
+@st.composite
+def _modulus_and_power(draw):
+    degree = draw(st.integers(2, 5))
+    kind = draw(st.sampled_from(["hyperbolic", "complicated", "nil", "rational"]))
+    if kind == "rational":
+        eighths = draw(st.lists(st.integers(-8, 8), min_size=degree, max_size=degree))
+        pres = make_presentation([k / 8 for k in eighths])
+    else:
+        pres = preset(kind, degree)
+    power = draw(st.integers(1, POWER_CAP if degree < 5 else 4))
+    return pres, power
+
+
+# Nonzero, so that no monomial of a formula drops out of the comparison.
+_values = st.fractions(min_value=-2, max_value=2, max_denominator=16).filter(bool)
+
+
+@given(case=_modulus_and_power(), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_formulas_are_the_exact_reduced_products(case, data):
+    # Each formula, evaluated exactly, must give the coordinates of X^P
+    # (De Moivre) and X*Y (adding angle) for the exponentials X, Y whose
+    # coordinates are the symbol values.
+    pres, power = case
+    n = pres.degree
+    coeffs = [Fraction(c) for c in pres.modulus_coeffs]
+    x = data.draw(st.lists(_values, min_size=n, max_size=n))
+    y = data.draw(st.lists(_values, min_size=n, max_size=n))
+    values = {sym("a", i + 1): x[i] for i in range(n)}
+    values.update({sym("b", i + 1): y[i] for i in range(n)})
+
+    want = x
+    for _ in range(power - 1):
+        want = _mulmod(want, x, coeffs)
+    powered = de_moivre(pres, power)
+    assert [_exact_value(f, values) for f in powered.formulas] == want
+
+    added = adding_angle(pres)
+    assert [_exact_value(f, values) for f in added.formulas] == _mulmod(x, y, coeffs)

@@ -238,14 +238,12 @@ def test_column_derivative_relations(h3):
 
 
 def test_pythagorean_deviation_probe():
-    # Numeric probe for the multi-angle exponential: exactly unit on
-    # pure-power presentations, visibly off for k^3 + k.
-    from atrig.verify import pythagorean_deviation
-
+    # The multi-angle exponential exp(k t1 + ... + k^{n-1} t_{n-1}) keeps a
+    # unit Pythagorean value on pure-power presentations, visibly not on k^3 + k.
     h4 = preset("hyperbolic", 4)
-    assert pythagorean_deviation(h4, [0.4, -0.9, 1.3]) <= 1e-9
+    assert abs(pythagorean(exp(h4.element([0.0, 0.4, -0.9, 1.3]))) - 1.0) <= 1e-9
     mixed = make_presentation([0.0, 1.0, 0.0])
-    assert pythagorean_deviation(mixed, [0.0, 1.0]) > 1e-3
+    assert abs(pythagorean(exp(mixed.element([0.0, 0.0, 1.0]))) - 1.0) > 1e-3
 
 
 def test_pure_power_gate_witness():
