@@ -43,7 +43,6 @@ from .spectral import (
 from .transcendental import (
     BranchSpec,
     PolarForm,
-    SeriesPolicy,
     arg,
     exp,
     log,
@@ -61,7 +60,6 @@ __all__ = [
     "IdentitySet",
     "PolarForm",
     "PrincipalPresentation",
-    "SeriesPolicy",
     "SpectralDecomposition",
     "SymPoly",
     "TrigSymbol",

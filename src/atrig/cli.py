@@ -39,10 +39,20 @@ def _add_common_options(parser: argparse.ArgumentParser, top_level: bool) -> Non
     )
     parser.add_argument(
         "--seed",
-        type=int,
+        type=_non_negative_int,
         default=default(None),
         help="sampling seed (default: ATRIG_SEED environment variable, then 0)",
     )
+
+
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
 
 
 def _positive_int(text: str) -> int:
@@ -170,10 +180,13 @@ def _parse_branch(text: str | None, parser: argparse.ArgumentParser) -> BranchSp
         parser.error(f"bad branch list {text!r}")
 
 
-def _seed(args: argparse.Namespace) -> int:
+def _seed(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.seed is not None:
         return args.seed
-    return int(os.environ.get("ATRIG_SEED", "0"))
+    try:
+        return _non_negative_int(os.environ.get("ATRIG_SEED", "0"))
+    except argparse.ArgumentTypeError as exc:
+        parser.error(f"ATRIG_SEED {exc}")
 
 
 def _csv_lines(payload) -> list[str]:
@@ -224,7 +237,7 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if command == "verify":
         if args.format == "latex":
             parser.error("verify output supports json or csv")
-        report = verify.run_suite(args.suite, args.samples, args.tol, _seed(args))
+        report = verify.run_suite(args.suite, args.samples, args.tol, _seed(args, parser))
         _emit(
             report.to_json_dict(),
             args,

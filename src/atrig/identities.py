@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -221,8 +222,9 @@ def adding_angle(pres: PrincipalPresentation) -> IdentitySet:
 
 def de_moivre(pres: PrincipalPresentation, power: int) -> IdentitySet:
     """Identities for s_i(power*alpha), the coordinates of exp(k alpha)^power."""
-    if not isinstance(power, int) or power < 1:
+    if not isinstance(power, numbers.Integral) or isinstance(power, bool) or power < 1:
         raise InvalidPower(f"power must be a positive integer, got {power!r}")
+    power = int(power)
     if power > POWER_CAP:
         raise InvalidPower(f"power {power} exceeds the cap {POWER_CAP}")
     return IdentitySet(pres, "de_moivre", power, _expand(pres, {"a": power}))

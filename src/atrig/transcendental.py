@@ -1,6 +1,10 @@
 """Exponential, generalized trigonometric components, modulus, logarithm
 with branch choice, argument, and generalized polar form.
 
+The exponential is exp(M(z)) e_1 for the regular representation M(z):
+one fixed-degree Taylor polynomial with scaling and squaring, the squaring
+count taken from the 1-norm of M(z).
+
 The logarithm dispatches on the presentation: nilpotent generators get the
 finite alternating series (exact inverse of the exponential), semisimple
 moduli go through the component isomorphism with a per-pair branch of the
@@ -20,7 +24,6 @@ from .core import AlgebraElement, PrincipalPresentation
 from .errors import (
     InvalidArgument,
     InvalidPower,
-    NoConvergence,
     NonPositivePythagorean,
     OutsideLogDomain,
     PresentationMismatch,
@@ -28,23 +31,6 @@ from .errors import (
     UnsupportedAlgebra,
 )
 from .spectral import SpectralDecomposition, _component_values, _interpolate, find_roots
-
-
-@dataclass(frozen=True)
-class SeriesPolicy:
-    """Truncation policy for the exponential series."""
-
-    tolerance: float = 1e-15
-    max_terms: int = 200
-    squaring_threshold: float = 0.5
-
-    def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
-        if not 0.0 < self.squaring_threshold < math.inf:
-            raise ValueError("squaring_threshold must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -73,16 +59,21 @@ class PolarForm:
     rho: float
     arg: AlgebraElement
 
-    def recombine(self, policy: SeriesPolicy | None = None) -> AlgebraElement:
+    def recombine(self) -> AlgebraElement:
         coords = np.array(self.arg.coords)
         coords[0] += math.log(self.rho)
-        return exp(AlgebraElement(self.arg.presentation, coords), policy)
+        return exp(AlgebraElement(self.arg.presentation, coords))
 
     def to_json_dict(self) -> dict:
         return {"rho": self.rho, "arg": self.arg.coords.tolist()}
 
 
-_DEFAULT_POLICY = SeriesPolicy()
+#: Degree of the Taylor polynomial behind ``exp``, and the largest 1-norm of
+#: M(z) at which it meets unit roundoff as a backward error: theta_18 of
+#: Al-Mohy & Higham, "Computing the action of the matrix exponential",
+#: SISC 33(2), 2011, Table 3.1.
+_TAYLOR_DEGREE = 18
+_THETA = 1.09
 
 #: Largest squaring count whose scale factor 2**s is a finite double.
 _MAX_SQUARINGS = 1023
@@ -101,100 +92,77 @@ def _squaring_count(norm: float, threshold: float) -> int:
     return expo - t_expo + (mant > t_mant)
 
 
-def _exp_coords(
-    coords: np.ndarray, pres: PrincipalPresentation, policy: SeriesPolicy
-) -> np.ndarray:
+# An M(z) that overflows has a norm that is not finite, and an overflowing
+# squaring leaves a result that is not finite; both are refused, so numpy's
+# warnings about them are noise.
+@np.errstate(over="ignore", invalid="ignore")
+def _exp_coords(coords: np.ndarray, pres: PrincipalPresentation) -> np.ndarray:
     """exp of every row of ``coords`` (shape (m, n)), as an (m, n) array.
 
-    Each row gets exactly the arithmetic it would get alone: its own
-    squaring count, its own term-by-term stopping test, and squarings
-    applied only while it still needs them.  A converged row leaves the
-    series at once, so no term is added after its stop.
+    exp(z) is exp(M(z)) e_1.  Each row's M(z) is halved s times, s the
+    fewest that bring its 1-norm to _THETA or below, the degree-18 Taylor
+    polynomial of the scaled matrix is applied to e_1, and the result is
+    squared s times in the algebra.  Scaling by 2**-s is exact, so each row
+    gets exactly the arithmetic it would get alone.
     """
     m, n = coords.shape
     if m == 0:
         return np.empty((0, n))
-    threshold = policy.squaring_threshold
-    norms = np.abs(coords).max(axis=1)
-    largest = float(norms.max())
-    if not math.isfinite(largest):
+    if not np.isfinite(coords).all():
         raise InvalidArgument("exp requires finite coordinates")
-    least = most = 0
-    if largest > threshold:
-        counts = [_squaring_count(x, threshold) for x in norms.tolist()]
-        least, most = min(counts), max(counts)
-        if most > _MAX_SQUARINGS:
-            raise InvalidArgument(
-                f"exp needs {most} squarings; 2**{most} is not a finite double"
-            )
-        if least == most:
-            coords = np.ldexp(coords, -most)
-        else:
-            counts = np.array(counts)
-            coords = np.ldexp(coords, -counts[:, None])
-
-    # Vectors are kept as (rows, n, 1) columns, the shape matmul wants.
     c = core._coeff_array(pres)
     rep = core._rep_stack(coords, c)
-    acc = np.zeros((m, n, 1))
-    acc[:, 0] = 1.0
-    term = acc.copy()
-    out = acc
-    rows = None  # original index of each live row, once some have left
-    tol = policy.tolerance
-    for k in range(1, policy.max_terms + 1):
+    norms = np.abs(rep).sum(axis=1).max(axis=1)
+    largest = float(norms.max())
+    if not largest <= _THETA * 2.0**_MAX_SQUARINGS:
+        raise InvalidArgument(
+            f"exp cannot scale |M(z)|_1 = {largest:.6g} to {_THETA} "
+            f"within {_MAX_SQUARINGS} squarings"
+        )
+    counts = [_squaring_count(x, _THETA) for x in norms.tolist()]
+    least, most = min(counts), max(counts)
+    if least == most:
+        if most:
+            rep = np.ldexp(rep, -most)
+    else:
+        counts = np.array(counts)
+        rep = np.ldexp(rep, -counts[:, None, None])
+
+    # Vectors are kept as (rows, n, 1) columns, the shape matmul wants.
+    term = np.zeros((m, n, 1))
+    term[:, 0] = 1.0
+    out = term.copy()
+    for k in range(1, _TAYLOR_DEGREE + 1):
         term = np.matmul(rep, term)
         term /= k
-        acc += term
-        done = np.abs(term).max(axis=1) <= tol * np.abs(acc).max(axis=1)
-        stopped = np.count_nonzero(done)
-        if stopped == len(done):
-            break
-        if stopped:
-            done = done[:, 0]
-            if rows is None:
-                out, rows = np.empty_like(acc), np.arange(m)
-            out[rows[done]] = acc[done]
-            live = ~done
-            rows, rep, term, acc = rows[live], rep[live], term[live], acc[live]
-    else:
-        raise NoConvergence(
-            f"series did not reach {tol:g} within {policy.max_terms} terms"
-        )
-    if rows is None:
-        out = acc
-    else:
-        out[rows] = acc
+        out += term
     out = out[:, :, 0]
 
-    # An overflowing squaring is refused by the finite check below, so
-    # numpy's warnings about it are noise.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(most):
-            if step < least:
-                out = core._mul_coords(out, out, c)
-            else:
-                need = counts > step
-                part = out[need]
-                out[need] = core._mul_coords(part, part, c)
+    for step in range(most):
+        if step < least:
+            out = core._mul_coords(out, out, c)
+        else:
+            need = counts > step
+            part = out[need]
+            out[need] = core._mul_coords(part, part, c)
     if not np.isfinite(out).all():
         raise InvalidArgument("exp overflowed: the result is not finite")
     return out
 
 
-def exp(z: AlgebraElement, policy: SeriesPolicy | None = None) -> AlgebraElement:
-    """Power series exponential with scaling and squaring.
+def exp(z: AlgebraElement) -> AlgebraElement:
+    """Exponential by scaling and squaring of the regular representation.
 
-    The argument is halved until its sup-norm drops below the squaring
-    threshold, the series is summed until a term falls below the relative
-    tolerance, and the result is squared back up.  This is the one-row case
-    of the stacked kernel behind ``trig_components``.  Non-finite input,
-    input too large to scale into a double, and a result that overflows
-    raise ``InvalidArgument``.
+    exp(z) = exp(M(z)) e_1.  M(z) is halved until its 1-norm is at most
+    theta_18 = 1.09, a fixed degree-18 Taylor polynomial is applied, and
+    the result is squared back up; at that norm the truncation is a
+    backward error below unit roundoff.  This is the one-row case of the
+    stacked kernel behind ``trig_components``.  Non-finite input, an M(z)
+    too large to scale into a double, and a result that overflows raise
+    ``InvalidArgument``.
     """
-    pol = policy if policy is not None else _DEFAULT_POLICY
     pres = z.presentation
-    return AlgebraElement(pres, _exp_coords(z.coords[None, :], pres, pol)[0])
+    return AlgebraElement(pres, _exp_coords(z.coords[None, :], pres)[0])
 
 
 def trig_components(pres: PrincipalPresentation, m: int, theta) -> np.ndarray:
@@ -212,7 +180,7 @@ def trig_components(pres: PrincipalPresentation, m: int, theta) -> np.ndarray:
     thetas = np.asarray(theta, dtype=float)
     coords = np.zeros((thetas.size, n))
     coords[:, m] = thetas.ravel()
-    return _exp_coords(coords, pres, _DEFAULT_POLICY).reshape(thetas.shape + (n,))
+    return _exp_coords(coords, pres).reshape(thetas.shape + (n,))
 
 
 # The component-wise functions below (log, atan2, pow) go through ``math``
@@ -234,7 +202,10 @@ def _modulus_coords(coords: np.ndarray, pres: PrincipalPresentation) -> list[flo
         raise UnsupportedAlgebra(
             f"modulus is defined only for pure-power presentations, not {pres}"
         )
-    values = np.linalg.det(core._rep_stack(coords, core._coeff_array(pres))).tolist()
+    # NaN and overflow are refused below, so numpy's warnings about them
+    # are noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.linalg.det(core._rep_stack(coords, core._coeff_array(pres))).tolist()
     power = 1.0 / pres.degree
     out = []
     for value in values:

@@ -183,6 +183,11 @@ def test_seed_env_fallback(capsys, monkeypatch):
         capsys, "verify", "--suite", "kthagorean", "--samples", "4", "--seed", "7"
     )
     assert from_env == explicit
+    monkeypatch.setenv("ATRIG_SEED", "abc")
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["verify", "--suite", "kthagorean", "--samples", "4"])
+    assert excinfo.value.code == 2
+    assert "ATRIG_SEED" in capsys.readouterr().err
 
 
 def test_domain_error_exit_code(capsys):
@@ -206,6 +211,7 @@ def test_parse_errors_exit_two(capsys):
         ["--algebra", "H2", "exp", "--z", "0,zebra"],
         ["exp", "--z", "0,1"],  # no algebra
         ["--algebra", "H2", "identity", "add-angle", "--format", "csv"],
+        ["verify", "--suite", "kthagorean", "--seed", "-1"],
     ):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(argv)

@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -136,6 +137,9 @@ def test_de_moivre_power_validation(h2):
         de_moivre(h2, 0)
     with pytest.raises(InvalidPower):
         de_moivre(h2, 13)  # the cap
+    with pytest.raises(InvalidPower):
+        de_moivre(h2, True)
+    assert de_moivre(h2, np.int64(3)) == de_moivre(h2, 3)
 
 
 def test_de_moivre_two_specializes_adding_angle(rng):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from atrig import (
     AlgebraElement,
     BranchSpec,
-    SeriesPolicy,
     arg,
     exp,
     find_roots,
@@ -21,12 +20,13 @@ from atrig import (
     polar,
     preset,
     pythagorean,
+    rep_matrix,
     trig_components,
 )
 from atrig.errors import (
+    AlgebraError,
     InvalidArgument,
     InvalidPower,
-    NoConvergence,
     NonPositivePythagorean,
     NonSemisimple,
     OutsideLogDomain,
@@ -108,20 +108,6 @@ def test_exp_nilpotent_oracle(n, rng):
             rtol=1e-12,
             atol=1e-12,
         )
-
-
-def test_exp_no_convergence():
-    pres = preset("hyperbolic", 2)
-    policy = SeriesPolicy(tolerance=1e-30, max_terms=5)
-    with pytest.raises(NoConvergence):
-        exp(pres.element([0, 0.4]), policy)
-
-
-def test_series_policy_validation():
-    with pytest.raises(ValueError):
-        SeriesPolicy(tolerance=0.0)
-    with pytest.raises(ValueError):
-        SeriesPolicy(max_terms=0)
 
 
 def test_exp_rejects_non_finite(h2):
@@ -223,8 +209,6 @@ def test_unit_pythagorean_on_depressed_presentations(rng):
 def test_column_derivative_relations(h3):
     # d/dtheta of column i of M(exp(k theta)) is the next column; the last
     # column folds back through the modulus coefficients.
-    from atrig import rep_matrix
-
     h = 1e-5
     c = np.array(h3.modulus_coeffs)
     for theta in (0.0, 0.6, -1.1):
@@ -321,6 +305,7 @@ def test_log_outside_domain(h2, c2, gamma2):
         log(c2.element([0, 0]))
 
 
+@pytest.mark.filterwarnings("error")
 def test_non_finite_input_is_refused_not_propagated(h2, c2, gamma2):
     # NaN fails every "> 0" domain test, so it is refused like any other
     # value outside the domain rather than carried into the result.
@@ -486,9 +471,11 @@ def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64)
 
 
+# Squaring counts on the presets, where |M(theta k^m)|_1 = |theta|; fresh
+# moduli have larger norms and so more squarings.
 _THETA_BANDS = (
-    st.floats(-0.5, 0.5, allow_nan=False),  # no squaring
-    st.floats(0.51, 1.0, allow_nan=False),  # one squaring
+    st.floats(-1.0, 1.0, allow_nan=False),  # no squaring
+    st.floats(1.1, 2.18, allow_nan=False),  # one squaring
     st.floats(2.5, 9.0, allow_nan=False),  # several squarings
 )
 
@@ -513,20 +500,17 @@ def test_batched_trig_components_match_single_calls(source, seed, draws, data):
         pres = preset(kind, n)
     m = data.draw(st.integers(1, n - 1))
     thetas = np.array([data.draw(_THETA_BANDS[band]) * np.sign(sign or 1) for band, sign in draws])
-    thetas = np.concatenate([thetas, [0.0, 0.7, 6.0]])  # always 0, 1 and several squarings
+    thetas = np.concatenate([thetas, [0.0, 1.5, 6.0]])  # always 0, 1 and several squarings
     singles = []
     with np.errstate(all="ignore"):
         for theta in thetas:
             try:
                 singles.append(trig_components(pres, m, theta))
-            except (NoConvergence, InvalidArgument) as exc:
-                singles.append(type(exc))
-        refusals = [s for s in singles if isinstance(s, type)]
-        if refusals:
-            # The batch refuses as its worst row does; the series, which
-            # may not converge, runs before the overflow check.
-            refusal = NoConvergence if NoConvergence in refusals else InvalidArgument
-            with pytest.raises(refusal):
+            except InvalidArgument:
+                singles.append(None)
+        if any(single is None for single in singles):
+            # The batch refuses as a row does.
+            with pytest.raises(InvalidArgument):
                 trig_components(pres, m, thetas)
             return
         batch = trig_components(pres, m, thetas)
@@ -555,18 +539,20 @@ def test_trig_components_invalid_power_with_array(h3):
         trig_components(h3, 3, [0.1, 0.2])
 
 
-def test_batch_with_one_failing_row_raises():
-    # k^2 = -1e6: theta = 0 converges at once, while theta = 0.4 needs no
-    # squaring but its terms (400^j / j!) still grow past the term limit.
+def test_exp_scales_by_the_norm_of_the_representation():
+    # k^2 = -1e6, so k acts as 1000i and exp(0.4 k) = cos 400 + sin(400)/1000 k.
+    # |z|_inf = 0.4 asks for no squaring, but |M(z)|_1 = 4e5 asks for 19;
+    # in the batch, theta = 0 takes none.  Each squaring doubles the relative
+    # error of the modulus, so the bound is 2**(19 + 1) unit roundoffs.
     pres = make_presentation([1e6, 0.0])
-    np.testing.assert_array_equal(trig_components(pres, 1, [0.0]), [[1.0, 0.0]])
-    with pytest.raises(NoConvergence):
-        trig_components(pres, 1, [0.0, 0.4])
+    batch = trig_components(pres, 1, [0.0, 0.4])
+    np.testing.assert_array_equal(batch[0], [1.0, 0.0])
+    np.testing.assert_allclose(batch[1], [math.cos(400), math.sin(400) / 1000], rtol=2.0**-33)
 
 
 @pytest.mark.filterwarnings("error")
 def test_exp_refuses_what_it_cannot_scale(h2):
-    from atrig.errors import AlgebraError, InvalidArgument
+    from atrig.transcendental import _THETA
 
     for bad in ([float("nan"), 0.0], [0.0, -float("inf")], [1e308, 0.0]):
         with pytest.raises(InvalidArgument) as excinfo:
@@ -575,10 +561,10 @@ def test_exp_refuses_what_it_cannot_scale(h2):
         assert isinstance(excinfo.value, ValueError)
     with pytest.raises(InvalidArgument):
         trig_components(h2, 1, [0.0, float("nan")])
-    # 2**1022 still scales (1023 squarings); the next double up does not.
-    # On Gamma2, exp(edge * k) = 1 + edge * k exactly; on H2, exp(edge)
-    # scales but overflows, which is refused as well.
-    edge = 2.0**1022
+    # |M(z)|_1 = _THETA * 2**1023 still scales (1023 squarings); the next
+    # double up does not.  On Gamma2, exp(edge * k) = 1 + edge * k exactly;
+    # on H2, exp(edge) scales but overflows, which is refused as well.
+    edge = _THETA * 2.0**1023
     gamma2 = preset("nil", 2)
     np.testing.assert_array_equal(exp(gamma2.element([0.0, edge])).coords, [1.0, edge])
     with pytest.raises(InvalidArgument, match="not finite"):
@@ -587,6 +573,34 @@ def test_exp_refuses_what_it_cannot_scale(h2):
         exp(h2.element([np.nextafter(edge, np.inf), 0.0]))
     with pytest.raises(InvalidArgument, match="squarings"):
         exp(gamma2.element([0.0, np.nextafter(edge, np.inf)]))
+    # A representation that overflows has no finite norm to scale.
+    with pytest.raises(InvalidArgument, match="squarings"):
+        exp(h2.element([1e308, 1e308]))
+
+
+@pytest.mark.filterwarnings("error")
+@given(n=st.sampled_from([16, 32]), seed=st.integers(0, 2**16), scale=st.floats(2.0**-4, 4.0))
+@settings(max_examples=40, deadline=None)
+def test_exp_on_fresh_moduli_is_inverted_or_refused(n, seed, scale):
+    # Fresh depressed moduli of high degree make |M(z)|_1 far larger than
+    # |z|_inf.  Either exp refuses, or exp(z) exp(-z) = 1 to 1e-9 (the
+    # tolerance of exp in the acceptance suites) on the rounding scale of the
+    # product, |M(exp z)| |exp(-z)|.
+    rng = np.random.default_rng(seed)
+    pres = random_depressed_presentation(rng, n)
+    z = AlgebraElement(pres, rng.uniform(-scale, scale, n))
+    try:
+        pair = [exp(z).coords, exp(-z).coords]
+    except AlgebraError:
+        return
+    # Powers of two bring both factors to unit size without rounding, so the
+    # product cannot overflow; the identity becomes a * b = 2**-(e_a + e_b).
+    exponents = [int(np.frexp(np.abs(w).max())[1]) for w in pair]
+    a, b = (AlgebraElement(pres, np.ldexp(w, -e)) for w, e in zip(pair, exponents))
+    one = np.zeros(n)
+    one[0] = np.ldexp(1.0, -sum(exponents))
+    rounding_scale = float((np.abs(rep_matrix(a)) @ np.abs(b.coords)).max())
+    assert float(np.abs(mul(a, b).coords - one).max()) <= 1e-9 * rounding_scale
 
 
 @given(
@@ -603,9 +617,3 @@ def test_squaring_count_is_the_halving_loop(norm, threshold):
     while norm > threshold * 2.0**expected:
         expected += 1
     assert _squaring_count(norm, threshold) == expected
-
-
-def test_series_policy_rejects_bad_threshold():
-    for bad in (0.0, -0.5, float("inf"), float("nan")):
-        with pytest.raises(ValueError):
-            SeriesPolicy(squaring_threshold=bad)
