@@ -118,7 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
         add_branch(p)
         leaf_parsers.append(p)
     p = sub.add_parser("roots", help="spectral decomposition of the modulus")
-    p.add_argument("--tol", type=float, default=None, help="root residual tolerance")
+    p.add_argument(
+        "--tol", type=_positive_float, default=None, help="root residual tolerance"
+    )
     leaf_parsers.append(p)
 
     p = sub.add_parser("identity", help="generate symbolic identities")

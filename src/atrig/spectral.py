@@ -1,29 +1,37 @@
 """Numerical factorization of the modulus polynomial and the concrete
 isomorphism onto R^r x C^c given by evaluation at its roots.
 
-The root finder is a self-contained Aberth-Ehrlich simultaneous iteration
-polished by Newton steps.  Multiple (or numerically near-multiple) roots are
-refused rather than approximated: the component logarithm degrades badly
-there, so the decomposition certifies semisimplicity up front.
+The roots are the eigenvalues of the companion matrix, which LAPACK balances
+and reduces in one call; that is backward stable (Edelman & Murakami, Math.
+Comp. 64, 1995).  Newton steps polish them.  Multiple (or numerically
+near-multiple) roots are refused rather than approximated: the component
+logarithm degrades badly there, so the decomposition certifies
+semisimplicity up front, by a separation test and by a forward-error bound
+on each root that must be small against its distance to the others.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .core import AlgebraElement, PrincipalPresentation, _coeff_array
-from .errors import IllConditioned, NoConvergence, NonSemisimple, PresentationMismatch, ShapeMismatch
+from .errors import IllConditioned, InvalidArgument, NoConvergence, NonSemisimple
+from .errors import PresentationMismatch, ShapeMismatch
 
 DEFAULT_ROOT_TOLERANCE = 1e-10
 #: |Im xi| <= REAL_SNAP_FACTOR * max(1, |xi|) classifies a root as real.
 REAL_SNAP_FACTOR = 1e-8
 #: Minimum pairwise root distance, relative to max(1, max |xi|).
 SEPARATION_FACTOR = 1e-7
-ABERTH_MAX_ITER = 200
-ABERTH_STEP_TOL = 1e-13
+#: Largest forward-error bound of a root, relative to its distance to the
+#: nearest other root, that still certifies the roots distinct.
+ROOT_ERROR_FACTOR = 1e-2
+#: Unit roundoff of IEEE double precision.
+UNIT_ROUNDOFF = 2.0**-53
 #: Interpolation residual bound, relative to max(1, ||values||_inf).
 INTERPOLATION_RESIDUAL_FACTOR = 1e-6
 
@@ -92,39 +100,11 @@ def _horner_pair(full_asc: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.nd
     return p, dp
 
 
-def _aberth(full_asc: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Simultaneous iteration for all roots of a monic polynomial.
-
-    Returns the approximations and whether the step criterion was met;
-    the caller decides between NonSemisimple and NoConvergence.
-    """
-    n = len(full_asc) - 1
-    if n == 1:
-        return np.array([-full_asc[0]], dtype=complex), True
-
-    # Scaled circular initialization: Cauchy bound radius, phase offset to
-    # avoid locking onto the real axis or root symmetries.
-    radius = 1.0 + float(np.max(np.abs(full_asc[:-1])))
-    angles = 2.0 * np.pi * np.arange(n) / n + 0.5 + 0.4 / n
-    z = radius * np.exp(1j * angles)
-
-    converged = False
-    for _ in range(ABERTH_MAX_ITER):
-        p, dp = _horner_pair(full_asc, z)
-        dp = np.where(dp == 0, 1e-300, dp)
-        w = p / dp
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        s = np.sum(1.0 / diff, axis=1)
-        denom = 1.0 - w * s
-        denom = np.where(denom == 0, 1.0, denom)
-        delta = w / denom
-        z = z - delta
-        scale = max(1.0, float(np.max(np.abs(z))))
-        if float(np.max(np.abs(delta))) <= ABERTH_STEP_TOL * scale:
-            converged = True
-            break
-    return z, converged
+def _separations(roots: np.ndarray) -> np.ndarray:
+    """Distance from each root to the nearest other one (inf when alone)."""
+    diff = np.abs(roots[:, None] - roots[None, :])
+    np.fill_diagonal(diff, np.inf)
+    return diff.min(axis=1)
 
 
 def _newton_polish(full_asc: np.ndarray, z: np.ndarray, steps: int = 3) -> np.ndarray:
@@ -135,32 +115,51 @@ def _newton_polish(full_asc: np.ndarray, z: np.ndarray, steps: int = 3) -> np.nd
     return z
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def find_roots(
     pres: PrincipalPresentation, tol: float = DEFAULT_ROOT_TOLERANCE
 ) -> SpectralDecomposition:
     """All roots of the monic modulus, certified distinct and accurate.
 
-    Raises NonSemisimple when the minimum pairwise separation falls below
-    the threshold (repeated or clustered roots, e.g. nil presentations),
-    and NoConvergence when the iteration stalls on separated roots or a
-    residual certificate fails.
+    The roots are the companion matrix's eigenvalues after three Newton
+    steps.  Raises InvalidArgument unless ``tol`` is positive and finite;
+    NonSemisimple when two roots lie closer than the separation threshold,
+    or when a root's forward-error bound (|p(xi)| + 2 n u sum_j |c_j||xi|^j)
+    / |p'(xi)| (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2nd ed., section 5.1) is not small against its distance to the nearest
+    other root (repeated or clustered roots, e.g. nil presentations); and
+    NoConvergence when the eigenvalue solver fails, the roots do not pair
+    into conjugates, or a residual |p(xi)| exceeds tol * max(1, |xi|^n).
     """
+    if not 0.0 < tol < math.inf:
+        raise InvalidArgument(f"root tolerance must be a positive finite number, got {tol!r}")
     n = pres.degree
     full = np.append(_coeff_array(pres), 1.0)
-    roots, converged = _aberth(full)
+    companion = np.eye(n, k=-1)
+    companion[:, -1] = -full[:-1]
+    try:
+        roots = np.linalg.eigvals(companion)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"companion eigenvalues failed for {pres}: {exc}") from None
 
     scale = max(1.0, float(np.max(np.abs(roots))))
-    if n > 1:
-        diff = np.abs(roots[:, None] - roots[None, :])
-        np.fill_diagonal(diff, np.inf)
-        if float(diff.min()) <= SEPARATION_FACTOR * scale:
-            raise NonSemisimple(
-                f"root separation {diff.min():.3e} below threshold for {pres}"
-            )
-    if not converged:
-        raise NoConvergence(f"root iteration hit {ABERTH_MAX_ITER} steps for {pres}")
+    separation = _separations(roots)
+    if float(separation.min()) <= SEPARATION_FACTOR * scale:
+        raise NonSemisimple(
+            f"root separation {separation.min():.3e} below threshold for {pres}"
+        )
 
     roots = _newton_polish(full, roots)
+    p, dp = _horner_pair(full, roots)
+    rounding = _horner_pair(np.abs(full), np.abs(roots))[0]
+    if not np.isfinite(rounding).all():
+        raise NoConvergence(f"root error bound overflowed for {pres}")
+    error = (np.abs(p) + 2 * n * UNIT_ROUNDOFF * rounding) / np.abs(dp)
+    ratio = float(np.max(error / _separations(roots)))
+    if not ratio < ROOT_ERROR_FACTOR:  # also refuses a NaN ratio
+        raise NonSemisimple(
+            f"root error bound at {ratio:.3e} of the root separation for {pres}"
+        )
 
     snap = REAL_SNAP_FACTOR * np.maximum(1.0, np.abs(roots))
     is_real = np.abs(roots.imag) <= snap
@@ -181,13 +180,10 @@ def find_roots(
             raise NoConvergence(f"conjugate pairing failed for {pres}")
         pairs.append(0.5 * (a + b))
 
-    for xi in list(real_roots) + pairs:
-        residual = abs(np.polyval(full[::-1], xi))
-        bound = tol * max(1.0, abs(xi) ** n)
-        if residual > bound:
-            raise NoConvergence(
-                f"root residual {residual:.3e} exceeds {bound:.3e} for {pres}"
-            )
+    nodes = np.array(real_roots + pairs, dtype=complex)
+    residual = np.abs(np.polyval(full[::-1], nodes)) / np.maximum(1.0, np.abs(nodes) ** n)
+    if not float(np.max(residual)) <= tol:  # also refuses a NaN residual
+        raise NoConvergence(f"relative root residual {np.max(residual):.3e} exceeds {tol:.3e}")
 
     return SpectralDecomposition(
         presentation=pres,

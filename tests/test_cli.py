@@ -212,6 +212,7 @@ def test_parse_errors_exit_two(capsys):
         ["exp", "--z", "0,1"],  # no algebra
         ["--algebra", "H2", "identity", "add-angle", "--format", "csv"],
         ["verify", "--suite", "kthagorean", "--seed", "-1"],
+        *(["--algebra", "H3", "roots", "--tol", tol] for tol in ("nan", "inf", "0", "-1")),
     ):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(argv)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atrig import (
     AlgebraElement,
@@ -13,8 +15,16 @@ from atrig import (
     preset,
     to_components,
 )
-from atrig.errors import IllConditioned, NonSemisimple, PresentationMismatch, ShapeMismatch
-from atrig.verify import random_semisimple_presentation
+from atrig.errors import (
+    AlgebraError,
+    IllConditioned,
+    InvalidArgument,
+    NoConvergence,
+    NonSemisimple,
+    PresentationMismatch,
+    ShapeMismatch,
+)
+from atrig.verify import random_depressed_presentation, random_semisimple_presentation
 
 
 def test_find_roots_h2(h2):
@@ -37,7 +47,7 @@ def test_find_roots_h3(h3):
     assert dec.complex_roots[0] == pytest.approx(omega, abs=1e-12)
 
 
-@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("n", [*range(2, 7), 16, 32])
 def test_nil_presentations_rejected(n):
     with pytest.raises(NonSemisimple):
         find_roots(preset("nil", n))
@@ -50,6 +60,49 @@ def test_repeated_roots_rejected():
     # k^3 - k^2 = k^2 (k - 1): double root at 0
     with pytest.raises(NonSemisimple):
         find_roots(make_presentation([0, 0, -1]))
+    # Eigenvalues of a cluster of m equal roots split by about u^(1/m),
+    # which passes the separation test; the error bound refuses them.
+    for coeffs in (
+        [-1, 3, -3],  # (k - 1)^3
+        [-243, 405, -270, 90, -15],  # (k - 3)^5
+        [1, 0, 3, 0, 3, 0],  # (k^2 + 1)^3
+        [-0.25, 1.375, -2.25, 0.5],  # (k - 1/2)^3 (k + 2)
+    ):
+        with pytest.raises(NonSemisimple):
+            find_roots(make_presentation(coeffs))
+
+
+@given(
+    q=st.lists(st.integers(-16, 16), max_size=6),
+    a=st.integers(-16, 16),
+    m=st.integers(2, 5),
+)
+@settings(max_examples=100, deadline=None)
+def test_multiple_roots_are_refused(q, a, m):
+    # q(k) (k - a)^m with eighth-step monic q and dyadic a: the coefficients
+    # are exact in floating point, and the root a has multiplicity m or more.
+    full = np.polynomial.polynomial.polymul(
+        np.append(np.array(q) / 8, 1.0),
+        np.polynomial.polynomial.polypow([-a / 8, 1.0], m),
+    )
+    with pytest.raises(NonSemisimple):
+        find_roots(make_presentation(full[:-1]))
+
+
+@given(n=st.integers(2, 32), seed=st.integers(0, 2**16))
+@settings(max_examples=100, deadline=None)
+def test_fresh_moduli_are_certified_or_refused(n, seed):
+    pres = random_depressed_presentation(np.random.default_rng(seed), n)
+    try:
+        dec = find_roots(pres)
+    except AlgebraError:
+        return
+    assert dec.real_count + 2 * dec.complex_count == n
+    assert all(w.imag > 0 for w in dec.complex_roots)
+    full = np.append(np.array(pres.modulus_coeffs), 1.0)
+    for xi in list(dec.real_roots) + list(dec.complex_roots):
+        residual = abs(np.polyval(full[::-1], xi))
+        assert residual <= dec.root_tolerance * max(1.0, abs(xi) ** n)
 
 
 def test_degree_one():
@@ -57,15 +110,31 @@ def test_degree_one():
     assert dec.real_roots == (4.0,)
 
 
-def test_iteration_cap_reports_no_convergence(h2, monkeypatch):
-    # A single iteration leaves well-separated approximations far from the
-    # roots: the cap path must answer NoConvergence, not NonSemisimple.
+def test_eigenvalue_failure_reports_no_convergence(h2, monkeypatch):
     import atrig.spectral as spectral
-    from atrig.errors import NoConvergence
 
-    monkeypatch.setattr(spectral, "ABERTH_MAX_ITER", 1)
+    def fail(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(spectral.np.linalg, "eigvals", fail)
     with pytest.raises(NoConvergence):
         find_roots(h2)
+
+
+@pytest.mark.filterwarnings("error")
+def test_residual_certificate_failure_reports_no_convergence(h3):
+    # The complex roots of k^3 = 1 carry a residual of about 1e-16.
+    with pytest.raises(NoConvergence):
+        find_roots(h3, tol=1e-300)
+    # k^2 - 1e200 k has the root 1e200, whose error bound overflows.
+    with pytest.raises(NoConvergence):
+        find_roots(make_presentation([0.0, -1e200]))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_root_tolerance_must_be_positive_and_finite(h3, tol):
+    with pytest.raises(InvalidArgument):
+        find_roots(h3, tol)
 
 
 def test_root_residual_certificate(rng):
