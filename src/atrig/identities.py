@@ -173,7 +173,7 @@ def _powers_of_k(coeffs: list[Fraction], top: int) -> list[list[Fraction]]:
 
     Each power is the one before it times k: shifted one place up, with the
     k^n that falls off the top folded back through k^n = -sum c_j k^j (the
-    column recurrence of ``core._rep_stack``).
+    recurrence behind the float fold table of ``core._fold_table``).
     """
     column = [Fraction(1)] + [Fraction(0)] * (len(coeffs) - 1)
     powers = [column]

@@ -199,12 +199,18 @@ def _component_values(coords: np.ndarray, dec: SpectralDecomposition) -> np.ndar
 
     Values at real roots are real to the last bit, and the value at a
     conjugate root is the exact conjugate of the value at its partner.
+    Values that are not finite (coordinates too large, or not finite
+    themselves) raise ``InvalidArgument``.
     """
     out = np.empty(coords.shape, dtype=complex)
     out[:] = coords[:, -1:]
-    for j in range(coords.shape[1] - 2, -1, -1):
-        out *= dec.nodes
-        out += coords[:, j : j + 1]
+    # Overflow is refused below, so numpy's warnings about it are noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(coords.shape[1] - 2, -1, -1):
+            out *= dec.nodes
+            out += coords[:, j : j + 1]
+    if not np.isfinite(out).all():
+        raise InvalidArgument("component values overflow or are not finite")
     return out
 
 

@@ -110,8 +110,8 @@ def _exp_coords(coords: np.ndarray, pres: PrincipalPresentation) -> np.ndarray:
         return np.empty((0, n))
     if not np.isfinite(coords).all():
         raise InvalidArgument("exp requires finite coordinates")
-    c = core._coeff_array(pres)
-    rep = core._rep_stack(coords, c)
+    fold = core._fold_table(pres.modulus_coeffs)
+    rep = core._rep_stack(coords, fold)
     norms = np.abs(rep).sum(axis=1).max(axis=1)
     largest = float(norms.max())
     if not largest <= _THETA * 2.0**_MAX_SQUARINGS:
@@ -140,11 +140,11 @@ def _exp_coords(coords: np.ndarray, pres: PrincipalPresentation) -> np.ndarray:
 
     for step in range(most):
         if step < least:
-            out = core._mul_coords(out, out, c)
+            out = core._mul_coords(out, out, fold)
         else:
             need = counts > step
             part = out[need]
-            out[need] = core._mul_coords(part, part, c)
+            out[need] = core._mul_coords(part, part, fold)
     if not np.isfinite(out).all():
         raise InvalidArgument("exp overflowed: the result is not finite")
     return out
@@ -195,6 +195,14 @@ def _log_each(values) -> np.ndarray:
     return np.array(list(map(math.log, values)), dtype=float)
 
 
+def _log_abs(w: complex) -> float:
+    """log |w| of a finite w, also where |w| exceeds the largest double."""
+    try:
+        return math.log(abs(w))
+    except OverflowError:  # halving both parts is exact and brings |w| into range
+        return math.log(math.hypot(0.5 * w.real, 0.5 * w.imag)) + math.log(2.0)
+
+
 def _modulus_coords(coords: np.ndarray, pres: PrincipalPresentation) -> list[float]:
     """modulus of every row of ``coords`` (m, n), as a list of m floats: one
     determinant over the stacked regular representations."""
@@ -202,10 +210,11 @@ def _modulus_coords(coords: np.ndarray, pres: PrincipalPresentation) -> list[flo
         raise UnsupportedAlgebra(
             f"modulus is defined only for pure-power presentations, not {pres}"
         )
+    fold = core._fold_table(pres.modulus_coeffs)
     # NaN and overflow are refused below, so numpy's warnings about them
     # are noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        values = np.linalg.det(core._rep_stack(coords, core._coeff_array(pres))).tolist()
+        values = np.linalg.det(core._rep_stack(coords, fold)).tolist()
     power = 1.0 / pres.degree
     out = []
     for value in values:
@@ -229,10 +238,9 @@ def _decomposition_of(modulus_coeffs: tuple[float, ...]) -> SpectralDecompositio
     return find_roots(PrincipalPresentation(modulus_coeffs))
 
 
-def _log_nil(coords: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Finite alternating series for every row, on a nil presentation."""
-    if not np.isfinite(coords).all():
-        raise OutsideLogDomain("log requires finite coordinates")
+def _log_nil(coords: np.ndarray, fold: np.ndarray) -> np.ndarray:
+    """Finite alternating series for every row of finite ``coords``, on a
+    nil presentation."""
     leading = coords[:, 0].tolist()
     for x1 in leading:
         if not x1 > 0.0:
@@ -244,7 +252,7 @@ def _log_nil(coords: np.ndarray, c: np.ndarray) -> np.ndarray:
     for m in range(1, coords.shape[1]):
         out += ((-1.0) ** (m + 1) / m) * power
         if m < coords.shape[1] - 1:
-            power = core._mul_coords(power, nilpotent, c)
+            power = core._mul_coords(power, nilpotent, fold)
     out[:, 0] = _log_each(leading)
     return out
 
@@ -262,9 +270,11 @@ def _log_coords(
     and interpolate all rows in one solve.  Any row outside the domain
     raises ``OutsideLogDomain``.
     """
+    if not np.isfinite(coords).all():
+        raise OutsideLogDomain("log requires finite coordinates")
     if pres.is_nil():
         spec.indices_for(0)
-        return _log_nil(coords, core._coeff_array(pres))
+        return _log_nil(coords, core._fold_table(pres.modulus_coeffs))
 
     if dec is None:
         dec = _decomposition_of(pres.modulus_coeffs)
@@ -292,7 +302,7 @@ def _log_coords(
             theta = math.atan2(w.imag, w.real)
             if theta <= -math.pi:  # the principal angle lies in (-pi, pi]
                 theta = math.pi
-            log_w = complex(math.log(abs(w)), theta + offset)
+            log_w = complex(_log_abs(w), theta + offset)
             logs += (log_w, log_w.conjugate())
     return _interpolate(np.array(logs, dtype=complex).reshape(values.shape), dec)
 
@@ -307,9 +317,10 @@ def log(
     Nil presentations (k^n = 0) require a positive leading coordinate and
     use the finite alternating series.  Semisimple presentations require
     positive real components and nonzero complex components; the branch
-    spec picks the 2*pi offset applied to each conjugate pair.  This is the
-    one-row case of the stacked logarithm, and the result carries the
-    presentation of ``z``.
+    spec picks the 2*pi offset applied to each conjugate pair; finite
+    coordinates whose component values overflow raise ``InvalidArgument``.
+    This is the one-row case of the stacked logarithm, and the result
+    carries the presentation of ``z``.
     """
     pres = z.presentation
     spec = branch if branch is not None else BranchSpec()

@@ -159,7 +159,8 @@ def _report(suite: str, tol: float, rows, checks=()) -> SuiteReport:
 
 def _unit_deviation(pres: PrincipalPresentation, m: int, thetas: np.ndarray) -> np.ndarray:
     """|F(exp(k^m theta)) - 1| at every theta, from one stacked exponential."""
-    reps = core._rep_stack(trig_components(pres, m, thetas), core._coeff_array(pres))
+    fold = core._fold_table(pres.modulus_coeffs)
+    reps = core._rep_stack(trig_components(pres, m, thetas), fold)
     return np.abs(np.linalg.det(reps) - 1.0)
 
 
@@ -232,7 +233,7 @@ def lemma_suite(
         c = core._coeff_array(pres)
         thetas = rng.uniform(-1.5, 1.5, thetas_per_case)
         samples = trig_components(pres, 1, np.stack([thetas + h, thetas - h, thetas]))
-        plus, minus, centre = core._rep_stack(samples, c)
+        plus, minus, centre = core._rep_stack(samples, core._fold_table(pres.modulus_coeffs))
         derivative = (plus - minus) / (2.0 * h)
         expected = np.empty_like(centre)
         expected[..., : degree - 1] = centre[..., 1:]
@@ -353,7 +354,8 @@ def crt_suite(samples: int = 500, tol: float = 1e-9, seed: int = 0) -> SuiteRepo
         v[:, r + 1 :: 2] = np.conj(v[:, r::2])
 
         pz, pw = _component_values(z, dec), _component_values(w, dec)
-        pzw = _component_values(core._mul_coords(z, w, core._coeff_array(pres)), dec)
+        fold = core._fold_table(pres.modulus_coeffs)
+        pzw = _component_values(core._mul_coords(z, w, fold), dec)
         residual = max(
             _relative_deviation(pzw, _cmul(pz, pw)),
             _worst_deviation(_interpolate(pz, dec), z),

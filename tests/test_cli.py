@@ -279,3 +279,27 @@ def test_non_finite_results_are_refused(capsys, argv, fmt):
     assert code == 3
     assert _strict(out)["error"] == "InvalidArgument"
     assert err.splitlines() == [err.strip()] and err.startswith("error: InvalidArgument")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "algebra,literal",
+    [("H2", "1.5e308,1.5e308"), ("H32", ",".join(["1e307"] * 32))],
+    ids=["H2", "H32"],
+)
+@pytest.mark.parametrize("command", ["log", "arg"])
+def test_overflowing_component_values_are_refused(capsys, algebra, literal, command):
+    code, out, err = run_cli(capsys, "--algebra", algebra, command, "--z", literal)
+    assert code == 3
+    assert _strict(out)["error"] == "InvalidArgument"
+    assert err.splitlines() == [err.strip()] and err.startswith("error: InvalidArgument")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["log", "arg"])
+def test_log_of_a_component_beyond_the_largest_double(capsys, command):
+    # |w| at a complex root of C3 passes 1.8e308 though w itself is finite.
+    code, out, err = run_cli(capsys, "--algebra", "C3", command, "--z", "1e308,1e308,1e308")
+    assert code == 0
+    assert all(math.isfinite(x) for x in _strict(out)[command])
+    assert "Traceback" not in err

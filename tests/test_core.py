@@ -404,20 +404,62 @@ def _rep_reference(coords, c):
     return cols
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 6, 16])
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 16, 32])
 def test_stacked_rep_matches_column_recurrence(n, rng):
-    from atrig.core import _rep_stack
+    from atrig.core import _fold_table, _rep_stack
 
     moduli = [np.zeros(n), np.eye(n)[0], -np.eye(n)[0], rng.uniform(-2, 2, n)]
-    for c in moduli:
+    for index, c in enumerate(moduli):
+        fold = _fold_table(tuple(c))
         batch = rng.uniform(-2, 2, (7, n))
         batch[1] = 0.0
         batch[2, ::2] = -0.0
-        stacked = _rep_stack(batch, c)
+        stacked = _rep_stack(batch, fold)
         assert stacked.shape == (7, n, n)
+        assert stacked.flags.c_contiguous
+        deeper = _rep_stack(batch[None], fold)[0]
+        assert np.array_equal(deeper.view(np.int64), stacked.view(np.int64))
         for row, matrix in zip(batch, stacked):
             reference = _rep_reference(row, c)
+            if index < 3:
+                # Preset moduli fold without rounding; only zero signs differ.
+                assert np.array_equal(matrix, reference)
+            else:
+                # sum_i |z_i| |M|(k^i), with the powers of k taken by the
+                # recurrence in absolute values (modulus -|c|), bounds the
+                # rounding of either route to first order.
+                bound = 4 * n * 2.0**-53 * _rep_reference(np.abs(row), -np.abs(c))
+                assert np.all(np.abs(matrix - reference) <= bound)
             # bitwise, so signed zeros must agree too
-            assert np.array_equal(matrix.view(np.int64), reference.view(np.int64))
-            single = _rep_stack(row, c)
-            assert np.array_equal(single.view(np.int64), reference.view(np.int64))
+            single = _rep_stack(row, fold)
+            assert single.flags.c_contiguous
+            assert np.array_equal(single.view(np.int64), matrix.view(np.int64))
+
+
+eighths = st.integers(-16, 16).map(lambda i: i / 8)
+
+
+@given(
+    coeffs=st.lists(eighths, min_size=1, max_size=6),
+    z=st.lists(eighths, min_size=6, max_size=6),
+)
+def test_fold_table_and_rep_are_exact_on_eighth_step_moduli(coeffs, z):
+    # Eighth-step moduli of degree <= 6 and dyadic z keep every power of k
+    # and every entry of M(z) within 53 bits, so the float kernel is exact.
+    from fractions import Fraction
+
+    from atrig.core import _fold_table, _rep_stack
+    from atrig.identities import _powers_of_k
+
+    n = len(coeffs)
+    powers = _powers_of_k([Fraction(c) for c in coeffs], 2 * n - 2)
+    fold = _fold_table(tuple(coeffs))
+    assert [[Fraction(x) for x in column] for column in fold.T.tolist()] == powers
+    z = [Fraction(x) for x in z[:n]]
+    exact = [
+        [sum(z[i] * powers[i + j][row] for i in range(n)) for j in range(n)]
+        for row in range(n)
+    ]
+    matrix = _rep_stack(np.array(z, dtype=float), fold)
+    assert [[Fraction(x) for x in row] for row in matrix.tolist()] == exact
+

@@ -281,6 +281,14 @@ def test_reconstruction_imaginary_residue(rng):
         np.testing.assert_allclose(z.coords, coeffs.real, atol=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+def test_non_finite_component_values_are_refused(h2, c2):
+    nan, inf = float("nan"), float("inf")
+    for pres, coords in ((c2, [nan, 0.0]), (c2, [0.0, inf]), (h2, [1.5e308, 1.5e308])):
+        with pytest.raises(InvalidArgument):
+            to_components(pres.element(coords), find_roots(pres))
+
+
 def test_from_components_ill_conditioned():
     # find_roots refuses clusters, so build a degenerate decomposition by
     # hand: coincident nodes make the interpolation system singular.

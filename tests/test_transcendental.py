@@ -294,6 +294,25 @@ def test_log_examples(h2, c2, gamma2):
     np.testing.assert_allclose(log(gamma2.element([1, 5])).coords, [0.0, 5.0], atol=1e-14)
 
 
+@pytest.mark.filterwarnings("error")
+def test_log_of_huge_elements_is_finite_or_refused():
+    c3 = preset("complicated", 3)
+    z = c3.element([1e308, 1e308, 1e308])
+    # |w| overflows at the complex roots though w is finite; the answer
+    # must agree with log z = log(2^-64 z) + 64 log 2.
+    expected = log(c3.element(np.ldexp(z.coords, -64))).coords + [64 * math.log(2), 0, 0]
+    np.testing.assert_allclose(log(z).coords, expected, rtol=1e-15, atol=1e-13)
+    np.testing.assert_allclose(arg(z).coords[1:], expected[1:], rtol=1e-15, atol=1e-13)
+    # Component values that overflow are refused before the solve.
+    for pres, coords in (
+        (preset("hyperbolic", 2), [1.5e308, 1.5e308]),
+        (preset("hyperbolic", 32), np.full(32, 1e307)),
+    ):
+        for call in (log, arg):
+            with pytest.raises(InvalidArgument, match="overflow"):
+                call(pres.element(coords))
+
+
 def test_log_outside_domain(h2, c2, gamma2):
     with pytest.raises(OutsideLogDomain):
         log(h2.element([-1, 0]))  # negative real components
@@ -307,8 +326,8 @@ def test_log_outside_domain(h2, c2, gamma2):
 
 @pytest.mark.filterwarnings("error")
 def test_non_finite_input_is_refused_not_propagated(h2, c2, gamma2):
-    # NaN fails every "> 0" domain test, so it is refused like any other
-    # value outside the domain rather than carried into the result.
+    # Coordinates that are not finite lie outside the logarithmic domain on
+    # every path, rather than being carried into the result.
     nan = float("nan")
     for pres in (gamma2, preset("nil", 3)):
         for at in range(pres.degree):
@@ -317,7 +336,7 @@ def test_non_finite_input_is_refused_not_propagated(h2, c2, gamma2):
                 coords[at] = bad
                 with pytest.raises(OutsideLogDomain):
                     log(pres.element(coords))
-    for pres in (h2, preset("complicated", 3)):  # NaN reaches a real component
+    for pres in (h2, c2, preset("complicated", 3)):
         for at in range(pres.degree):
             coords = np.eye(pres.degree)[0]
             coords[at] = nan
