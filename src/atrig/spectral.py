@@ -3,18 +3,23 @@ isomorphism onto R^r x C^c given by evaluation at its roots.
 
 The roots are the eigenvalues of the companion matrix, which LAPACK balances
 and reduces in one call; that is backward stable (Edelman & Murakami, Math.
-Comp. 64, 1995).  Newton steps polish them.  Multiple (or numerically
-near-multiple) roots are refused rather than approximated: the component
-logarithm degrades badly there, so the decomposition certifies
-semisimplicity up front, by a separation test and by a forward-error bound
-on each root that must be small against its distance to the others.
+Comp. 64, 1995).  The variable is first scaled by a power of two near a
+root-radius bound, so that huge or tiny coefficients do not defeat the
+balancing.  Newton steps polish the roots on the original polynomial, each
+step one product of a power table 1, xi, ..., xi^n with the coefficients of
+p and p'.  Multiple (or numerically near-multiple) roots are refused rather
+than approximated: the component logarithm degrades badly there, so the
+decomposition certifies semisimplicity up front, by a separation test and by
+a forward-error bound on each root that must be small against its distance
+to the others.  Decompositions are memoized per presentation and tolerance,
+so every caller of a modulus shares one root finding.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -90,14 +95,40 @@ class ComponentVector:
     complex_parts: tuple[complex, ...]
 
 
-def _horner_pair(full_asc: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate p and p' at once; full_asc holds [c0, ..., c_{n-1}, 1]."""
-    p = np.full_like(z, full_asc[-1])
-    dp = np.zeros_like(z)
-    for c in full_asc[-2::-1]:
-        dp = dp * z + p
-        p = p * z + c
-    return p, dp
+def _powers(z: np.ndarray, n: int) -> np.ndarray:
+    """Row i holds 1, z_i, ..., z_i^n, each power the one before it times z_i."""
+    table = np.empty((len(z), n + 1), dtype=z.dtype)
+    table[:, 0] = 1.0
+    table[:, 1:] = z[:, None]
+    return np.cumprod(table, axis=1, out=table)
+
+
+def _value_and_slope_coeffs(full_asc: np.ndarray) -> np.ndarray:
+    """The (n + 1, 2) matrix whose columns hold the ascending coefficients
+    of p and of p' (padded with a zero), so that one product with a power
+    table evaluates both; full_asc holds [c0, ..., c_{n-1}, 1]."""
+    n = len(full_asc) - 1
+    both = np.zeros((n + 1, 2))
+    both[:, 0] = full_asc
+    both[:-1, 1] = full_asc[1:] * np.arange(1, n + 1)
+    return both
+
+
+def _radius_exponent(coeffs: np.ndarray) -> int:
+    """log2 of the root-radius bound max_j |c_j|^(1/(n-j)) rounded toward
+    zero, so that 2^s lies within a factor of two of the bound; 0 for a nil
+    modulus.
+
+    No root is larger than twice the bound (Fujiwara's bound is at most
+    twice it), so k = 2^s t leaves the scaled roots of moderate size.
+    Rounding toward zero keeps s = 0 for every bound within (1/2, 2), the
+    presets' bound 1 among them.
+    """
+    nonzero = np.flatnonzero(coeffs)
+    if not nonzero.size:
+        return 0
+    log_bound = np.log2(np.abs(coeffs[nonzero])) / (len(coeffs) - nonzero)
+    return int(np.max(log_bound))
 
 
 def _separations(roots: np.ndarray) -> np.ndarray:
@@ -107,38 +138,50 @@ def _separations(roots: np.ndarray) -> np.ndarray:
     return diff.min(axis=1)
 
 
-def _newton_polish(full_asc: np.ndarray, z: np.ndarray, steps: int = 3) -> np.ndarray:
+def _newton_polish(both: np.ndarray, z: np.ndarray, steps: int = 3) -> np.ndarray:
+    """``steps`` Newton steps on every point of ``z``, for the p and p' of
+    ``_value_and_slope_coeffs``."""
     for _ in range(steps):
-        p, dp = _horner_pair(full_asc, z)
+        p, dp = (_powers(z, len(both) - 1) @ both).T
         dp = np.where(dp == 0, 1e-300, dp)
         z = z - p / dp
     return z
 
 
+@lru_cache(maxsize=128)
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def find_roots(
     pres: PrincipalPresentation, tol: float = DEFAULT_ROOT_TOLERANCE
 ) -> SpectralDecomposition:
     """All roots of the monic modulus, certified distinct and accurate.
 
-    The roots are the companion matrix's eigenvalues after three Newton
-    steps.  Raises InvalidArgument unless ``tol`` is positive and finite;
-    NonSemisimple when two roots lie closer than the separation threshold,
-    or when a root's forward-error bound (|p(xi)| + 2 n u sum_j |c_j||xi|^j)
-    / |p'(xi)| (Higham, *Accuracy and Stability of Numerical Algorithms*,
-    2nd ed., section 5.1) is not small against its distance to the nearest
-    other root (repeated or clustered roots, e.g. nil presentations); and
-    NoConvergence when the eigenvalue solver fails, the roots do not pair
-    into conjugates, or a residual |p(xi)| exceeds tol * max(1, |xi|^n).
+    The roots are the eigenvalues of the companion matrix of p(2^s t) / 2^(sn),
+    with 2^s near a root-radius bound, scaled back by 2^s and polished by
+    three Newton steps on p itself.  Raises InvalidArgument unless ``tol`` is
+    positive and finite; NonSemisimple when two roots lie closer than the
+    separation threshold, or when a root's forward-error bound
+    (|p(xi)| + 2 n u sum_j |c_j||xi|^j) / |p'(xi)| (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., section 5.1) is not small
+    against its distance to the nearest other root (repeated or clustered
+    roots, e.g. nil presentations); and NoConvergence when the eigenvalue
+    solver fails, the roots do not pair into conjugates, or a residual
+    |p(xi)| exceeds tol * max(1, |xi|^n).  Every evaluation of p, of p' and
+    of sum_j |c_j||xi|^j is a product with the power table 1, xi, ..., xi^n.
+
+    Results are memoized on (pres, tol), the label included, so a returned
+    decomposition always carries a presentation equal to the caller's;
+    refusals are not memoized and are raised again on every call.
     """
     if not 0.0 < tol < math.inf:
         raise InvalidArgument(f"root tolerance must be a positive finite number, got {tol!r}")
     n = pres.degree
-    full = np.append(_coeff_array(pres), 1.0)
+    coeffs = _coeff_array(pres)
+    full = np.append(coeffs, 1.0)
+    s = _radius_exponent(coeffs)
     companion = np.eye(n, k=-1)
-    companion[:, -1] = -full[:-1]
+    companion[:, -1] = -np.ldexp(coeffs, s * (np.arange(n) - n))
     try:
-        roots = np.linalg.eigvals(companion)
+        roots = np.linalg.eigvals(companion) * 2.0**s
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"companion eigenvalues failed for {pres}: {exc}") from None
 
@@ -149,9 +192,11 @@ def find_roots(
             f"root separation {separation.min():.3e} below threshold for {pres}"
         )
 
-    roots = _newton_polish(full, roots)
-    p, dp = _horner_pair(full, roots)
-    rounding = _horner_pair(np.abs(full), np.abs(roots))[0]
+    both = _value_and_slope_coeffs(full)
+    roots = _newton_polish(both, roots)
+    powers = _powers(roots, n)
+    p, dp = (powers @ both).T
+    rounding = np.abs(powers) @ np.abs(full)
     if not np.isfinite(rounding).all():
         raise NoConvergence(f"root error bound overflowed for {pres}")
     error = (np.abs(p) + 2 * n * UNIT_ROUNDOFF * rounding) / np.abs(dp)
@@ -181,7 +226,7 @@ def find_roots(
         pairs.append(0.5 * (a + b))
 
     nodes = np.array(real_roots + pairs, dtype=complex)
-    residual = np.abs(np.polyval(full[::-1], nodes)) / np.maximum(1.0, np.abs(nodes) ** n)
+    residual = np.abs(_powers(nodes, n) @ full) / np.maximum(1.0, np.abs(nodes) ** n)
     if not float(np.max(residual)) <= tol:  # also refuses a NaN residual
         raise NoConvergence(f"relative root residual {np.max(residual):.3e} exceeds {tol:.3e}")
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -231,11 +230,11 @@ def modulus(z: AlgebraElement) -> float:
     return _modulus_coords(z.coords[None, :], z.presentation)[0]
 
 
-@lru_cache(maxsize=128)
-def _decomposition_of(modulus_coeffs: tuple[float, ...]) -> SpectralDecomposition:
-    """The decomposition of a modulus, shared by every presentation with
-    these coefficients whatever its label."""
-    return find_roots(PrincipalPresentation(modulus_coeffs))
+def _decomposition_of(pres: PrincipalPresentation) -> SpectralDecomposition:
+    """The decomposition of the unlabelled presentation of ``pres``'s
+    modulus, which ``find_roots`` memoizes: every label of one modulus
+    shares one root finding."""
+    return find_roots(PrincipalPresentation(pres.modulus_coeffs))
 
 
 def _log_nil(coords: np.ndarray, fold: np.ndarray) -> np.ndarray:
@@ -277,7 +276,7 @@ def _log_coords(
         return _log_nil(coords, core._fold_table(pres.modulus_coeffs))
 
     if dec is None:
-        dec = _decomposition_of(pres.modulus_coeffs)
+        dec = _decomposition_of(pres)
     elif not dec.presentation.same_algebra(pres):
         raise PresentationMismatch("decomposition belongs to a different algebra")
     indices = spec.indices_for(dec.complex_count)

@@ -137,7 +137,7 @@ def _cases(rng, grid, n_random: int, degrees, draw) -> list[tuple[str, Principal
 
 def _decomposition(pres: PrincipalPresentation) -> SpectralDecomposition | None:
     """The shared decomposition of a semisimple presentation; None if nil."""
-    return None if pres.is_nil() else _decomposition_of(pres.modulus_coeffs)
+    return None if pres.is_nil() else _decomposition_of(pres)
 
 
 def _row(case: str, residual: float, verdict: float | bool, extra: dict | None = None) -> dict:

@@ -1,5 +1,7 @@
 """Root finding and the component isomorphism onto R^r x C^c."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from atrig import (
     preset,
     to_components,
 )
+from atrig.core import _coeff_array
 from atrig.errors import (
     AlgebraError,
     IllConditioned,
@@ -23,6 +26,13 @@ from atrig.errors import (
     NonSemisimple,
     PresentationMismatch,
     ShapeMismatch,
+)
+from atrig.spectral import (
+    DEFAULT_ROOT_TOLERANCE,
+    UNIT_ROUNDOFF,
+    _powers,
+    _radius_exponent,
+    _value_and_slope_coeffs,
 )
 from atrig.verify import random_depressed_presentation, random_semisimple_presentation
 
@@ -116,6 +126,7 @@ def test_eigenvalue_failure_reports_no_convergence(h2, monkeypatch):
     def fail(matrix):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
+    find_roots.cache_clear()  # h2 may be memoized from an earlier test
     monkeypatch.setattr(spectral.np.linalg, "eigvals", fail)
     with pytest.raises(NoConvergence):
         find_roots(h2)
@@ -135,6 +146,130 @@ def test_residual_certificate_failure_reports_no_convergence(h3):
 def test_root_tolerance_must_be_positive_and_finite(h3, tol):
     with pytest.raises(InvalidArgument):
         find_roots(h3, tol)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [2, 3, 6, 16, 32])
+@pytest.mark.parametrize("e", [100, 200, 300])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_huge_constant_coefficients_are_answered(n, e, sign):
+    # k^n + sign 10^e: n simple roots on the circle of radius 10^(e/n),
+    # which the balanced companion matrix alone misplaces at n = 32.
+    pres = make_presentation([sign * 10.0**e] + [0.0] * (n - 1))
+    dec = find_roots(pres)
+    angles = (2 * np.arange(n) + (sign > 0)) * np.pi / n
+    expected = 10.0 ** (e / n) * np.exp(1j * angles)
+    gap = np.abs(dec.nodes[:, None] - expected[None, :]).min(axis=1)
+    assert dec.real_count + 2 * dec.complex_count == n
+    assert float(gap.max()) <= 1e-13 * 10.0 ** (e / n)
+
+
+def test_presets_keep_the_unscaled_companion():
+    for kind in ("hyperbolic", "complicated", "nil"):
+        for n in (*range(1, 7), 16, 32):
+            assert _radius_exponent(_coeff_array(preset(kind, n))) == 0
+
+
+def _exact_value_and_slope(full, x):
+    """p(x) and p'(x) in exact rational arithmetic, for real rational x."""
+    p = sum(Fraction(c) * x**j for j, c in enumerate(full))
+    dp = sum(j * Fraction(c) * x ** (j - 1) for j, c in enumerate(full) if j)
+    return p, dp
+
+
+@given(
+    q=st.lists(st.integers(-64, 64), min_size=1, max_size=6),
+    xs=st.lists(st.integers(-16, 16), min_size=1, max_size=6),
+)
+@settings(max_examples=200, deadline=None)
+def test_power_table_is_exact_on_eighth_step_coefficients(q, xs):
+    # Eighth-step coefficients and quarter-step points of degree <= 6: every
+    # power, product and partial sum is a double, so both columns are exact.
+    full = np.append(np.array(q) / 8, 1.0)
+    x = np.array(xs) / 4
+    values = _powers(x, len(q)) @ _value_and_slope_coeffs(full)
+    for xi, (p, dp) in zip(x, values):
+        assert (Fraction(p), Fraction(dp)) == _exact_value_and_slope(full, Fraction(xi))
+
+
+def _exact_complex_value(full, x):
+    """Real and imaginary parts of p(x), as fractions, by Horner's rule in
+    exact arithmetic."""
+    re, im = Fraction(x.real), Fraction(x.imag)
+    a, b = Fraction(0), Fraction(0)
+    for c in full[::-1]:
+        a, b = a * re - b * im + Fraction(c), a * im + b * re
+    return a, b
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 16, 32])
+def test_power_table_error_is_within_the_gate_bound(n):
+    rng = np.random.default_rng(n)
+    for _ in range(10):
+        full = np.append(rng.uniform(-2, 2, n), 1.0)
+        radius = rng.uniform(0.5, 1.5, 6)
+        x = radius * np.exp(1j * rng.uniform(0, 2 * np.pi, 6))
+        for points in (x, radius * rng.choice([-1.0, 1.0], 6)):
+            p = _powers(points, n) @ _value_and_slope_coeffs(full)[:, 0]
+            bound = 2 * n * UNIT_ROUNDOFF * (np.abs(full) @ _powers(np.abs(points), n).T)
+            for got, xi, allowed in zip(p, points, bound):
+                re, im = _exact_complex_value(full, complex(xi))
+                err = abs(complex(Fraction(got.real) - re, Fraction(got.imag) - im))
+                assert err <= allowed
+
+
+def test_find_roots_is_memoized_per_presentation_and_tolerance():
+    find_roots.cache_clear()
+    bare = make_presentation([-1.0, 0.0, 0.0])
+    dec = find_roots(bare)
+    assert find_roots(make_presentation([-1.0, 0.0, 0.0])) is dec
+    labelled = find_roots(preset("hyperbolic", 3))
+    assert labelled is not dec
+    assert labelled.presentation.label == "H3"
+    assert dec.presentation.label is None
+    assert labelled.nodes.tobytes() == dec.nodes.tobytes()
+    looser = find_roots(bare, 1e-9)
+    assert looser is not dec
+    assert looser.root_tolerance == 1e-9
+    assert dec.root_tolerance == DEFAULT_ROOT_TOLERANCE
+    assert find_roots(bare, 1e-9) is looser
+
+
+def test_refusals_are_not_memoized(h2, monkeypatch):
+    import atrig.spectral as spectral
+
+    calls = []
+    real_eigvals = np.linalg.eigvals
+
+    def fail(matrix):
+        calls.append(matrix)
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    find_roots.cache_clear()
+    monkeypatch.setattr(spectral.np.linalg, "eigvals", fail)
+    for attempt in (1, 2):
+        with pytest.raises(NoConvergence):
+            find_roots(h2)
+        assert len(calls) == attempt
+    monkeypatch.setattr(spectral.np.linalg, "eigvals", real_eigvals)
+    assert find_roots(h2).real_roots == pytest.approx((-1.0, 1.0))
+    for _ in range(2):
+        with pytest.raises(NonSemisimple):
+            find_roots(preset("nil", 3))
+
+
+def test_find_roots_memo_is_bounded():
+    find_roots.cache_clear()
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        try:
+            find_roots(random_depressed_presentation(rng, 3))
+        except AlgebraError:
+            pass
+    info = find_roots.cache_info()
+    assert info.maxsize == 128
+    assert info.currsize <= 128
+    find_roots.cache_clear()
 
 
 def test_root_residual_certificate(rng):
