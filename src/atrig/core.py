@@ -211,13 +211,6 @@ class AlgebraElement:
 # -- low-level kernels shared with the transcendental module -----------------
 
 
-@lru_cache(maxsize=512)
-def _coeff_array(pres: PrincipalPresentation) -> np.ndarray:
-    arr = np.array(pres.modulus_coeffs, dtype=float)
-    arr.setflags(write=False)
-    return arr
-
-
 @lru_cache(maxsize=128)
 def _fold_table(modulus_coeffs: tuple[float, ...]) -> np.ndarray:
     """The (n, 2n - 1) matrix whose column s holds the coordinates of k^s.
@@ -284,9 +277,14 @@ def rep_matrix(z: AlgebraElement) -> np.ndarray:
 
 
 def mul(z: AlgebraElement, w: AlgebraElement) -> AlgebraElement:
-    """Product in the algebra, reduced modulo the modulus polynomial."""
+    """Product in the algebra, reduced modulo the modulus polynomial; a
+    product that overflows or is not finite raises ``InvalidArgument``."""
     z._require_same(w)
-    return AlgebraElement(z.presentation, rep_matrix(z) @ w.coords)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coords = rep_matrix(z) @ w.coords
+    if not np.isfinite(coords).all():
+        raise InvalidArgument("product overflows or is not finite")
+    return AlgebraElement(z.presentation, coords)
 
 
 def pythagorean(z: AlgebraElement) -> float:
@@ -333,7 +331,7 @@ def depress(pres: PrincipalPresentation) -> tuple[PrincipalPresentation, float]:
     shift = -pres.modulus_coeffs[-1] / n
     if shift == 0.0:
         return pres, 0.0
-    full = np.append(_coeff_array(pres), 1.0)
+    full = np.append(pres.modulus_coeffs, 1.0)
     shifted = _taylor_shift(full, shift)
     coeffs = list(shifted[:n])
     coeffs[-1] = 0.0  # zero analytically; kill the shift's round-off residue

@@ -7,12 +7,14 @@ Comp. 64, 1995).  The variable is first scaled by a power of two near a
 root-radius bound, so that huge or tiny coefficients do not defeat the
 balancing.  Newton steps polish the roots on the original polynomial, each
 step one product of a power table 1, xi, ..., xi^n with the coefficients of
-p and p'.  Multiple (or numerically near-multiple) roots are refused rather
-than approximated: the component logarithm degrades badly there, so the
-decomposition certifies semisimplicity up front, by a separation test and by
-a forward-error bound on each root that must be small against its distance
-to the others.  Decompositions are memoized per presentation and tolerance,
-so every caller of a modulus shares one root finding.
+p and p'; the same table of the roots, to xi^(n-1), is the Vandermonde matrix
+that both component maps multiply or solve against.  Multiple (or
+numerically near-multiple) roots are refused rather than approximated: the
+component logarithm degrades badly there, so the decomposition certifies
+semisimplicity up front, by a separation test and by a forward-error bound
+on each root that must be small against its distance to the others.
+Decompositions are memoized per presentation and tolerance, so every caller
+of a modulus shares one root finding.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import AlgebraElement, PrincipalPresentation, _coeff_array
+from .core import AlgebraElement, PrincipalPresentation
 from .errors import IllConditioned, InvalidArgument, NoConvergence, NonSemisimple
 from .errors import PresentationMismatch, ShapeMismatch
 
@@ -66,17 +68,15 @@ class SpectralDecomposition:
     def nodes(self) -> np.ndarray:
         """All n roots as one complex array: the real roots, then each
         stored complex root followed by its conjugate."""
-        nodes = list(self.real_roots)
-        for xi in self.complex_roots:
-            nodes.extend([xi, xi.conjugate()])
-        arr = np.array(nodes, dtype=complex)
+        pairs = [w for xi in self.complex_roots for w in (xi, xi.conjugate())]
+        arr = np.array(list(self.real_roots) + pairs, dtype=complex)
         arr.setflags(write=False)
         return arr
 
     @cached_property
     def vandermonde(self) -> np.ndarray:
         """Row i holds 1, x_i, ..., x_i^{n-1} for node x_i."""
-        arr = np.vander(self.nodes, N=self.presentation.degree, increasing=True)
+        arr = _powers(self.nodes, self.presentation.degree - 1)
         arr.setflags(write=False)
         return arr
 
@@ -96,11 +96,14 @@ class ComponentVector:
 
 
 def _powers(z: np.ndarray, n: int) -> np.ndarray:
-    """Row i holds 1, z_i, ..., z_i^n, each power the one before it times z_i."""
+    """Row i holds 1, z_i, ..., z_i^n, each power the one before it times z_i.
+    The running product starts at z_i, as in numpy's Vandermonde builder,
+    because numpy rounds a two-term complex running product differently."""
     table = np.empty((len(z), n + 1), dtype=z.dtype)
     table[:, 0] = 1.0
     table[:, 1:] = z[:, None]
-    return np.cumprod(table, axis=1, out=table)
+    np.cumprod(table[:, 1:], axis=1, out=table[:, 1:])
+    return table
 
 
 def _value_and_slope_coeffs(full_asc: np.ndarray) -> np.ndarray:
@@ -148,8 +151,6 @@ def _newton_polish(both: np.ndarray, z: np.ndarray, steps: int = 3) -> np.ndarra
     return z
 
 
-@lru_cache(maxsize=128)
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def find_roots(
     pres: PrincipalPresentation, tol: float = DEFAULT_ROOT_TOLERANCE
 ) -> SpectralDecomposition:
@@ -168,14 +169,21 @@ def find_roots(
     |p(xi)| exceeds tol * max(1, |xi|^n).  Every evaluation of p, of p' and
     of sum_j |c_j||xi|^j is a product with the power table 1, xi, ..., xi^n.
 
-    Results are memoized on (pres, tol), the label included, so a returned
-    decomposition always carries a presentation equal to the caller's;
-    refusals are not memoized and are raised again on every call.
+    Results are memoized on pres, label included, and on the value of tol,
+    so a returned decomposition always carries a presentation equal to the
+    caller's; refusals are not memoized and are raised again on every call.
     """
     if not 0.0 < tol < math.inf:
         raise InvalidArgument(f"root tolerance must be a positive finite number, got {tol!r}")
+    return _decompose(pres, float(tol))
+
+
+@lru_cache(maxsize=128)
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _decompose(pres: PrincipalPresentation, tol: float) -> SpectralDecomposition:
+    """The memoized body of ``find_roots``, for a validated float ``tol``."""
     n = pres.degree
-    coeffs = _coeff_array(pres)
+    coeffs = np.array(pres.modulus_coeffs)
     full = np.append(coeffs, 1.0)
     s = _radius_exponent(coeffs)
     companion = np.eye(n, k=-1)
@@ -230,30 +238,23 @@ def find_roots(
     if not float(np.max(residual)) <= tol:  # also refuses a NaN residual
         raise NoConvergence(f"relative root residual {np.max(residual):.3e} exceeds {tol:.3e}")
 
-    return SpectralDecomposition(
-        presentation=pres,
-        real_roots=tuple(real_roots),
-        complex_roots=tuple(pairs),
-        root_tolerance=tol,
-    )
+    return SpectralDecomposition(pres, tuple(real_roots), tuple(pairs), tol)
 
 
 def _component_values(coords: np.ndarray, dec: SpectralDecomposition) -> np.ndarray:
-    """Every coordinate row of ``coords`` (m, n) evaluated at all n nodes of
-    ``dec`` by Horner's rule, as (m, n) complex values in node order.
+    """Every coordinate row z of ``coords`` (m, n) evaluated at all n nodes of
+    ``dec``, as (m, n) complex values V z in node order: one stacked matmul
+    with the Vandermonde matrix V, the same BLAS call for every row.
 
-    Values at real roots are real to the last bit, and the value at a
-    conjugate root is the exact conjugate of the value at its partner.
-    Values that are not finite (coordinates too large, or not finite
-    themselves) raise ``InvalidArgument``.
+    Values at real roots are real to the last bit, as their rows of V are,
+    and the value at a conjugate root is copied from its partner's.  Values
+    that are not finite raise ``InvalidArgument``.
     """
-    out = np.empty(coords.shape, dtype=complex)
-    out[:] = coords[:, -1:]
     # Overflow is refused below, so numpy's warnings about it are noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(coords.shape[1] - 2, -1, -1):
-            out *= dec.nodes
-            out += coords[:, j : j + 1]
+        out = np.matmul(dec.vandermonde, coords[:, :, None])[:, :, 0]
+    r = dec.real_count
+    out[:, r + 1 :: 2] = out[:, r::2].conj()
     if not np.isfinite(out).all():
         raise InvalidArgument("component values overflow or are not finite")
     return out
@@ -290,9 +291,7 @@ def to_components(z: AlgebraElement, dec: SpectralDecomposition) -> ComponentVec
         raise PresentationMismatch("element and decomposition use different algebras")
     values = _component_values(z.coords[None, :], dec)[0]
     r = dec.real_count
-    return ComponentVector(
-        tuple(values[:r].real.tolist()), tuple(values[r::2].tolist())
-    )
+    return ComponentVector(tuple(values[:r].real.tolist()), tuple(values[r::2].tolist()))
 
 
 def from_components(v: ComponentVector, dec: SpectralDecomposition) -> AlgebraElement:

@@ -185,8 +185,8 @@ def trig_components(pres: PrincipalPresentation, m: int, theta) -> np.ndarray:
 # The component-wise functions below (log, atan2, pow) go through ``math``
 # one value at a time, as the scalar code did: numpy's vectorized versions
 # differ from the C library in the last bit on some inputs, which would
-# move seeded results.  The stacked work around them (Horner evaluation,
-# interpolation, determinants, the exponential) is done once per batch.
+# move seeded results.  The stacked work around them (evaluation at the
+# roots, interpolation, determinants, the exponential) is done once per batch.
 
 
 def _log_each(values) -> np.ndarray:
@@ -246,12 +246,14 @@ def _log_nil(coords: np.ndarray, fold: np.ndarray) -> np.ndarray:
             raise OutsideLogDomain(f"leading coordinate {x1} must be positive")
     nilpotent = coords / coords[:, :1]
     nilpotent[:, 0] = 0.0
-    out = np.zeros_like(nilpotent)
-    power = nilpotent.copy()
+    rep = core._rep_stack(nilpotent, fold)
+    power = nilpotent[:, :, None]  # (rows, n, 1) columns, as matmul wants
+    out = np.zeros_like(power)
     for m in range(1, coords.shape[1]):
         out += ((-1.0) ** (m + 1) / m) * power
         if m < coords.shape[1] - 1:
-            power = core._mul_coords(power, nilpotent, fold)
+            power = np.matmul(rep, power)
+    out = out[:, :, 0]
     out[:, 0] = _log_each(leading)
     return out
 

@@ -230,7 +230,7 @@ def lemma_suite(
     for i in range(n_random):
         degree = int(rng.integers(degrees[0], degrees[1] + 1))
         pres = random_depressed_presentation(rng, degree)
-        c = core._coeff_array(pres)
+        c = np.array(pres.modulus_coeffs)
         thetas = rng.uniform(-1.5, 1.5, thetas_per_case)
         samples = trig_components(pres, 1, np.stack([thetas + h, thetas - h, thetas]))
         plus, minus, centre = core._rep_stack(samples, core._fold_table(pres.modulus_coeffs))

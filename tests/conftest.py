@@ -2,6 +2,14 @@ import numpy as np
 import pytest
 
 from atrig import preset
+from atrig.spectral import _decompose
+
+
+@pytest.fixture(autouse=True)
+def empty_root_memo():
+    """Every test starts with no memoized decomposition, so a test that
+    counts root findings or patches the eigenvalue solver sees its own."""
+    _decompose.cache_clear()
 
 
 @pytest.fixture

@@ -198,6 +198,18 @@ def test_mul_requires_same_presentation(h2, c2):
         h2.element([1, 0]) + c2.element([1, 0])
 
 
+@pytest.mark.filterwarnings("error")
+def test_mul_refuses_a_product_that_is_not_finite(h2, c2):
+    big = h2.element([1e200, 0])
+    nan = c2.element([float("nan"), 1.0])
+    inf = c2.element([0.0, float("inf")])
+    for a, b in ((big, big), (nan, c2.one()), (c2.one(), nan), (inf, c2.one())):
+        with pytest.raises(InvalidArgument):
+            mul(a, b)
+    with pytest.raises(InvalidArgument):
+        big * big
+
+
 def test_element_operators(h2):
     z = h2.element([1, 2])
     w = h2.element([0, 1])

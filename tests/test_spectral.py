@@ -17,7 +17,6 @@ from atrig import (
     preset,
     to_components,
 )
-from atrig.core import _coeff_array
 from atrig.errors import (
     AlgebraError,
     IllConditioned,
@@ -30,6 +29,9 @@ from atrig.errors import (
 from atrig.spectral import (
     DEFAULT_ROOT_TOLERANCE,
     UNIT_ROUNDOFF,
+    SpectralDecomposition,
+    _component_values,
+    _decompose,
     _powers,
     _radius_exponent,
     _value_and_slope_coeffs,
@@ -126,7 +128,6 @@ def test_eigenvalue_failure_reports_no_convergence(h2, monkeypatch):
     def fail(matrix):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    find_roots.cache_clear()  # h2 may be memoized from an earlier test
     monkeypatch.setattr(spectral.np.linalg, "eigvals", fail)
     with pytest.raises(NoConvergence):
         find_roots(h2)
@@ -167,7 +168,7 @@ def test_huge_constant_coefficients_are_answered(n, e, sign):
 def test_presets_keep_the_unscaled_companion():
     for kind in ("hyperbolic", "complicated", "nil"):
         for n in (*range(1, 7), 16, 32):
-            assert _radius_exponent(_coeff_array(preset(kind, n))) == 0
+            assert _radius_exponent(np.array(preset(kind, n).modulus_coeffs)) == 0
 
 
 def _exact_value_and_slope(full, x):
@@ -202,24 +203,38 @@ def _exact_complex_value(full, x):
     return a, b
 
 
+def _forward_map_values(full, points):
+    """The forward map's values of the coordinates ``full`` at ``points``,
+    through a decomposition with those points as its roots."""
+    pres = make_presentation(np.zeros(len(full)))
+    if np.iscomplexobj(points):
+        dec = SpectralDecomposition(pres, (), tuple(points), DEFAULT_ROOT_TOLERANCE)
+        return _component_values(full[None, :], dec)[0, ::2]
+    dec = SpectralDecomposition(pres, tuple(points), (), DEFAULT_ROOT_TOLERANCE)
+    return _component_values(full[None, :], dec)[0]
+
+
 @pytest.mark.parametrize("n", [2, 3, 6, 16, 32])
 def test_power_table_error_is_within_the_gate_bound(n):
+    # Both the gate's p(xi) and the forward map's V z, for the same
+    # coefficients at the same points.
     rng = np.random.default_rng(n)
     for _ in range(10):
         full = np.append(rng.uniform(-2, 2, n), 1.0)
         radius = rng.uniform(0.5, 1.5, 6)
         x = radius * np.exp(1j * rng.uniform(0, 2 * np.pi, 6))
         for points in (x, radius * rng.choice([-1.0, 1.0], 6)):
-            p = _powers(points, n) @ _value_and_slope_coeffs(full)[:, 0]
+            gate = _powers(points, n) @ _value_and_slope_coeffs(full)[:, 0]
+            forward = _forward_map_values(full, points)
             bound = 2 * n * UNIT_ROUNDOFF * (np.abs(full) @ _powers(np.abs(points), n).T)
-            for got, xi, allowed in zip(p, points, bound):
+            for xi, allowed, *values in zip(points, bound, gate, forward):
                 re, im = _exact_complex_value(full, complex(xi))
-                err = abs(complex(Fraction(got.real) - re, Fraction(got.imag) - im))
-                assert err <= allowed
+                for got in values:
+                    err = abs(complex(Fraction(got.real) - re, Fraction(got.imag) - im))
+                    assert err <= allowed
 
 
 def test_find_roots_is_memoized_per_presentation_and_tolerance():
-    find_roots.cache_clear()
     bare = make_presentation([-1.0, 0.0, 0.0])
     dec = find_roots(bare)
     assert find_roots(make_presentation([-1.0, 0.0, 0.0])) is dec
@@ -235,6 +250,25 @@ def test_find_roots_is_memoized_per_presentation_and_tolerance():
     assert find_roots(bare, 1e-9) is looser
 
 
+def test_find_roots_memo_keys_on_the_value_of_the_tolerance(monkeypatch):
+    import atrig.spectral as spectral
+
+    calls = []
+    real_eigvals = np.linalg.eigvals
+
+    def counting(matrix):
+        calls.append(matrix)
+        return real_eigvals(matrix)
+
+    monkeypatch.setattr(spectral.np.linalg, "eigvals", counting)
+    pres = make_presentation([-1.0, 0.0, 0.0])
+    dec = find_roots(pres)
+    assert find_roots(pres, 1e-10) is dec
+    assert find_roots(pres, tol=1e-10) is dec
+    assert find_roots(pres, np.float64(1e-10)) is dec
+    assert len(calls) == 1
+
+
 def test_refusals_are_not_memoized(h2, monkeypatch):
     import atrig.spectral as spectral
 
@@ -245,7 +279,6 @@ def test_refusals_are_not_memoized(h2, monkeypatch):
         calls.append(matrix)
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    find_roots.cache_clear()
     monkeypatch.setattr(spectral.np.linalg, "eigvals", fail)
     for attempt in (1, 2):
         with pytest.raises(NoConvergence):
@@ -259,17 +292,15 @@ def test_refusals_are_not_memoized(h2, monkeypatch):
 
 
 def test_find_roots_memo_is_bounded():
-    find_roots.cache_clear()
     rng = np.random.default_rng(5)
     for _ in range(200):
         try:
             find_roots(random_depressed_presentation(rng, 3))
         except AlgebraError:
             pass
-    info = find_roots.cache_info()
+    info = _decompose.cache_info()
     assert info.maxsize == 128
     assert info.currsize <= 128
-    find_roots.cache_clear()
 
 
 def test_root_residual_certificate(rng):
