@@ -9,6 +9,11 @@ The logarithm dispatches on the presentation: nilpotent generators get the
 finite alternating series (exact inverse of the exponential), semisimple
 moduli go through the component isomorphism with a per-pair branch of the
 complex logarithm.  Anything in between is refused.
+
+``exp``, ``log``, ``arg`` and ``modulus`` are the one-row cases of kernels
+over a batch of rows.  Their component-wise work (domain tests, logarithms,
+branch offsets, n-th roots, squaring counts) is whole-array numpy, and each
+row of a batch gets exactly the arithmetic it would get alone.
 """
 
 from __future__ import annotations
@@ -78,17 +83,15 @@ _THETA = 1.09
 _MAX_SQUARINGS = 1023
 
 
-def _squaring_count(norm: float, threshold: float) -> int:
-    """The smallest s >= 0 with norm <= threshold * 2**s.
+def _squaring_count(norms: np.ndarray, threshold: float) -> np.ndarray:
+    """The smallest s >= 0 with norm <= threshold * 2**s, for every norm.
 
     Comparing frexp mantissas and exponents is exact and cannot overflow,
     however large the norm.
     """
-    if norm <= threshold:
-        return 0
-    mant, expo = math.frexp(norm)
+    mant, expo = np.frexp(norms)
     t_mant, t_expo = math.frexp(threshold)
-    return expo - t_expo + (mant > t_mant)
+    return np.where(norms > threshold, expo - t_expo + (mant > t_mant), 0)
 
 
 # An M(z) that overflows has a norm that is not finite, and an overflowing
@@ -118,13 +121,10 @@ def _exp_coords(coords: np.ndarray, pres: PrincipalPresentation) -> np.ndarray:
             f"exp cannot scale |M(z)|_1 = {largest:.6g} to {_THETA} "
             f"within {_MAX_SQUARINGS} squarings"
         )
-    counts = [_squaring_count(x, _THETA) for x in norms.tolist()]
-    least, most = min(counts), max(counts)
-    if least == most:
-        if most:
-            rep = np.ldexp(rep, -most)
-    else:
-        counts = np.array(counts)
+    least = most = 0
+    if largest > _THETA:
+        counts = _squaring_count(norms, _THETA)
+        least, most = int(counts.min()), int(counts.max())
         rep = np.ldexp(rep, -counts[:, None, None])
 
     # Vectors are kept as (rows, n, 1) columns, the shape matmul wants.
@@ -182,28 +182,8 @@ def trig_components(pres: PrincipalPresentation, m: int, theta) -> np.ndarray:
     return _exp_coords(coords, pres).reshape(thetas.shape + (n,))
 
 
-# The component-wise functions below (log, atan2, pow) go through ``math``
-# one value at a time, as the scalar code did: numpy's vectorized versions
-# differ from the C library in the last bit on some inputs, which would
-# move seeded results.  The stacked work around them (evaluation at the
-# roots, interpolation, determinants, the exponential) is done once per batch.
-
-
-def _log_each(values) -> np.ndarray:
-    """math.log of every value of a sequence of floats, as a 1-D array."""
-    return np.array(list(map(math.log, values)), dtype=float)
-
-
-def _log_abs(w: complex) -> float:
-    """log |w| of a finite w, also where |w| exceeds the largest double."""
-    try:
-        return math.log(abs(w))
-    except OverflowError:  # halving both parts is exact and brings |w| into range
-        return math.log(math.hypot(0.5 * w.real, 0.5 * w.imag)) + math.log(2.0)
-
-
-def _modulus_coords(coords: np.ndarray, pres: PrincipalPresentation) -> list[float]:
-    """modulus of every row of ``coords`` (m, n), as a list of m floats: one
+def _modulus_coords(coords: np.ndarray, pres: PrincipalPresentation) -> np.ndarray:
+    """modulus of every row of ``coords`` (m, n), as an (m,) array: one
     determinant over the stacked regular representations."""
     if not pres.is_pure_power():
         raise UnsupportedAlgebra(
@@ -213,21 +193,18 @@ def _modulus_coords(coords: np.ndarray, pres: PrincipalPresentation) -> list[flo
     # NaN and overflow are refused below, so numpy's warnings about them
     # are noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        values = np.linalg.det(core._rep_stack(coords, fold)).tolist()
-    power = 1.0 / pres.degree
-    out = []
-    for value in values:
-        if not value > 0.0:
-            raise NonPositivePythagorean(f"Pythagorean value {value:.3e} is not positive")
-        if value == math.inf:
-            raise InvalidArgument("modulus overflowed: the Pythagorean value is not finite")
-        out.append(value**power)
-    return out
+        values = np.linalg.det(core._rep_stack(coords, fold))
+    lowest = values.min(initial=np.inf)
+    if not lowest > 0.0:
+        raise NonPositivePythagorean(f"Pythagorean value {lowest:.3e} is not positive")
+    if values.max(initial=0.0) == np.inf:
+        raise InvalidArgument("modulus overflowed: the Pythagorean value is not finite")
+    return values ** (1.0 / pres.degree)
 
 
 def modulus(z: AlgebraElement) -> float:
     """The unique positive rho with F(z) = rho^n, for pure-power algebras."""
-    return _modulus_coords(z.coords[None, :], z.presentation)[0]
+    return float(_modulus_coords(z.coords[None, :], z.presentation)[0])
 
 
 def _decomposition_of(pres: PrincipalPresentation) -> SpectralDecomposition:
@@ -237,13 +214,16 @@ def _decomposition_of(pres: PrincipalPresentation) -> SpectralDecomposition:
     return find_roots(PrincipalPresentation(pres.modulus_coeffs))
 
 
+# A nilpotent part that overflows leaves a result that is not finite, which
+# is refused, so numpy's warnings about it are noise.
+@np.errstate(over="ignore", invalid="ignore")
 def _log_nil(coords: np.ndarray, fold: np.ndarray) -> np.ndarray:
     """Finite alternating series for every row of finite ``coords``, on a
     nil presentation."""
-    leading = coords[:, 0].tolist()
-    for x1 in leading:
-        if not x1 > 0.0:
-            raise OutsideLogDomain(f"leading coordinate {x1} must be positive")
+    leading = coords[:, 0]
+    lowest = leading.min(initial=np.inf)
+    if not lowest > 0.0:
+        raise OutsideLogDomain(f"leading coordinate {lowest} must be positive")
     nilpotent = coords / coords[:, :1]
     nilpotent[:, 0] = 0.0
     rep = core._rep_stack(nilpotent, fold)
@@ -254,7 +234,9 @@ def _log_nil(coords: np.ndarray, fold: np.ndarray) -> np.ndarray:
         if m < coords.shape[1] - 1:
             power = np.matmul(rep, power)
     out = out[:, :, 0]
-    out[:, 0] = _log_each(leading)
+    if not np.isfinite(out).all():
+        raise InvalidArgument("log overflowed: the nilpotent part is not finite")
+    out[:, 0] = np.log(leading)
     return out
 
 
@@ -284,28 +266,22 @@ def _log_coords(
     indices = spec.indices_for(dec.complex_count)
 
     values = _component_values(coords, dec)
-    r, c = dec.real_count, dec.complex_count
-    reals = values[:, :r].real.ravel().tolist()
-    for x in reals:
-        if not x > 0.0:
-            raise OutsideLogDomain(f"real component {x:.6g} is not positive")
-    pairs = values[:, r::2].ravel().tolist()
-    if 0 in pairs:
+    r = dec.real_count
+    lowest = values[:, :r].real.min(initial=np.inf)
+    if not lowest > 0.0:
+        raise OutsideLogDomain(f"real component {lowest:.6g} is not positive")
+    if not values[:, r::2].all():  # a complex value tests false only at 0
         raise OutsideLogDomain("zero complex component")
 
-    # Component logarithms in node order, row by row: log x at each real
-    # root, then log w and its conjugate at each conjugate pair of roots.
-    offsets = [2.0 * math.pi * b for b in indices]
-    logs = []
-    for i in range(len(values)):
-        logs += map(math.log, reals[i * r : (i + 1) * r])
-        for w, offset in zip(pairs[i * c : (i + 1) * c], offsets):
-            theta = math.atan2(w.imag, w.real)
-            if theta <= -math.pi:  # the principal angle lies in (-pi, pi]
-                theta = math.pi
-            log_w = complex(_log_abs(w), theta + offset)
-            logs += (log_w, log_w.conjugate())
-    return _interpolate(np.array(logs, dtype=complex).reshape(values.shape), dec)
+    # Component logarithms in node order: log x at each real root, then
+    # log w and its conjugate at each conjugate pair of roots.
+    logs = np.log(values)
+    angles = logs.imag
+    angles[angles <= -np.pi] = np.pi  # the principal angle lies in (-pi, pi]
+    if spec.branch_indices is not None:
+        angles[:, r::2] += 2.0 * np.pi * np.array(indices)
+    np.conjugate(logs[:, r::2], out=logs[:, r + 1 :: 2])
+    return _interpolate(logs, dec)
 
 
 def log(

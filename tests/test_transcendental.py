@@ -33,6 +33,7 @@ from atrig.errors import (
     ShapeMismatch,
     UnsupportedAlgebra,
 )
+from atrig.transcendental import _THETA, _squaring_count
 from atrig.verify import random_depressed_presentation, random_ld_sample
 
 
@@ -307,6 +308,8 @@ def test_log_of_huge_elements_is_finite_or_refused():
     for pres, coords in (
         (preset("hyperbolic", 2), [1.5e308, 1.5e308]),
         (preset("hyperbolic", 32), np.full(32, 1e307)),
+        # On a nil algebra the nilpotent part z / z_0 overflows.
+        (preset("nil", 3), [1e-300, 1e10, 0.0]),
     ):
         for call in (log, arg):
             with pytest.raises(InvalidArgument, match="overflow"):
@@ -417,6 +420,18 @@ def test_log_wraps_to_principal_preimage(c2):
     z = c2.element([0.0, 2 * math.pi + 0.25])
     recovered = log(exp(z))
     np.testing.assert_allclose(recovered.coords, [0.0, 0.25], atol=1e-10)
+
+
+def test_log_takes_the_angle_pi_on_the_negative_real_axis(c2, monkeypatch):
+    # The complex log puts -1 - 0i at angle -pi, outside the principal range
+    # (-pi, pi]; the logarithm must take pi there, before any branch shift.
+    import atrig.transcendental as transcendental
+
+    values = np.array([[complex(-1.0, -0.0), complex(-1.0, 0.0)]])
+    monkeypatch.setattr(transcendental, "_component_values", lambda coords, dec: values)
+    z = c2.element([-1.0, 0.0])
+    np.testing.assert_allclose(log(z).coords, [0.0, math.pi], atol=1e-15)
+    np.testing.assert_allclose(log(z, BranchSpec((1,))).coords, [0.0, 3 * math.pi], atol=1e-15)
 
 
 def test_log_real_part_is_log_modulus(rng):
@@ -571,8 +586,6 @@ def test_exp_scales_by_the_norm_of_the_representation():
 
 @pytest.mark.filterwarnings("error")
 def test_exp_refuses_what_it_cannot_scale(h2):
-    from atrig.transcendental import _THETA
-
     for bad in ([float("nan"), 0.0], [0.0, -float("inf")], [1e308, 0.0]):
         with pytest.raises(InvalidArgument) as excinfo:
             exp(h2.element(bad))
@@ -627,12 +640,25 @@ def test_exp_on_fresh_moduli_is_inverted_or_refused(n, seed, scale):
         st.floats(0.0, 1e6, allow_nan=False),
         st.integers(-60, 60).map(lambda e: 2.0**e),
     ),
-    threshold=st.sampled_from([0.5, 0.1, 0.75, 1.0, 3.0, 2.0**-40]),
+    threshold=st.sampled_from([_THETA, 0.5, 0.1, 0.75, 1.0, 3.0, 2.0**-40]),
 )
 def test_squaring_count_is_the_halving_loop(norm, threshold):
-    from atrig.transcendental import _squaring_count
+    def halvings(x):
+        count = 0
+        while x > threshold:
+            x /= 2.0  # exact: x stays far above the subnormals
+            count += 1
+        return count
 
-    expected = 0
-    while norm > threshold * 2.0**expected:
-        expected += 1
-    assert _squaring_count(norm, threshold) == expected
+    assert _squaring_count(norm, threshold) == halvings(norm)
+    # The counts of a whole batch, at and next to every edge threshold * 2**s.
+    edges = np.ldexp(threshold, np.array([0, 1, 2, 19, 60]))
+    norms = np.concatenate(
+        [
+            [0.0, norm, 1e300, np.finfo(float).max],
+            edges,
+            np.nextafter(edges, 0.0),
+            np.nextafter(edges, np.inf),
+        ]
+    )
+    assert _squaring_count(norms, threshold).tolist() == [halvings(x) for x in norms]
