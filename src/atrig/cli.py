@@ -294,11 +294,7 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         _emit({"arg": result.coords.tolist()}, args, "argument computed")
     elif command == "polar":
         form = polar(z, _parse_branch(args.branch, parser))
-        _emit(
-            form.to_json_dict(),
-            args,
-            f"rho={form.rho!r}",
-        )
+        _emit(form.to_json_dict(), args, f"rho={form.rho!r}")
     else:  # pragma: no cover - argparse restricts the choices
         parser.error(f"unknown command {command!r}")
     return 0

@@ -185,10 +185,7 @@ class AlgebraElement:
             return AlgebraElement(self.presentation, self._coords * float(other))
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, numbers.Real):
-            return AlgebraElement(self.presentation, self._coords * float(other))
-        return NotImplemented
+    __rmul__ = __mul__  # reached only for a left operand that is not an element
 
     def __truediv__(self, other):
         if isinstance(other, numbers.Real):

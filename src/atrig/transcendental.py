@@ -6,11 +6,11 @@ one fixed-degree Taylor polynomial with scaling and squaring, the squaring
 count taken from the 1-norm of M(z).
 
 The logarithm dispatches on the presentation: nilpotent generators get the
-finite alternating series (exact inverse of the exponential), semisimple
-moduli go through the component isomorphism with a per-pair branch of the
-complex logarithm.  Anything in between is refused.
+power-series recurrence for log, semisimple moduli go through the
+component isomorphism with a per-pair branch of the complex logarithm.
+Anything in between is refused.  ``polar`` splits that one logarithm.
 
-``exp``, ``log``, ``arg`` and ``modulus`` are the one-row cases of kernels
+``exp``, ``log``, ``arg``, ``polar`` and ``modulus`` are one-row cases of kernels
 over a batch of rows.  Their component-wise work (domain tests, logarithms,
 branch offsets, n-th roots, squaring counts) is whole-array numpy, and each
 row of a batch gets exactly the arithmetic it would get alone.
@@ -186,9 +186,7 @@ def _modulus_coords(coords: np.ndarray, pres: PrincipalPresentation) -> np.ndarr
     """modulus of every row of ``coords`` (m, n), as an (m,) array: one
     determinant over the stacked regular representations."""
     if not pres.is_pure_power():
-        raise UnsupportedAlgebra(
-            f"modulus is defined only for pure-power presentations, not {pres}"
-        )
+        raise UnsupportedAlgebra(f"modulus needs a pure-power presentation, not {pres}")
     fold = core._fold_table(pres.modulus_coeffs)
     # NaN and overflow are refused below, so numpy's warnings about them
     # are noise.
@@ -214,26 +212,23 @@ def _decomposition_of(pres: PrincipalPresentation) -> SpectralDecomposition:
     return find_roots(PrincipalPresentation(pres.modulus_coeffs))
 
 
-# A nilpotent part that overflows leaves a result that is not finite, which
-# is refused, so numpy's warnings about it are noise.
+# A series that overflows leaves a result that is not finite, which is
+# refused, so numpy's warnings about it are noise.
 @np.errstate(over="ignore", invalid="ignore")
-def _log_nil(coords: np.ndarray, fold: np.ndarray) -> np.ndarray:
-    """Finite alternating series for every row of finite ``coords``, on a
-    nil presentation."""
+def _log_nil(coords: np.ndarray) -> np.ndarray:
+    """log f = log f_0 + g, g = log N of the series N = f / f_0, for every row f
+    of finite ``coords`` on a nil presentation.  N g' = N' gives g_j = N_j -
+    (1/j) sum_{0<i<j} i g_i N_{j-i} (Knuth, TAOCP vol. 2, 4.7): one update per j."""
     leading = coords[:, 0]
     lowest = leading.min(initial=np.inf)
     if not lowest > 0.0:
         raise OutsideLogDomain(f"leading coordinate {lowest} must be positive")
-    nilpotent = coords / coords[:, :1]
-    nilpotent[:, 0] = 0.0
-    rep = core._rep_stack(nilpotent, fold)
-    power = nilpotent[:, :, None]  # (rows, n, 1) columns, as matmul wants
-    out = np.zeros_like(power)
-    for m in range(1, coords.shape[1]):
-        out += ((-1.0) ** (m + 1) / m) * power
-        if m < coords.shape[1] - 1:
-            power = np.matmul(rep, power)
-    out = out[:, :, 0]
+    series = coords / coords[:, :1]
+    out = np.zeros_like(series)
+    orders = np.arange(coords.shape[1])
+    for j in range(1, coords.shape[1]):
+        tail = (out[:, 1:j] * orders[1:j] * series[:, j - 1 : 0 : -1]).sum(axis=1)
+        out[:, j] = series[:, j] - tail / j
     if not np.isfinite(out).all():
         raise InvalidArgument("log overflowed: the nilpotent part is not finite")
     out[:, 0] = np.log(leading)
@@ -248,16 +243,16 @@ def _log_coords(
 ) -> np.ndarray:
     """log of every row of ``coords`` (m, n), as an (m, n) array.
 
-    Nil presentations take the finite series.  Semisimple ones evaluate
-    all rows at the roots at once, take the logarithm of each component,
-    and interpolate all rows in one solve.  Any row outside the domain
-    raises ``OutsideLogDomain``.
+    Nil presentations take the power-series recurrence (``_log_nil``).
+    Semisimple ones evaluate all rows at the roots at once, take the
+    logarithm of each component, and interpolate all rows in one solve.
+    Any row outside the domain raises ``OutsideLogDomain``.
     """
     if not np.isfinite(coords).all():
         raise OutsideLogDomain("log requires finite coordinates")
     if pres.is_nil():
         spec.indices_for(0)
-        return _log_nil(coords, core._fold_table(pres.modulus_coeffs))
+        return _log_nil(coords)
 
     if dec is None:
         dec = _decomposition_of(pres)
@@ -284,6 +279,12 @@ def _log_coords(
     return _interpolate(logs, dec)
 
 
+def _log_row(z: AlgebraElement, branch: BranchSpec | None, dec=None) -> np.ndarray:
+    """log of the one row ``z``, as a writable (n,) array."""
+    spec = branch if branch is not None else BranchSpec()
+    return _log_coords(z.coords[None, :], z.presentation, spec, dec)[0]
+
+
 def log(
     z: AlgebraElement,
     branch: BranchSpec | None = None,
@@ -292,28 +293,32 @@ def log(
     """Inverse of the exponential on the logarithmic domain.
 
     Nil presentations (k^n = 0) require a positive leading coordinate and
-    use the finite alternating series.  Semisimple presentations require
+    use the power-series recurrence.  Semisimple presentations require
     positive real components and nonzero complex components; the branch
-    spec picks the 2*pi offset applied to each conjugate pair; finite
-    coordinates whose component values overflow raise ``InvalidArgument``.
-    This is the one-row case of the stacked logarithm, and the result
-    carries the presentation of ``z``.
+    spec picks the 2*pi offset applied to each conjugate pair.  A result
+    or component value that overflows raises ``InvalidArgument``.  This is
+    the one-row case of the stacked logarithm.
     """
-    pres = z.presentation
-    spec = branch if branch is not None else BranchSpec()
-    return AlgebraElement(pres, _log_coords(z.coords[None, :], pres, spec, dec)[0])
+    return AlgebraElement(z.presentation, _log_row(z, branch, dec))
 
 
 def arg(z: AlgebraElement, branch: BranchSpec | None = None) -> AlgebraElement:
     """Logarithm with the real part removed: k*theta_1 + ... + k^{n-1}*theta_{n-1}."""
-    pres = z.presentation
-    spec = branch if branch is not None else BranchSpec()
-    coords = _log_coords(z.coords[None, :], pres, spec, None)[0]
+    coords = _log_row(z, branch)
     coords[0] = 0.0
-    return AlgebraElement(pres, coords)
+    return AlgebraElement(z.presentation, coords)
 
 
 def polar(z: AlgebraElement, branch: BranchSpec | None = None) -> PolarForm:
-    """Generalized polar form z = rho * exp(arg) on pure-power algebras."""
-    rho = modulus(z)
-    return PolarForm(rho=rho, arg=arg(z, branch))
+    """z = rho * exp(arg) on pure-power algebras, from one logarithm x of z:
+    tr M(k^j) = 0 for 0 < j < n, so log F(z) = n x_0, rho = exp(x_0), arg = x - x_0."""
+    pres = z.presentation
+    if not pres.is_pure_power():
+        raise UnsupportedAlgebra(f"polar needs a pure-power presentation, not {pres}")
+    coords = _log_row(z, branch)
+    try:
+        rho = math.exp(coords[0])
+    except OverflowError:
+        raise InvalidArgument(f"polar overflowed: rho = exp({coords[0]:.6g})") from None
+    coords[0] = 0.0
+    return PolarForm(rho=rho, arg=AlgebraElement(pres, coords))

@@ -279,7 +279,8 @@ def roundtrip_suite(
 
 
 def polar_suite(samples: int = 200, tol: float = 1e-8, seed: int = 0) -> SuiteReport:
-    """exp(log(rho) + arg) reproduces z on pure-power presets."""
+    """exp(log(rho) + arg) = z on pure-power presets, rho = F(z)^(1/n) by the determinant and
+    arg by ``log``: the independent check of ``modulus``, which ``polar`` does not use."""
     rng = np.random.default_rng(seed)
     rows = []
     for pres in preset_grid():

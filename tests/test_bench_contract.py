@@ -2,7 +2,11 @@
 renaming or deleting one fails here rather than as a failed benchmark run."""
 
 import importlib.util
+import math
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import atrig
 import atrig.cli  # the harness imports it; the package itself does not
@@ -30,3 +34,17 @@ def test_traced_functions_resolve_on_the_package():
 def test_sampling_helpers_of_the_workloads_resolve():
     assert callable(atrig.verify.random_depressed_presentation)
     assert callable(atrig.verify.random_ld_sample)
+
+
+@pytest.mark.parametrize("kind", ["nil", "complicated"])
+def test_polar_keeps_the_fields_the_polar_check_reads(kind):
+    # The polar check reads rho as a positive finite float and requires the
+    # argument's real coordinate to be exactly zero.
+    pres = atrig.preset(kind, 32)
+    rng = np.random.default_rng(32)
+    for norm in (3.0, 4.5, 6.0):
+        v = rng.uniform(-1.0, 1.0, 32)
+        form = atrig.polar(atrig.exp(pres.element(v * (norm / np.abs(v).max()))))
+        assert type(form.rho) is float
+        assert 0.0 < form.rho < math.inf
+        assert form.arg.coords[0] == 0.0

@@ -200,6 +200,22 @@ def test_log_and_modulus_keep_the_unstacked_arithmetic(kind, n):
             assert abs(modulus(z) - rho) <= 4 * UNIT_ROUNDOFF * rho
 
 
+def test_nil_log_of_gamma32_batches_matches_one_row_calls():
+    # The property test above stops at n = 16.  Rows of exp(w) with
+    # |w|_inf from 0.5 to 6, in batches of several sizes.
+    pres = preset("nil", 32)
+    rng = np.random.default_rng(32)
+    norms = rng.uniform(0.5, 6.0, 24)
+    batch = np.stack(
+        [exp(AlgebraElement(pres, rng.uniform(-s, s, 32))).coords for s in norms]
+    )
+    singles = [log(AlgebraElement(pres, row)).coords for row in batch]
+    for size in (1, 7, 24):
+        stacked = _log_coords(batch[:size], pres, BranchSpec(), None)
+        for got, want in zip(stacked, singles):
+            assert _same_bits(got, want)
+
+
 def test_empty_batches():
     h3, c3, gamma3 = preset("hyperbolic", 3), preset("complicated", 3), preset("nil", 3)
     empty = np.empty((0, 3))

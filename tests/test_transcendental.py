@@ -1,6 +1,7 @@
 """Exponential, trig components, modulus, logarithm, argument, polar form."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from atrig.errors import (
     ShapeMismatch,
     UnsupportedAlgebra,
 )
+from atrig.spectral import UNIT_ROUNDOFF
 from atrig.transcendental import _THETA, _squaring_count
 from atrig.verify import random_depressed_presentation, random_ld_sample
 
@@ -348,13 +350,64 @@ def test_non_finite_input_is_refused_not_propagated(h2, c2, gamma2):
     for pres in (gamma2, h2, c2):
         with pytest.raises(NonPositivePythagorean):
             modulus(pres.element([nan, 0.0]))
-        with pytest.raises(NonPositivePythagorean):
+        # polar takes no determinant: NaN is refused by its logarithm.
+        with pytest.raises(OutsideLogDomain):
             polar(pres.element([nan, 0.0]))
     # A Pythagorean value that overflows is refused too.
     with pytest.raises(InvalidArgument, match="not finite"):
         modulus(h2.element([1e200, 0.0]))
-    with pytest.raises(InvalidArgument, match="not finite"):
-        polar(h2.element([1e200, 0.0]))
+    # rho = exp(x_0) is finite where F(z) = rho^2 is not.  exp turns the
+    # rounding of x_0 = log 1e200 into a relative error of about |x_0| u.
+    z = h2.element([1e200, 0.0])
+    form = polar(z)
+    assert form.rho == pytest.approx(1e200, rel=1e-13)
+    assert np.abs(form.recombine().coords - z.coords).max() <= 1e-13 * 1e200
+
+
+def exact_nil_log(coords):
+    """log z - log z_0 on k^n = 0 in exact rational arithmetic: the
+    recurrence g_j = N_j - (1/j) sum_{0<i<j} i g_i N_{j-i} for N = z / z_0."""
+    f = [Fraction(c) for c in coords]
+    series = [c / f[0] for c in f]
+    g = [Fraction(0)] * len(f)
+    for j in range(1, len(f)):
+        g[j] = series[j] - sum(i * g[i] * series[j - i] for i in range(1, j)) / j
+    return g
+
+
+def _exp_sample(rng, pres, norm):
+    """exp(w) for a random w with |w|_inf = norm."""
+    v = rng.uniform(-1.0, 1.0, pres.degree)
+    return exp(pres.element(v * (norm / np.abs(v).max())))
+
+
+@pytest.mark.parametrize("n", [3, 6, 16, 32])
+@pytest.mark.parametrize("large", [False, True])
+def test_nil_log_matches_the_exact_recurrence(n, large):
+    # Against the exact log of the rounded input, relative to max(1, |log|):
+    # within n unit roundoffs at |w| = 0.5, and within the 1e-8 of the
+    # acceptance roundtrip at |w| in [3, 6].
+    pres = preset("nil", n)
+    rng = np.random.default_rng(n + 10 * large)
+    tol = 1e-8 if large else n * UNIT_ROUNDOFF
+    for _ in range(20):
+        z = _exp_sample(rng, pres, rng.uniform(3.0, 6.0) if large else 0.5)
+        got = log(z).coords
+        want = exact_nil_log(z.coords)
+        scale = max(1.0, max(abs(float(g)) for g in want))
+        error = max(abs(float(Fraction(got[j]) - want[j])) for j in range(1, n))
+        assert error <= tol * scale
+        assert got[0] == pytest.approx(math.log(z.coords[0]), rel=2 * UNIT_ROUNDOFF)
+
+
+@pytest.mark.filterwarnings("error")
+def test_nil_log_of_widely_scaled_coordinates():
+    gamma3 = preset("nil", 3)
+    got = log(gamma3.element([1e-200, 1e-100, 0.0])).coords
+    np.testing.assert_allclose(got, [math.log(1e-200), 1e100, -5e199], rtol=1e-15)
+    # z / z_0 overflows, so the exact log does too.
+    with pytest.raises(InvalidArgument):
+        log(gamma3.element([1e-300, 1e10, 0.0]))
 
 
 def test_log_rejects_mixed_presentation():
@@ -490,6 +543,41 @@ def test_polar_recombines(rng):
             assert form.rho > 0
             assert form.arg.coords[0] == 0.0
             np.testing.assert_allclose(form.recombine().coords, z.coords, atol=1e-8)
+
+
+@pytest.mark.parametrize("kind", ["hyperbolic", "complicated", "nil"])
+@pytest.mark.parametrize("n", [2, 3, 6, 16, 32])
+def test_polar_is_the_logarithm_split(kind, n):
+    # rho = exp(x_0) and arg = x - x_0 for the one logarithm x of z, so the
+    # form recombines to z wherever log is accurate, however far apart the
+    # component values of z lie.
+    pres = preset(kind, n)
+    rng = np.random.default_rng(n)
+    answered = 0
+    for _ in range(10):
+        z = _exp_sample(rng, pres, rng.uniform(3.0, 6.0))
+        try:
+            x = log(z)
+        except AlgebraError as exc:
+            with pytest.raises(type(exc)):
+                polar(z)
+            continue
+        form = polar(z)
+        assert form.rho == math.exp(x.coords[0])
+        assert np.array_equal(form.arg.coords.view(np.int64), arg(z).coords.view(np.int64))
+        scale = max(1.0, float(np.abs(z.coords).max()))
+        assert np.abs(form.recombine().coords - z.coords).max() <= 1e-8 * scale
+        answered += 1
+    assert answered >= 5
+
+
+def test_polar_refuses_a_rho_that_overflows(monkeypatch):
+    # A finite log whose x_0 passes log(DBL_MAX) leaves exp(x_0) no double.
+    import atrig.transcendental as transcendental
+
+    monkeypatch.setattr(transcendental, "_log_coords", lambda *args: np.array([[710.0, 0.0]]))
+    with pytest.raises(InvalidArgument, match="overflow"):
+        polar(preset("hyperbolic", 2).one())
 
 
 def test_polar_requires_pure_power():
