@@ -5,8 +5,8 @@ power basis and reducing modulo the modulus polynomial yields, for each
 component function s_i, a polynomial identity with exact rational
 coefficients: by the multinomial theorem, each coefficient is a multinomial
 count times one coordinate of a reduced power of k.  This module generates
-those identities, certifies them numerically, and renders them as LaTeX or
-JSON.
+those identities from a table of monomials and counts per shape, certifies
+them from one stacked exponential per presentation, and renders them.
 """
 
 from __future__ import annotations
@@ -17,17 +17,20 @@ import numbers
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement, groupby, product
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import PrincipalPresentation
-from .errors import InvalidPower, NonRationalCoefficients
+from .errors import InvalidArgument, InvalidPower, NonRationalCoefficients
 from .transcendental import trig_components
 
 #: Ceiling on the De Moivre power, bounding term explosion.
 POWER_CAP = 12
+#: Ceiling on monomials times degree, bounding an expansion to about a second.
+EXPANSION_CAP = 100_000
 
 _TAG_ARGUMENT = {"a": "alpha", "b": "beta"}
 
@@ -83,6 +86,13 @@ class SymPoly:
             else:
                 clean[key] = q
         self._terms = clean
+
+    @classmethod
+    def _canonical(cls, terms: dict) -> "SymPoly":
+        """``terms`` as given: sorted distinct monomials, nonzero Fractions."""
+        poly = cls.__new__(cls)
+        poly._terms = terms
+        return poly
 
     @classmethod
     def symbol(cls, sym: TrigSymbol) -> "SymPoly":
@@ -160,12 +170,10 @@ class VerificationReport:
 
 
 def _rational_coeffs(pres: PrincipalPresentation) -> list[Fraction]:
-    out = []
-    for c in pres.modulus_coeffs:
-        if not math.isfinite(c):
-            raise NonRationalCoefficients(f"coefficient {c!r} has no rational value")
-        out.append(Fraction(c))  # exact: every finite double is rational
-    return out
+    bad = [c for c in pres.modulus_coeffs if not math.isfinite(c)]
+    if bad:
+        raise NonRationalCoefficients(f"coefficient {bad[0]!r} has no rational value")
+    return [Fraction(c) for c in pres.modulus_coeffs]  # exact: every finite double is rational
 
 
 def _powers_of_k(coeffs: list[Fraction], top: int) -> list[list[Fraction]]:
@@ -175,13 +183,15 @@ def _powers_of_k(coeffs: list[Fraction], top: int) -> list[list[Fraction]]:
     k^n that falls off the top folded back through k^n = -sum c_j k^j (the
     recurrence behind the float fold table of ``core._fold_table``).
     """
+    folds = [(j, -c) for j, c in enumerate(coeffs) if c]
     column = [Fraction(1)] + [Fraction(0)] * (len(coeffs) - 1)
     powers = [column]
     for _ in range(top):
         carry = column[-1]
-        column = [-coeffs[0] * carry] + [
-            below - c * carry for below, c in zip(column, coeffs[1:])
-        ]
+        column = [Fraction(0)] + column[:-1]
+        if carry:
+            for j, c in folds:
+                column[j] += c * carry
         powers.append(column)
     return powers
 
@@ -192,32 +202,40 @@ def _multinomial(pick: tuple[int, ...]) -> int:
     return math.factorial(len(pick)) // math.prod(repeats)
 
 
-def _expand(pres: PrincipalPresentation, powers: dict[str, int]) -> tuple[SymPoly, ...]:
-    """The coordinates of the product over tags of exp(k tag)^power.
+@lru_cache(maxsize=32)
+def _shape_table(n: int, powers: tuple[tuple[str, int], ...]) -> tuple:
+    """(monomial, multinomial count, index sum) of each term of the product over
+    (tag, power) of exp(k tag)^power at degree n, exp(k tag) = sum_i s_{i+1}(tag) k^i:
+    one sorted monomial per choice of a multiset of indices per tag, in canonical order."""
+    table, symbols = [], {tag: [TrigSymbol(tag, i + 1) for i in range(n)] for tag, _ in powers}
+    for picks in product(*(combinations_with_replacement(range(n), p) for _, p in powers)):
+        mono = tuple(symbols[tag][i] for (tag, _), pick in zip(powers, picks) for i in pick)
+        table.append((mono, math.prod(map(_multinomial, picks)), sum(map(sum, picks))))
+    return tuple(table)
 
-    With exp(k tag) = sum_i s_{i+1}(tag) k^i, the multinomial theorem gives
-    one monomial per choice of a multiset of component indices for each tag.
-    Its coefficient in formula i is the multinomial count times coordinate i
-    of k^(sum of the chosen indices).  The choices come in canonical term
-    order and each is a distinct monomial, so nothing needs collecting.
-    """
+
+def _expand(pres: PrincipalPresentation, powers: dict[str, int], refusal: type) -> tuple:
+    """The coordinates of the product over tags of exp(k tag)^power: formula i
+    has each monomial's count times coordinate i of k^(its index sum).  Raises
+    ``refusal`` when the monomial count times n passes ``EXPANSION_CAP``."""
     coeffs = _rational_coeffs(pres)
     n = len(coeffs)
+    size = n * math.prod(math.comb(n + power - 1, power) for power in powers.values())
+    if size > EXPANSION_CAP:
+        raise refusal(f"expansion size {size} (monomials times degree) exceeds {EXPANSION_CAP}")
     reduced = _powers_of_k(coeffs, (n - 1) * sum(powers.values()))
     formulas: list[dict] = [{} for _ in range(n)]
-    choices = (combinations_with_replacement(range(n), power) for power in powers.values())
-    for picks in product(*choices):
-        count = math.prod(_multinomial(pick) for pick in picks)
-        mono = tuple(TrigSymbol(tag, i + 1) for tag, pick in zip(powers, picks) for i in pick)
-        for formula, coordinate in zip(formulas, reduced[sum(map(sum, picks))]):
+    for mono, count, degree in _shape_table(n, tuple(powers.items())):
+        for formula, coordinate in zip(formulas, reduced[degree]):
             if coordinate:
                 formula[mono] = count * coordinate
-    return tuple(SymPoly(terms) for terms in formulas)
+    return tuple(SymPoly._canonical(terms) for terms in formulas)
 
 
 def adding_angle(pres: PrincipalPresentation) -> IdentitySet:
     """Identities for s_i(alpha+beta), the coordinates of exp(k alpha) exp(k beta)."""
-    return IdentitySet(pres, "adding_angle", None, _expand(pres, {"a": 1, "b": 1}))
+    formulas = _expand(pres, {"a": 1, "b": 1}, InvalidArgument)
+    return IdentitySet(pres, "adding_angle", None, formulas)
 
 
 def de_moivre(pres: PrincipalPresentation, power: int) -> IdentitySet:
@@ -227,7 +245,39 @@ def de_moivre(pres: PrincipalPresentation, power: int) -> IdentitySet:
     power = int(power)
     if power > POWER_CAP:
         raise InvalidPower(f"power {power} exceeds the cap {POWER_CAP}")
-    return IdentitySet(pres, "de_moivre", power, _expand(pres, {"a": power}))
+    return IdentitySet(pres, "de_moivre", power, _expand(pres, {"a": power}, InvalidPower))
+
+
+def _draw_angles(ids: IdentitySet, samples: int, seed: int) -> tuple[np.ndarray, ...]:
+    """alpha, beta, alpha+beta or alpha, power*alpha; alpha, beta from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    alphas = rng.uniform(-2.0, 2.0, samples)
+    if ids.kind == "adding_angle":
+        betas = rng.uniform(-2.0, 2.0, samples)
+        return alphas, betas, alphas + betas
+    if ids.kind == "de_moivre":
+        return alphas, ids.power * alphas
+    raise ValueError(f"unknown identity kind {ids.kind!r}")
+
+
+def _verify_sets(sets: list, seeds: list, samples: int, tol: float) -> list[VerificationReport]:
+    """The report of each set of one presentation, set i sampled from ``seeds[i]``,
+    from one stacked exponential whose rows each equal the exponential alone."""
+    angles = [_draw_angles(ids, samples, seed) for ids, seed in zip(sets, seeds)]
+    pres, n = sets[0].presentation, sets[0].presentation.degree
+    comps = trig_components(pres, 1, np.stack([a for drawn in angles for a in drawn]))
+    reports, start = [], 0
+    for ids, drawn in zip(sets, angles):
+        *sides, lhs = comps[start : start + len(drawn)]
+        start += len(drawn)
+        values = {TrigSymbol(t, i + 1): c[:, i] for t, c in zip("ab", sides) for i in range(n)}
+        residuals = tuple(
+            float(np.abs(lhs[:, i] - formula.evaluate(values)).max(initial=0.0))
+            for i, formula in enumerate(ids.formulas)
+        )
+        passed = tuple(r <= tol for r in residuals)
+        reports.append(VerificationReport(ids.kind, samples, tol, residuals, passed))
+    return reports
 
 
 def verify_identity(
@@ -235,37 +285,11 @@ def verify_identity(
 ) -> VerificationReport:
     """Certify an identity set by random sampling in [-2, 2].
 
-    The left side evaluates the exponential series at the combined argument;
-    the right side substitutes sampled component values into the symbolic
-    formulas.  Reports the worst absolute residual per formula.
+    The left side is the exponential at the combined argument, the right
+    side the formulas at sampled component values; reports the worst absolute
+    residual per formula.  The one-set case of ``identities_suite``'s check.
     """
-    pres = ids.presentation
-    n = pres.degree
-    rng = np.random.default_rng(seed)
-    alphas = rng.uniform(-2.0, 2.0, samples)
-    comp_a = trig_components(pres, 1, alphas)
-    values = {TrigSymbol("a", i + 1): comp_a[:, i] for i in range(n)}
-    if ids.kind == "adding_angle":
-        betas = rng.uniform(-2.0, 2.0, samples)
-        comp_b = trig_components(pres, 1, betas)
-        values.update({TrigSymbol("b", i + 1): comp_b[:, i] for i in range(n)})
-        lhs = trig_components(pres, 1, alphas + betas)
-    elif ids.kind == "de_moivre":
-        lhs = trig_components(pres, 1, ids.power * alphas)
-    else:
-        raise ValueError(f"unknown identity kind {ids.kind!r}")
-
-    residuals = []
-    for i, formula in enumerate(ids.formulas):
-        rhs = formula.evaluate(values)
-        residuals.append(float(np.abs(lhs[:, i] - rhs).max(initial=0.0)))
-    return VerificationReport(
-        kind=ids.kind,
-        samples=samples,
-        tol=tol,
-        residuals=tuple(residuals),
-        formula_passed=tuple(r <= tol for r in residuals),
-    )
+    return _verify_sets([ids], [seed], samples, tol)[0]
 
 
 # -- rendering -----------------------------------------------------------------

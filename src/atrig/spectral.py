@@ -248,15 +248,13 @@ def _component_values(coords: np.ndarray, dec: SpectralDecomposition) -> np.ndar
 
     Values at real roots are real to the last bit, as their rows of V are,
     and the value at a conjugate root is copied from its partner's.  Values
-    that are not finite raise ``InvalidArgument``.
+    that overflow are returned as they come out, for the caller to refuse.
     """
-    # Overflow is refused below, so numpy's warnings about it are noise.
+    # Callers refuse overflow, so numpy's warnings about it are noise.
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.matmul(dec.vandermonde, coords[:, :, None])[:, :, 0]
     r = dec.real_count
     out[:, r + 1 :: 2] = out[:, r::2].conj()
-    if not np.isfinite(out).all():
-        raise InvalidArgument("component values overflow or are not finite")
     return out
 
 
@@ -285,11 +283,14 @@ def _interpolate(values: np.ndarray, dec: SpectralDecomposition) -> np.ndarray:
 def to_components(z: AlgebraElement, dec: SpectralDecomposition) -> ComponentVector:
     """Evaluate the coordinate polynomial at every root (the forward map).
 
-    The one-row case of the stacked evaluation over all roots.
+    The one-row case of the stacked evaluation over all roots; values that
+    overflow raise ``InvalidArgument``.
     """
     if not z.presentation.same_algebra(dec.presentation):
         raise PresentationMismatch("element and decomposition use different algebras")
     values = _component_values(z.coords[None, :], dec)[0]
+    if not np.isfinite(values).all():
+        raise InvalidArgument("component values overflow or are not finite")
     r = dec.real_count
     return ComponentVector(tuple(values[:r].real.tolist()), tuple(values[r::2].tolist()))
 

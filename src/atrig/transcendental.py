@@ -261,6 +261,13 @@ def _log_coords(
     indices = spec.indices_for(dec.complex_count)
 
     values = _component_values(coords, dec)
+    overflowed = None  # log z = log(z / 2^e) + e log 2 for the rows whose values overflow
+    if not np.isfinite(values).all():
+        overflowed = np.flatnonzero(~np.isfinite(values).all(axis=1))
+        shifts = np.frexp(np.abs(coords[overflowed]).max(axis=1))[1]
+        values[overflowed] = _component_values(np.ldexp(coords[overflowed], -shifts[:, None]), dec)
+        if not np.isfinite(values).all():
+            raise InvalidArgument("component values overflow or are not finite")
     r = dec.real_count
     lowest = values[:, :r].real.min(initial=np.inf)
     if not lowest > 0.0:
@@ -276,7 +283,10 @@ def _log_coords(
     if spec.branch_indices is not None:
         angles[:, r::2] += 2.0 * np.pi * np.array(indices)
     np.conjugate(logs[:, r::2], out=logs[:, r + 1 :: 2])
-    return _interpolate(logs, dec)
+    out = _interpolate(logs, dec)
+    if overflowed is not None:
+        out[overflowed, 0] += shifts * math.log(2.0)
+    return out
 
 
 def _log_row(z: AlgebraElement, branch: BranchSpec | None, dec=None) -> np.ndarray:

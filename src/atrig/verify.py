@@ -12,7 +12,7 @@ import numpy as np
 from . import core
 from .core import AlgebraElement, PrincipalPresentation, make_presentation, preset
 from .errors import NonSemisimple
-from .identities import adding_angle, de_moivre, verify_identity
+from .identities import _verify_sets, adding_angle, de_moivre
 from .spectral import SpectralDecomposition, _component_values, _interpolate, find_roots
 from .transcendental import (
     BranchSpec,
@@ -156,10 +156,10 @@ def _report(suite: str, tol: float, rows, checks=()) -> SuiteReport:
     return SuiteReport(suite, tol, worst, all(d["pass"] for d in details), details)
 
 
-def _unit_deviation(pres: PrincipalPresentation, m: int, thetas: np.ndarray) -> np.ndarray:
-    """|F(exp(k^m theta)) - 1| at every theta, from one stacked exponential."""
-    fold = core._fold_table(pres.modulus_coeffs)
-    reps = core._rep_stack(trig_components(pres, m, thetas), fold)
+def _unit_deviation(pres: PrincipalPresentation, exps: np.ndarray) -> np.ndarray:
+    """|F(e) - 1| for every row e of ``exps`` (shape (m, n)), from one
+    batched determinant."""
+    reps = core._rep_stack(exps, core._fold_table(pres.modulus_coeffs))
     return np.abs(np.linalg.det(reps) - 1.0)
 
 
@@ -184,7 +184,8 @@ def kthagorean_suite(
     rows = []
     for label, pres in cases:
         thetas = rng.uniform(-3.0, 3.0, theta_samples)
-        rows.append((label, float(_unit_deviation(pres, 1, thetas).max(initial=0.0)), tol))
+        deviations = _unit_deviation(pres, trig_components(pres, 1, thetas))
+        rows.append((label, float(deviations.max(initial=0.0)), tol))
     return _report("kthagorean", tol, rows)
 
 
@@ -199,16 +200,19 @@ def pure_power_suite(
     rng = np.random.default_rng(seed)
     rows = []
     for pres in preset_grid():
-        for m in range(1, pres.degree):
-            thetas = rng.uniform(-3.0, 3.0, theta_samples)
-            residual = float(_unit_deviation(pres, m, thetas).max(initial=0.0))
-            rows.append((f"{_case_label(pres)} m={m}", residual, tol))
+        # exp(k^m theta) for every m from one exponential, thetas drawn by m.
+        n = pres.degree
+        coords = np.zeros((n - 1, theta_samples, n))
+        coords[range(n - 1), :, range(1, n)] = rng.uniform(-3.0, 3.0, (n - 1, theta_samples))
+        deviations = _unit_deviation(pres, _exp_coords(coords.reshape(-1, n), pres))
+        for m, per_m in enumerate(deviations.reshape(n - 1, theta_samples), start=1):
+            rows.append((f"{_case_label(pres)} m={m}", float(per_m.max(initial=0.0)), tol))
 
     # Necessity direction: with a nonzero intermediate coefficient the
     # deviation must be macroscopic somewhere on [0.5, 2].
     witness_pres = make_presentation((0.0, 1.0, 0.0), label="k^3+k")
     thetas = np.linspace(0.5, 2.0, 31)
-    deviations = _unit_deviation(witness_pres, 2, thetas)
+    deviations = _unit_deviation(witness_pres, trig_components(witness_pres, 2, thetas))
     best, theta = max(zip(deviations.tolist(), thetas.tolist()))
     witness = ("k^3+k m=2 witness", best, best > WITNESS_THRESHOLD, {"theta": float(theta)})
     return _report("only-pure-power", tol, rows, checks=[witness])
@@ -310,11 +314,11 @@ def identities_suite(
     )
     rows = []
     for index, (label, pres) in enumerate(cases):
-        sets = [("add-angle", adding_angle(pres))]
-        sets.extend((f"de-moivre-{p}", de_moivre(pres, p)) for p in range(1, max_power + 1))
-        # Each set of a case draws its own samples.
-        for offset, (kind_label, ids) in enumerate(sets, start=1):
-            report = verify_identity(ids, samples=samples, tol=tol, seed=seed + 97 * index + offset)
+        labels = ["add-angle"] + [f"de-moivre-{p}" for p in range(1, max_power + 1)]
+        sets = [adding_angle(pres)] + [de_moivre(pres, p) for p in range(1, max_power + 1)]
+        # Each set of a case draws its own samples; one exponential serves them all.
+        seeds = [seed + 97 * index + offset for offset in range(1, len(sets) + 1)]
+        for kind_label, report in zip(labels, _verify_sets(sets, seeds, samples, tol)):
             rows.append((f"{kind_label}:{label}", report.max_residual, report.passed))
     return _report("identities", tol, rows)
 

@@ -94,6 +94,21 @@ def test_identity_de_moivre_json(capsys):
     assert data["s1"] == [[1, ["s1a", "s1a", "s1a"]], [3, ["s1a", "s2a", "s2a"]]]
 
 
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        (["--algebra", "H32", "identity", "de-moivre", "--power", "12"], "InvalidPower"),
+        (["--algebra", "H200", "identity", "add-angle"], "InvalidArgument"),
+    ],
+    ids=["de-moivre", "add-angle"],
+)
+def test_identity_past_the_expansion_cap_is_refused(capsys, argv, error):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert _strict(out)["error"] == error
+    assert err.startswith(f"error: {error}")
+
+
 # Report rows per suite at --samples 2: lemma's --samples is its number of
 # random presentations; every other suite's case list is fixed.
 _CASES_AT_TWO_SAMPLES = {
@@ -289,10 +304,12 @@ def test_non_finite_results_are_refused(capsys, argv, fmt):
 )
 @pytest.mark.parametrize("command", ["log", "arg"])
 def test_overflowing_component_values_are_refused(capsys, algebra, literal, command):
+    # The value at k = 1 overflows and is rescaled; the others are exactly
+    # zero, so the element lies outside the logarithmic domain.
     code, out, err = run_cli(capsys, "--algebra", algebra, command, "--z", literal)
     assert code == 3
-    assert _strict(out)["error"] == "InvalidArgument"
-    assert err.splitlines() == [err.strip()] and err.startswith("error: InvalidArgument")
+    assert _strict(out)["error"] == "OutsideLogDomain"
+    assert err.splitlines() == [err.strip()] and err.startswith("error: OutsideLogDomain")
 
 
 @pytest.mark.filterwarnings("error")

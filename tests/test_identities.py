@@ -3,6 +3,7 @@
 import json
 import math
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +25,9 @@ from atrig import (
     verify_identity,
 )
 from atrig.core import PrincipalPresentation
-from atrig.errors import InvalidPower, NonRationalCoefficients
-from atrig.identities import POWER_CAP
+from atrig import identities, verify
+from atrig.errors import InvalidArgument, InvalidPower, NonRationalCoefficients
+from atrig.identities import EXPANSION_CAP, POWER_CAP, _shape_table, _verify_sets
 from atrig.verify import random_rational_presentation
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -365,3 +367,118 @@ def test_formulas_are_the_exact_reduced_products(case, data):
 
     added = adding_angle(pres)
     assert [_exact_value(f, values) for f in added.formulas] == _mulmod(x, y, coeffs)
+
+
+# -- shape table, size cap and stacked certification ------------------------------------
+
+
+def _enumerated(pres, powers):
+    """The expansion enumerated term by term, as before the shape table:
+    every multiset of indices per tag, its count, and its reduced power of k,
+    collected through the normalising ``SymPoly`` constructor."""
+    coeffs = [Fraction(c) for c in pres.modulus_coeffs]
+    n = len(coeffs)
+    column = [Fraction(1)] + [Fraction(0)] * (n - 1)
+    reduced = [column]
+    for _ in range((n - 1) * sum(powers.values())):
+        carry = column[-1]
+        column = [-coeffs[0] * carry] + [b - c * carry for b, c in zip(column, coeffs[1:])]
+        reduced.append(column)
+    formulas = [{} for _ in range(n)]
+    choices = (combinations_with_replacement(range(n), p) for p in powers.values())
+    for picks in product(*choices):
+        count = 1
+        for pick in picks:
+            count *= math.factorial(len(pick))
+            for i in set(pick):
+                count //= math.factorial(pick.count(i))
+        mono = tuple(sym(tag, i + 1) for tag, pick in zip(powers, picks) for i in pick)
+        for formula, coordinate in zip(formulas, reduced[sum(map(sum, picks))]):
+            if coordinate:
+                formula[mono] = count * coordinate
+    return tuple(SymPoly(terms) for terms in formulas)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_expansion_from_the_shape_table_matches_the_enumeration(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(3):
+        pres = random_rational_presentation(rng, n)
+        cases = [(adding_angle(pres), {"a": 1, "b": 1})]
+        cases += [(de_moivre(pres, p), {"a": p}) for p in range(1, 5)]
+        for ids, powers in cases:
+            want = _enumerated(pres, powers)
+            assert ids.formulas == want
+            for got, expected in zip(ids.formulas, want):
+                # Already canonical: normalising again changes nothing.
+                assert got == SymPoly(dict(got._terms))
+                assert got.terms() == expected.terms()
+                assert all(type(q) is Fraction and q for _, q in got.terms())
+
+
+def test_expansions_past_the_size_cap_are_refused_before_enumerating():
+    _shape_table.cache_clear()
+    # C(43, 12) monomials at degree 32, and 200^2 at degree 200: neither is
+    # enumerated, and neither enters the shape table.
+    with pytest.raises(InvalidPower, match="exceeds"):
+        de_moivre(preset("hyperbolic", 32), 12)
+    with pytest.raises(InvalidArgument, match="exceeds"):
+        adding_angle(preset("hyperbolic", 200))
+    assert _shape_table.cache_info().currsize == 0
+    # The largest accepted adding angle: n^3 at or below the cap.
+    n = int(EXPANSION_CAP ** (1 / 3))
+    assert n**3 <= EXPANSION_CAP < (n + 1) ** 3
+    assert len(adding_angle(preset("complicated", n)).formulas) == n
+    with pytest.raises(InvalidArgument):
+        adding_angle(preset("complicated", n + 1))
+    assert _shape_table.cache_info().currsize == 1
+
+
+def _per_set_report(ids, samples, tol, seed):
+    """``verify_identity`` with a ``trig_components`` call per drawn angle."""
+    pres, n = ids.presentation, ids.presentation.degree
+    rng = np.random.default_rng(seed)
+    alphas = rng.uniform(-2.0, 2.0, samples)
+    comp_a = trig_components(pres, 1, alphas)
+    values = {sym("a", i + 1): comp_a[:, i] for i in range(n)}
+    if ids.kind == "adding_angle":
+        betas = rng.uniform(-2.0, 2.0, samples)
+        comp_b = trig_components(pres, 1, betas)
+        values.update({sym("b", i + 1): comp_b[:, i] for i in range(n)})
+        lhs = trig_components(pres, 1, alphas + betas)
+    else:
+        lhs = trig_components(pres, 1, ids.power * alphas)
+    residuals = tuple(
+        float(np.abs(lhs[:, i] - f.evaluate(values)).max(initial=0.0))
+        for i, f in enumerate(ids.formulas)
+    )
+    return identities.VerificationReport(
+        ids.kind, samples, tol, residuals, tuple(r <= tol for r in residuals)
+    )
+
+
+@pytest.mark.parametrize(
+    "pres",
+    [preset("hyperbolic", 3), preset("complicated", 5), preset("nil", 4)]
+    + [random_rational_presentation(np.random.default_rng(7), n) for n in (2, 4, 5)],
+    ids=lambda pres: pres.label or f"rational-{pres.degree}",
+)
+def test_stacked_certification_equals_per_set_calls(pres):
+    sets = [adding_angle(pres)] + [de_moivre(pres, p) for p in range(1, 5)]
+    seeds = [31 + 97 * offset for offset in range(len(sets))]
+    for ids, seed, report in zip(sets, seeds, _verify_sets(sets, seeds, 40, 1e-9)):
+        want = _per_set_report(ids, 40, 1e-9, seed)
+        assert report == want  # residuals compared exactly
+        assert verify_identity(ids, samples=40, tol=1e-9, seed=seed) == want
+
+
+def test_identities_suite_equals_per_set_certification(monkeypatch):
+    stacked = verify.identities_suite(samples=20, seed=5, n_random=4).to_json_dict()
+    monkeypatch.setattr(
+        verify,
+        "_verify_sets",
+        lambda sets, seeds, samples, tol: [
+            _per_set_report(ids, samples, tol, seed) for ids, seed in zip(sets, seeds)
+        ],
+    )
+    assert verify.identities_suite(samples=20, seed=5, n_random=4).to_json_dict() == stacked

@@ -327,3 +327,62 @@ def test_decomposition_cache_is_keyed_on_the_modulus(monkeypatch, labelled_first
         assert result.presentation is pres
     assert results[0].presentation.label != results[1].presentation.label
     assert _same_bits(results[0].coords, results[1].coords)
+
+
+def _count_exponentials(monkeypatch):
+    """Patch counters onto ``trig_components`` and ``_exp_coords`` wherever
+    the suites and the identity checks look them up; returns the call log."""
+    from atrig import identities, transcendental, verify
+
+    calls = []
+    exp_coords, trig_components = transcendental._exp_coords, transcendental.trig_components
+
+    def counted_exp(coords, pres):
+        calls.append(("_exp_coords", len(coords)))
+        return exp_coords(coords, pres)
+
+    def counted_trig(pres, m, theta):
+        calls.append(("trig_components", np.size(theta)))
+        return trig_components(pres, m, theta)
+
+    for module in (transcendental, verify):
+        monkeypatch.setattr(module, "_exp_coords", counted_exp)
+    for module in (identities, verify):
+        monkeypatch.setattr(module, "trig_components", counted_trig)
+    return calls
+
+
+def test_one_stacked_exponential_per_identities_case(monkeypatch):
+    from atrig import verify
+
+    calls = _count_exponentials(monkeypatch)
+    report = verify.identities_suite(samples=10, seed=0, n_random=3)
+    cases = report.cases // 5  # adding angle and De Moivre powers 1-4 per case
+    # alpha, beta, alpha+beta for adding angle; alpha, p*alpha for each power.
+    rows = 10 * (3 + 2 * 4)
+    assert calls == [("trig_components", rows), ("_exp_coords", rows)] * cases
+
+
+def test_one_stacked_exponential_per_pure_power_preset(monkeypatch):
+    from atrig import verify
+
+    calls = _count_exponentials(monkeypatch)
+    verify.pure_power_suite(theta_samples=10, seed=0)
+    presets = verify.preset_grid()
+    # Every m of a preset in one call, then the k^3 + k witness.
+    want = [("_exp_coords", 10 * (pres.degree - 1)) for pres in presets]
+    assert calls == want + [("trig_components", 31), ("_exp_coords", 31)]
+
+
+def test_pure_power_suite_equals_one_exponential_per_m():
+    from atrig import trig_components, verify
+
+    report = verify.pure_power_suite(theta_samples=15, seed=3)
+    rng = np.random.default_rng(3)
+    want = []
+    for pres in verify.preset_grid():
+        for m in range(1, pres.degree):
+            thetas = rng.uniform(-3.0, 3.0, 15)
+            deviations = verify._unit_deviation(pres, trig_components(pres, m, thetas))
+            want.append(float(deviations.max()))
+    assert [row["residual"] for row in report.details[:-1]] == want

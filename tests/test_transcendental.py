@@ -35,7 +35,7 @@ from atrig.errors import (
     UnsupportedAlgebra,
 )
 from atrig.spectral import UNIT_ROUNDOFF
-from atrig.transcendental import _THETA, _squaring_count
+from atrig.transcendental import _THETA, _log_coords, _squaring_count
 from atrig.verify import random_depressed_presentation, random_ld_sample
 
 
@@ -306,16 +306,43 @@ def test_log_of_huge_elements_is_finite_or_refused():
     expected = log(c3.element(np.ldexp(z.coords, -64))).coords + [64 * math.log(2), 0, 0]
     np.testing.assert_allclose(log(z).coords, expected, rtol=1e-15, atol=1e-13)
     np.testing.assert_allclose(arg(z).coords[1:], expected[1:], rtol=1e-15, atol=1e-13)
-    # Component values that overflow are refused before the solve.
+    # Component values that overflow are rescaled, and these elements have
+    # exactly zero components besides, so they lie outside the domain.
     for pres, coords in (
         (preset("hyperbolic", 2), [1.5e308, 1.5e308]),
         (preset("hyperbolic", 32), np.full(32, 1e307)),
-        # On a nil algebra the nilpotent part z / z_0 overflows.
-        (preset("nil", 3), [1e-300, 1e10, 0.0]),
     ):
         for call in (log, arg):
-            with pytest.raises(InvalidArgument, match="overflow"):
+            with pytest.raises(OutsideLogDomain):
                 call(pres.element(coords))
+    # On a nil algebra the nilpotent part z / z_0 overflows.
+    for call in (log, arg):
+        with pytest.raises(InvalidArgument, match="overflow"):
+            call(preset("nil", 3).element([1e-300, 1e10, 0.0]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_log_of_component_values_that_overflow():
+    # V z = [2.5e308, 5e307] at the roots 1 and -1 of H2: the first
+    # overflows, yet log z = [log(1.25e616) / 2, log(5) / 2] is finite.
+    h2 = preset("hyperbolic", 2)
+    z = h2.element([1.5e308, 1e308])
+    want = [(math.log(2.5) + math.log(0.5)) / 2 + math.log(1e308), math.log(5.0) / 2]
+    np.testing.assert_allclose(log(z).coords, want, rtol=1e-15)
+    np.testing.assert_allclose(log(z).coords, [709.3078, 0.8047], atol=1e-4)
+    np.testing.assert_allclose(arg(z).coords, [0.0, want[1]], rtol=1e-15)
+    form = polar(z)
+    # rho = exp(x_0) carries the rounding of x_0 = 709.3, about 709 u relative.
+    assert form.rho == pytest.approx(math.sqrt(1.25) * 1e308, rel=1e-12)
+    np.testing.assert_allclose(form.arg.coords, [0.0, want[1]], rtol=1e-15)
+    # The overflowing row of a batch is rescaled alone: every row, the
+    # ordinary ones bit for bit, equals its one-row call.
+    rows = np.array([[2.0, 0.5], [1.5e308, 1e308], [3.0, -1.0], [0.7, 0.1]])
+    batch = _log_coords(rows, h2, BranchSpec(), None)
+    for row, got in zip(rows, batch):
+        np.testing.assert_array_equal(got, log(h2.element(row)).coords)
+    plain = _log_coords(np.delete(rows, 1, axis=0), h2, BranchSpec(), None)
+    np.testing.assert_array_equal(np.delete(batch, 1, axis=0), plain)
 
 
 def test_log_outside_domain(h2, c2, gamma2):
