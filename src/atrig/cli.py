@@ -8,6 +8,7 @@ JSON goes to stdout, a human summary to stderr.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -75,7 +76,9 @@ def _positive_float(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="atrig",
         description="Generalized trigonometry over principal algebras R[k]/<p(k)>.",

@@ -3,7 +3,10 @@ with branch choice, argument, and generalized polar form.
 
 The exponential is exp(M(z)) e_1 for the regular representation M(z):
 one fixed-degree Taylor polynomial with scaling and squaring, the squaring
-count taken from the 1-norm of M(z).
+count taken from the 1-norm of M(z).  The polynomial is evaluated by
+Paterson-Stockmeyer in the algebra: z^2, z^3, z^4 from three products,
+five blocks of four terms from one table of 1/k!, and Horner in M(z^4),
+seven matrix-vector products in all where term by term takes eighteen.
 
 The logarithm dispatches on the presentation: nilpotent generators get the
 power-series recurrence for log, semisimple moduli go through the
@@ -82,6 +85,22 @@ _THETA = 1.09
 #: Largest squaring count whose scale factor 2**s is a finite double.
 _MAX_SQUARINGS = 1023
 
+#: Block size of the Paterson-Stockmeyer evaluation (SIAM J. Comput. 2(1),
+#: 1973): the Taylor polynomial is sum_j B_j (z^4)^j with B_j = sum_{i<4}
+#: z^i / (4j + i)!, and _TAYLOR_BLOCKS[i, j] holds 1/(4j + i)!, 0 past the
+#: degree.
+_BLOCK = 4
+_TAYLOR_BLOCKS = np.array(
+    [
+        [
+            1.0 / math.factorial(k) if k <= _TAYLOR_DEGREE else 0.0
+            for k in range(i, _BLOCK * (_TAYLOR_DEGREE // _BLOCK + 1), _BLOCK)
+        ]
+        for i in range(_BLOCK)
+    ]
+)
+_TAYLOR_BLOCKS.setflags(write=False)
+
 
 def _squaring_count(norms: np.ndarray, threshold: float) -> np.ndarray:
     """The smallest s >= 0 with norm <= threshold * 2**s, for every norm.
@@ -94,6 +113,31 @@ def _squaring_count(norms: np.ndarray, threshold: float) -> np.ndarray:
     return np.where(norms > threshold, expo - t_expo + (mant > t_mant), 0)
 
 
+def _taylor_e1(rep: np.ndarray, fold: np.ndarray) -> np.ndarray:
+    """The degree-18 Taylor polynomial of every M(z) of ``rep`` (m, n, n)
+    applied to e_1, as an (m, n) array, by Paterson-Stockmeyer.
+
+    z is the first column of M(z); z^2, z^3, z^4 take three stacked
+    matrix-vector products, the blocks B_j one stacked product of
+    [1, z, z^2, z^3] with _TAYLOR_BLOCKS, and Horner in M(z^4) four more.
+    Every product is a stacked matmul, the same BLAS call on every row.
+    """
+    m, n, _ = rep.shape
+    # Vectors are kept as (rows, n, 1) columns, the shape matmul wants.
+    one = np.zeros((m, n, 1))
+    one[:, 0] = 1.0
+    powers = [one, rep[:, :, :1]]  # z = M(z) e_1
+    for _ in range(_BLOCK - 1):
+        powers.append(np.matmul(rep, powers[-1]))
+    blocks = np.matmul(np.concatenate(powers[:-1], axis=2), _TAYLOR_BLOCKS)
+    rep_top = core._rep_stack(powers[-1][:, :, 0], fold)
+    out = blocks[:, :, -1:]
+    for j in range(blocks.shape[2] - 2, -1, -1):
+        out = np.matmul(rep_top, out)
+        out += blocks[:, :, j : j + 1]
+    return out[:, :, 0]
+
+
 # An M(z) that overflows has a norm that is not finite, and an overflowing
 # squaring leaves a result that is not finite; both are refused, so numpy's
 # warnings about them are noise.
@@ -103,9 +147,9 @@ def _exp_coords(coords: np.ndarray, pres: PrincipalPresentation) -> np.ndarray:
 
     exp(z) is exp(M(z)) e_1.  Each row's M(z) is halved s times, s the
     fewest that bring its 1-norm to _THETA or below, the degree-18 Taylor
-    polynomial of the scaled matrix is applied to e_1, and the result is
-    squared s times in the algebra.  Scaling by 2**-s is exact, so each row
-    gets exactly the arithmetic it would get alone.
+    polynomial of the scaled matrix is applied to e_1 (``_taylor_e1``), and
+    the result is squared s times in the algebra.  Scaling by 2**-s is
+    exact, so each row gets exactly the arithmetic it would get alone.
     """
     m, n = coords.shape
     if m == 0:
@@ -127,16 +171,7 @@ def _exp_coords(coords: np.ndarray, pres: PrincipalPresentation) -> np.ndarray:
         least, most = int(counts.min()), int(counts.max())
         rep = np.ldexp(rep, -counts[:, None, None])
 
-    # Vectors are kept as (rows, n, 1) columns, the shape matmul wants.
-    term = np.zeros((m, n, 1))
-    term[:, 0] = 1.0
-    out = term.copy()
-    for k in range(1, _TAYLOR_DEGREE + 1):
-        term = np.matmul(rep, term)
-        term /= k
-        out += term
-    out = out[:, :, 0]
-
+    out = _taylor_e1(rep, fold)
     for step in range(most):
         if step < least:
             out = core._mul_coords(out, out, fold)
@@ -155,10 +190,12 @@ def exp(z: AlgebraElement) -> AlgebraElement:
     exp(z) = exp(M(z)) e_1.  M(z) is halved until its 1-norm is at most
     theta_18 = 1.09, a fixed degree-18 Taylor polynomial is applied, and
     the result is squared back up; at that norm the truncation is a
-    backward error below unit roundoff.  This is the one-row case of the
-    stacked kernel behind ``trig_components``.  Non-finite input, an M(z)
-    too large to scale into a double, and a result that overflows raise
-    ``InvalidArgument``.
+    backward error below unit roundoff.  The polynomial is evaluated by
+    Paterson-Stockmeyer with blocks of four terms: z^2, z^3 and z^4, then
+    Horner in M(z^4), seven matrix-vector products where term by term
+    takes eighteen.  This is the one-row case of the stacked kernel behind
+    ``trig_components``.  Non-finite input, an M(z) too large to scale
+    into a double, and a result that overflows raise ``InvalidArgument``.
     """
     pres = z.presentation
     return AlgebraElement(pres, _exp_coords(z.coords[None, :], pres)[0])

@@ -235,6 +235,32 @@ def test_parse_errors_exit_two(capsys):
         capsys.readouterr()
 
 
+def _outcome(capsys, argv):
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_repeated_calls_share_one_parser_and_match_fresh_calls(capsys):
+    calls = (
+        ["verify", "--suite", "kthagorean", "--seed", "-1"],  # parse error
+        ["--algebra", "H2", "--format", "csv", "exp", "--z", "0,1"],
+        ["--algebra", "H2", "exp", "--z", "1e308,0"],  # refusal
+        ["--algebra", "H2", "exp", "--z", "0,1"],  # json again, after csv
+    )
+    repeated = [_outcome(capsys, argv) for argv in calls]
+    assert cli.build_parser() is cli.build_parser()
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+    assert [code for code, _, _ in repeated] == [2, 0, 3, 0]
+    assert repeated == fresh
+
+
 def test_csv_output(capsys):
     code, out, _ = run_cli(
         capsys, "--algebra", "H2", "--format", "csv", "exp", "--z", "0,1"

@@ -35,7 +35,16 @@ from atrig.errors import (
     UnsupportedAlgebra,
 )
 from atrig.spectral import UNIT_ROUNDOFF
-from atrig.transcendental import _THETA, _log_coords, _squaring_count
+from atrig.core import _fold_table, _rep_stack
+from atrig.identities import _powers_of_k
+from atrig.transcendental import (
+    _TAYLOR_BLOCKS,
+    _TAYLOR_DEGREE,
+    _THETA,
+    _exp_coords,
+    _log_coords,
+    _squaring_count,
+)
 from atrig.verify import random_depressed_presentation, random_ld_sample
 
 
@@ -632,7 +641,8 @@ _THETA_BANDS = (
 @given(
     source=st.sampled_from(
         [("hyperbolic", 3), ("complicated", 5), ("nil", 4), ("hyperbolic", 16)]
-        + [("random", n) for n in (2, 3, 4, 5, 6, 16)]
+        + [("complicated", 32)]
+        + [("random", n) for n in (2, 3, 4, 5, 6, 16, 32)]
     ),
     seed=st.integers(0, 2**16),
     draws=st.lists(
@@ -748,6 +758,49 @@ def test_exp_on_fresh_moduli_is_inverted_or_refused(n, seed, scale):
     one[0] = np.ldexp(1.0, -sum(exponents))
     rounding_scale = float((np.abs(rep_matrix(a)) @ np.abs(b.coords)).max())
     assert float(np.abs(mul(a, b).coords - one).max()) <= 1e-9 * rounding_scale
+
+
+@pytest.mark.parametrize(
+    "pres",
+    [preset("hyperbolic", 2), preset("complicated", 3), preset("nil", 4), preset("hyperbolic", 6)]
+    + [preset("complicated", 16), make_presentation([0.5, -0.25, 1.0])],
+    ids=str,
+)
+def test_taylor_stage_matches_the_exact_series(pres):
+    # Rows with |M(z)|_1 <= theta take no squaring, so exp(z) is the Taylor
+    # stage alone; it is compared with T_18(M(z)) e_1 = sum_{k<=18} M^k e_1 / k!
+    # in Fraction.  Dyadic moduli and z keep M(z) exact in floats too (see
+    # test_core).  A series with nonnegative coefficients evaluated in floats
+    # errs, to first order, by a small multiple of n u sum_k |M|^k / k!
+    # <= n u e^|M|; the bound is 4 n u e^|M|_1 (the largest ratio to
+    # n u e^|M|_1 seen over 6400 such rows is 0.79).
+    rng = np.random.default_rng(pres.degree)
+    n = pres.degree
+    coords = rng.integers(-(2**10), 2**10 + 1, size=(6, n)) / 2.0**10
+    norms = np.abs(_rep_stack(coords, _fold_table(pres.modulus_coeffs))).sum(axis=1).max(axis=1)
+    # Halve each row (exactly) to |M(z)|_1 <= theta, some rows further still.
+    halvings = _squaring_count(norms, _THETA) + rng.integers(0, 3, size=len(coords))
+    coords = np.ldexp(coords, -halvings[:, None])
+    powers = _powers_of_k([Fraction(c) for c in pres.modulus_coeffs], 2 * n - 2)
+    for row, out in zip(coords, _exp_coords(coords, pres)):
+        z = [Fraction(x) for x in row]
+        rep = [[sum(z[i] * powers[i + j][r] for i in range(n)) for j in range(n)] for r in range(n)]
+        norm = max(sum(abs(rep[r][j]) for r in range(n)) for j in range(n))
+        assert norm <= _THETA
+        term = [Fraction(int(r == 0)) for r in range(n)]
+        total = list(term)
+        for k in range(1, _TAYLOR_DEGREE + 1):
+            term = [sum(a * b for a, b in zip(rep[r], term)) / k for r in range(n)]
+            total = [t + s for t, s in zip(total, term)]
+        error = max(abs(Fraction(x) - t) for x, t in zip(out, total))
+        assert float(error) <= 4 * n * UNIT_ROUNDOFF * math.exp(norm)
+
+
+def test_taylor_blocks_hold_the_inverse_factorials():
+    for k in range(_TAYLOR_BLOCKS.size):
+        want = float(Fraction(1, math.factorial(k))) if k <= _TAYLOR_DEGREE else 0.0
+        assert _TAYLOR_BLOCKS[k % 4, k // 4] == want
+    assert _TAYLOR_BLOCKS.shape == (4, 5)
 
 
 @given(
