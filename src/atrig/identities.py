@@ -5,8 +5,12 @@ power basis and reducing modulo the modulus polynomial yields, for each
 component function s_i, a polynomial identity with exact rational
 coefficients: by the multinomial theorem, each coefficient is a multinomial
 count times one coordinate of a reduced power of k.  This module generates
-those identities from a table of monomials and counts per shape, certifies
-them from one stacked exponential per presentation, and renders them.
+those identities from a table of monomials and counts per shape, with the
+reduced powers of k worked out in integers (every finite double is an
+integer over a power of two) and one ``Fraction`` made per coefficient.
+It certifies them from one stacked exponential per presentation and, per
+set, one gather, product and matmul over a dense form of the set's own
+terms, and renders them.
 """
 
 from __future__ import annotations
@@ -17,8 +21,9 @@ import numbers
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations_with_replacement, groupby, product
+from functools import cached_property, lru_cache, reduce
+from itertools import chain, combinations_with_replacement, groupby, product
+from operator import or_
 from typing import NamedTuple
 
 import numpy as np
@@ -31,6 +36,10 @@ from .transcendental import trig_components
 POWER_CAP = 12
 #: Ceiling on monomials times degree, bounding an expansion to about a second.
 EXPANSION_CAP = 100_000
+#: Denominator bits up to which a coefficient is built as one reduced Fraction of
+#: integers.  Past it, the constructor's gcd, quadratic in the size of its
+#: arguments, costs more than scaling a coordinate reduced once (about 200 bits).
+_DIRECT_BITS = 128
 
 _TAG_ARGUMENT = {"a": "alpha", "b": "beta"}
 
@@ -149,6 +158,62 @@ class IdentitySet:
     power: int | None
     formulas: tuple[SymPoly, ...]
 
+    @cached_property
+    def _dense(self) -> "_DenseForm":
+        """The formulas as arrays, built on first certification."""
+        return _dense_form(self)
+
+
+class _DenseForm(NamedTuple):
+    """An identity set's formulas over a value table ``[s(alpha) | s(beta) | 1]``
+    of one sampled row per case (``[s(alpha) | 1]`` for De Moivre).
+
+    Monomial t is the product of the table columns ``index[t]``, padded with
+    -1, the column of ones; formula i is ``sum_t coeffs[t, i]`` times it.
+    """
+
+    index: np.ndarray  # (terms, degree) column numbers, read-only
+    coeffs: np.ndarray  # (terms, n) coefficients as doubles, read-only
+
+    def evaluate(self, table: np.ndarray) -> np.ndarray:
+        """All n formulas at each row of ``table``: one column per formula."""
+        # A product over the degree axis, one gathered column at a time, so
+        # that only (rows, terms) values are ever held.
+        values = table[:, self.index[:, 0]]
+        for column in self.index.T[1:]:
+            values *= table[:, column]
+        return values @ self.coeffs
+
+
+def _dense_form(ids: IdentitySet) -> _DenseForm:
+    """The dense form of ``ids`` from its own terms, so that a parsed set is
+    certified as it renders.  Each coefficient is ``float(q)``, the correctly
+    rounded double; one past the largest double, or a symbol the set's kind
+    has no column for, raises ``InvalidArgument``."""
+    terms = [formula._terms for formula in ids.formulas]
+    try:
+        values = [q.numerator / q.denominator for each in terms for q in each.values()]
+    except OverflowError:
+        raise InvalidArgument("an identity coefficient exceeds the largest double") from None
+    monomials = {mono: row for row, mono in enumerate(dict.fromkeys(chain.from_iterable(terms)))}
+    n, tags = ids.presentation.degree, "ab" if ids.kind == "adding_angle" else "a"
+    columns = {TrigSymbol(tag, i + 1): p * n + i for p, tag in enumerate(tags) for i in range(n)}
+    width = max(map(len, monomials), default=0) or 1
+    column, padding = columns.__getitem__, [-1] * width
+    try:
+        index = [[*map(column, mono), *padding[len(mono) :]] for mono in monomials]
+    except KeyError as exc:
+        name = exc.args[0].name
+        raise InvalidArgument(f"symbol {name} is not one of the set's arguments") from None
+    coeffs = np.zeros((len(monomials), len(terms)))
+    coeffs[
+        list(map(monomials.__getitem__, chain.from_iterable(terms))),
+        [i for i, each in enumerate(terms) for _ in each],
+    ] = values
+    index = np.array(index, dtype=np.intp).reshape(len(monomials), width)
+    index.flags.writeable = coeffs.flags.writeable = False
+    return _DenseForm(index, coeffs)
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -169,30 +234,38 @@ class VerificationReport:
         return max(self.residuals)
 
 
-def _rational_coeffs(pres: PrincipalPresentation) -> list[Fraction]:
-    bad = [c for c in pres.modulus_coeffs if not math.isfinite(c)]
-    if bad:
-        raise NonRationalCoefficients(f"coefficient {bad[0]!r} has no rational value")
-    return [Fraction(c) for c in pres.modulus_coeffs]  # exact: every finite double is rational
+def _powers_of_k(coeffs, top: int) -> list[tuple[list[int], int]]:
+    """Exact coordinates of k^0, ..., k^top reduced modulo the modulus whose
+    coefficients are the finite doubles ``coeffs``.
 
-
-def _powers_of_k(coeffs: list[Fraction], top: int) -> list[list[Fraction]]:
-    """Exact coordinates of k^0, ..., k^top reduced modulo the modulus.
-
-    Each power is the one before it times k: shifted one place up, with the
-    k^n that falls off the top folded back through k^n = -sum c_j k^j (the
-    recurrence behind the float fold table of ``core._fold_table``).
+    Power d is ``(a, e)``: its coordinate j is the integer ``a[j]`` over
+    ``2**e``, with ``e`` as small as it can be.  Every finite double is an
+    integer over a power of two, so with c_j = f_j / 2**s the powers stay
+    integers: each is the one before it times k, shifted one place up, with
+    the k^n that falls off the top folded back through k^n = -sum c_j k^j
+    (the recurrence behind the float fold table of ``core._fold_table``),
+    which scales the power by 2**s.
     """
-    folds = [(j, -c) for j, c in enumerate(coeffs) if c]
-    column = [Fraction(1)] + [Fraction(0)] * (len(coeffs) - 1)
-    powers = [column]
+    ratios = [float(c).as_integer_ratio() for c in coeffs]
+    shift = max(den.bit_length() for _, den in ratios) - 1
+    folds = [
+        (j, -num << (shift - den.bit_length() + 1)) for j, (num, den) in enumerate(ratios) if num
+    ]
+    column, exponent = [1] + [0] * (len(coeffs) - 1), 0
+    powers = [(column, exponent)]
     for _ in range(top):
         carry = column[-1]
-        column = [Fraction(0)] + column[:-1]
+        column = [0] + column[:-1]
         if carry:
-            for j, c in folds:
-                column[j] += c * carry
-        powers.append(column)
+            column = [x << shift for x in column]
+            for j, f in folds:
+                column[j] += f * carry
+            exponent += shift
+            if exponent:  # cancel the factors of two that every coordinate shares
+                bits = reduce(or_, column)
+                low = min(exponent, (bits & -bits).bit_length() - 1)
+                column, exponent = [x >> low for x in column], exponent - low
+        powers.append((column, exponent))
     return powers
 
 
@@ -218,17 +291,28 @@ def _expand(pres: PrincipalPresentation, powers: dict[str, int], refusal: type) 
     """The coordinates of the product over tags of exp(k tag)^power: formula i
     has each monomial's count times coordinate i of k^(its index sum).  Raises
     ``refusal`` when the monomial count times n passes ``EXPANSION_CAP``."""
-    coeffs = _rational_coeffs(pres)
+    coeffs = pres.modulus_coeffs
+    bad = [c for c in coeffs if not math.isfinite(c)]
+    if bad:
+        raise NonRationalCoefficients(f"coefficient {bad[0]!r} has no rational value")
     n = len(coeffs)
     size = n * math.prod(math.comb(n + power - 1, power) for power in powers.values())
     if size > EXPANSION_CAP:
         raise refusal(f"expansion size {size} (monomials times degree) exceeds {EXPANSION_CAP}")
-    reduced = _powers_of_k(coeffs, (n - 1) * sum(powers.values()))
+    reduced = []
+    for column, exponent in _powers_of_k(coeffs, (n - 1) * sum(powers.values())):
+        if exponent <= _DIRECT_BITS:
+            reduced.append((column, 1 << exponent))
+        else:  # reduce each coordinate once, then scale it by the counts
+            reduced.append(([Fraction(a, 1 << exponent) for a in column], None))
     formulas: list[dict] = [{} for _ in range(n)]
     for mono, count, degree in _shape_table(n, tuple(powers.items())):
-        for formula, coordinate in zip(formulas, reduced[degree]):
-            if coordinate:
-                formula[mono] = count * coordinate
+        column, denominator = reduced[degree]
+        for formula, a in zip(formulas, column):
+            if a:
+                formula[mono] = (
+                    a * count if denominator is None else Fraction(count * a, denominator)
+                )
     return tuple(SymPoly._canonical(terms) for terms in formulas)
 
 
@@ -262,19 +346,18 @@ def _draw_angles(ids: IdentitySet, samples: int, seed: int) -> tuple[np.ndarray,
 
 def _verify_sets(sets: list, seeds: list, samples: int, tol: float) -> list[VerificationReport]:
     """The report of each set of one presentation, set i sampled from ``seeds[i]``,
-    from one stacked exponential whose rows each equal the exponential alone."""
+    from one stacked exponential whose rows each equal the exponential alone
+    and, per set, one evaluation of its dense form."""
     angles = [_draw_angles(ids, samples, seed) for ids, seed in zip(sets, seeds)]
-    pres, n = sets[0].presentation, sets[0].presentation.degree
+    pres = sets[0].presentation
     comps = trig_components(pres, 1, np.stack([a for drawn in angles for a in drawn]))
+    ones = np.ones((samples, 1))
     reports, start = [], 0
     for ids, drawn in zip(sets, angles):
         *sides, lhs = comps[start : start + len(drawn)]
         start += len(drawn)
-        values = {TrigSymbol(t, i + 1): c[:, i] for t, c in zip("ab", sides) for i in range(n)}
-        residuals = tuple(
-            float(np.abs(lhs[:, i] - formula.evaluate(values)).max(initial=0.0))
-            for i, formula in enumerate(ids.formulas)
-        )
+        rhs = ids._dense.evaluate(np.concatenate([*sides, ones], axis=1))
+        residuals = tuple(np.abs(lhs - rhs).max(axis=0, initial=0.0).tolist())
         passed = tuple(r <= tol for r in residuals)
         reports.append(VerificationReport(ids.kind, samples, tol, residuals, passed))
     return reports

@@ -464,7 +464,8 @@ def test_fold_table_and_rep_are_exact_on_eighth_step_moduli(coeffs, z):
     from atrig.identities import _powers_of_k
 
     n = len(coeffs)
-    powers = _powers_of_k([Fraction(c) for c in coeffs], 2 * n - 2)
+    powers = _powers_of_k(coeffs, 2 * n - 2)
+    powers = [[Fraction(a, 1 << e) for a in column] for column, e in powers]
     fold = _fold_table(tuple(coeffs))
     assert [[Fraction(x) for x in column] for column in fold.T.tolist()] == powers
     z = [Fraction(x) for x in z[:n]]

@@ -416,6 +416,20 @@ def test_expansion_from_the_shape_table_matches_the_enumeration(n):
                 assert all(type(q) is Fraction and q for _, q in got.terms())
 
 
+@pytest.mark.parametrize(
+    "coeffs",
+    [[0.1, -0.2, 0.3], [-0.27, 0.11, 0.05, -0.19], [5e-324, 1e300, -1e-300], [1e-300, -0.125, 3.0]],
+)
+def test_expansion_on_full_precision_moduli_matches_the_enumeration(coeffs):
+    # Denominators past _DIRECT_BITS take the once-reduced coordinates times
+    # the counts; the rest, one Fraction of integers per coefficient.
+    pres = make_presentation(coeffs)
+    exponents = {e for _, e in identities._powers_of_k(coeffs, 4 * (len(coeffs) - 1))}
+    assert max(exponents) > identities._DIRECT_BITS
+    for ids, powers in [(adding_angle(pres), {"a": 1, "b": 1}), (de_moivre(pres, 4), {"a": 4})]:
+        assert ids.formulas == _enumerated(pres, powers)
+
+
 def test_expansions_past_the_size_cap_are_refused_before_enumerating():
     _shape_table.cache_clear()
     # C(43, 12) monomials at degree 32, and 200^2 at degree 200: neither is
@@ -436,22 +450,18 @@ def test_expansions_past_the_size_cap_are_refused_before_enumerating():
 
 def _per_set_report(ids, samples, tol, seed):
     """``verify_identity`` with a ``trig_components`` call per drawn angle."""
-    pres, n = ids.presentation, ids.presentation.degree
+    pres = ids.presentation
     rng = np.random.default_rng(seed)
     alphas = rng.uniform(-2.0, 2.0, samples)
-    comp_a = trig_components(pres, 1, alphas)
-    values = {sym("a", i + 1): comp_a[:, i] for i in range(n)}
+    sides = [trig_components(pres, 1, alphas)]
     if ids.kind == "adding_angle":
         betas = rng.uniform(-2.0, 2.0, samples)
-        comp_b = trig_components(pres, 1, betas)
-        values.update({sym("b", i + 1): comp_b[:, i] for i in range(n)})
+        sides.append(trig_components(pres, 1, betas))
         lhs = trig_components(pres, 1, alphas + betas)
     else:
         lhs = trig_components(pres, 1, ids.power * alphas)
-    residuals = tuple(
-        float(np.abs(lhs[:, i] - f.evaluate(values)).max(initial=0.0))
-        for i, f in enumerate(ids.formulas)
-    )
+    table = np.concatenate(sides + [np.ones((samples, 1))], axis=1)
+    residuals = tuple(np.abs(lhs - ids._dense.evaluate(table)).max(axis=0, initial=0.0).tolist())
     return identities.VerificationReport(
         ids.kind, samples, tol, residuals, tuple(r <= tol for r in residuals)
     )
@@ -464,12 +474,14 @@ def _per_set_report(ids, samples, tol, seed):
     ids=lambda pres: pres.label or f"rational-{pres.degree}",
 )
 def test_stacked_certification_equals_per_set_calls(pres):
+    # The stacked exponential's rows equal the per-angle exponentials, and
+    # each set's dense evaluation does not depend on the other sets.
     sets = [adding_angle(pres)] + [de_moivre(pres, p) for p in range(1, 5)]
     seeds = [31 + 97 * offset for offset in range(len(sets))]
     for ids, seed, report in zip(sets, seeds, _verify_sets(sets, seeds, 40, 1e-9)):
-        want = _per_set_report(ids, 40, 1e-9, seed)
+        want = verify_identity(ids, samples=40, tol=1e-9, seed=seed)
         assert report == want  # residuals compared exactly
-        assert verify_identity(ids, samples=40, tol=1e-9, seed=seed) == want
+        assert _per_set_report(ids, 40, 1e-9, seed) == want
 
 
 def test_identities_suite_equals_per_set_certification(monkeypatch):
@@ -478,7 +490,116 @@ def test_identities_suite_equals_per_set_certification(monkeypatch):
         verify,
         "_verify_sets",
         lambda sets, seeds, samples, tol: [
-            _per_set_report(ids, samples, tol, seed) for ids, seed in zip(sets, seeds)
+            verify_identity(ids, samples, tol, seed) for ids, seed in zip(sets, seeds)
         ],
     )
     assert verify.identities_suite(samples=20, seed=5, n_random=4).to_json_dict() == stacked
+
+
+def test_identities_suite_builds_each_dense_form_once(monkeypatch):
+    built, dense_form = [], identities._dense_form
+
+    def counted(ids):
+        built.append(ids)
+        return dense_form(ids)
+
+    def refuse(self, values):
+        raise AssertionError("certification calls SymPoly.evaluate")
+
+    monkeypatch.setattr(identities, "_dense_form", counted)
+    monkeypatch.setattr(SymPoly, "evaluate", refuse)
+    report = verify.identities_suite(samples=10, seed=3, n_random=2)
+    assert report.passed
+    assert len(built) == len({id(ids) for ids in built}) == report.cases
+    dense = built[0]._dense
+    assert dense is built[0]._dense and len(built) == report.cases  # cached, not rebuilt
+    assert not dense.index.flags.writeable and not dense.coeffs.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "ids",
+    [adding_angle(preset("hyperbolic", 5)), de_moivre(preset("complicated", 4), 4)]
+    + [
+        maker(random_rational_presentation(np.random.default_rng(11), n))
+        for n in (3, 5)
+        for maker in (adding_angle, lambda pres: de_moivre(pres, 3))
+    ],
+    ids=lambda ids: f"{ids.kind}-{ids.presentation.degree}",
+)
+def test_dense_form_agrees_with_evaluate_within_the_summation_bound(ids):
+    # The dense form multiplies the d values of a monomial, then sums the T
+    # products times their coefficients in a matmul; evaluate multiplies the
+    # coefficient by each value in turn and sums term by term.  Each errs by
+    # at most (T + d) u sum_t |q_t| |m_t| to first order, so they differ by
+    # at most twice that.
+    n = ids.presentation.degree
+    rng = np.random.default_rng(n)
+    tags = "ab" if ids.kind == "adding_angle" else "a"
+    table = np.concatenate([rng.uniform(-3.0, 3.0, (50, len(tags) * n)), np.ones((50, 1))], axis=1)
+    values = {sym(tag, i + 1): table[:, p * n + i] for p, tag in enumerate(tags) for i in range(n)}
+    dense = ids._dense.evaluate(table)
+    unit = np.finfo(float).eps / 2
+    for i, formula in enumerate(ids.formulas):
+        terms = formula.terms()
+        degree = max(len(mono) for mono, _ in terms)
+        magnitude = sum(
+            abs(float(q)) * np.prod([np.abs(values[s]) for s in mono], axis=0) for mono, q in terms
+        )
+        bound = 2 * (len(terms) + degree) * unit * magnitude
+        assert np.all(np.abs(dense[:, i] - formula.evaluate(values)) <= bound)
+
+
+def test_certification_refuses_a_coefficient_past_the_largest_double(h2):
+    # Generating and rendering keep the exact coefficient; only the dense
+    # form, built at certification, needs it as a double.
+    data = json.loads(render(adding_angle(h2), "json"))
+    data["s1"][0][0] = 10**400  # the coefficient of s1a s1b
+    text = json.dumps(data)
+    ids = parse_identities_json(text, h2, "adding_angle")
+    assert str(10**400) in render(ids, "json") and render(ids, "latex")
+    with pytest.raises(InvalidArgument, match="largest double"):
+        verify_identity(ids, samples=5)
+
+
+@pytest.mark.parametrize("name, kind", [("s3a", "adding_angle"), ("s1b", "de_moivre")])
+def test_certification_refuses_a_symbol_outside_the_set(h2, name, kind):
+    text = json.dumps({"s1": [[1, [name]]], "s2": [[1, ["s2a"]]]})
+    ids = parse_identities_json(text, h2, kind, None if kind == "adding_angle" else 1)
+    with pytest.raises(InvalidArgument, match=name):
+        verify_identity(ids, samples=5)
+
+
+# -- integer generation -------------------------------------------------------------
+
+
+def _fraction_powers(coeffs, top):
+    """k^0, ..., k^top modulo the modulus, by the recurrence in Fraction."""
+    coeffs = [Fraction(c) for c in coeffs]
+    column = [Fraction(1)] + [Fraction(0)] * (len(coeffs) - 1)
+    powers = [column]
+    for _ in range(top):
+        carry = column[-1]
+        column = [-coeffs[0] * carry] + [b - c * carry for b, c in zip(column, coeffs[1:])]
+        powers.append(column)
+    return powers
+
+
+_binades = st.sampled_from([1e-300, 1e300, 5e-324, 0.1, 3.0, 0.0]) | st.integers(-16, 16).map(
+    lambda i: i / 8
+)
+
+
+@given(
+    coeffs=st.lists(st.tuples(_binades, st.booleans()), min_size=1, max_size=5),
+    extra=st.integers(0, 4),
+)
+@settings(max_examples=100, deadline=None)
+def test_integer_powers_of_k_equal_the_fraction_recurrence(coeffs, extra):
+    coeffs = [-c if negate else c for c, negate in coeffs]
+    top = 3 * len(coeffs) + extra
+    got = identities._powers_of_k(coeffs, top)
+    assert [[Fraction(a, 1 << e) for a in column] for column, e in got] == _fraction_powers(
+        coeffs, top
+    )
+    # The shared exponent is as small as it can be.
+    assert all(e == 0 or any(a % 2 for a in column) for column, e in got)

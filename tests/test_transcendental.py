@@ -781,7 +781,10 @@ def test_taylor_stage_matches_the_exact_series(pres):
     # Halve each row (exactly) to |M(z)|_1 <= theta, some rows further still.
     halvings = _squaring_count(norms, _THETA) + rng.integers(0, 3, size=len(coords))
     coords = np.ldexp(coords, -halvings[:, None])
-    powers = _powers_of_k([Fraction(c) for c in pres.modulus_coeffs], 2 * n - 2)
+    powers = [
+        [Fraction(a, 1 << e) for a in column]
+        for column, e in _powers_of_k(pres.modulus_coeffs, 2 * n - 2)
+    ]
     for row, out in zip(coords, _exp_coords(coords, pres)):
         z = [Fraction(x) for x in row]
         rep = [[sum(z[i] * powers[i + j][r] for i in range(n)) for j in range(n)] for r in range(n)]
