@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from itertools import chain, combinations_with_replacement, groupby, product
+from itertools import combinations_with_replacement, groupby, product
 from operator import or_
 from typing import NamedTuple
 
@@ -37,8 +37,9 @@ POWER_CAP = 12
 #: Ceiling on monomials times degree, bounding an expansion to about a second.
 EXPANSION_CAP = 100_000
 #: Denominator bits up to which a coefficient is built as one reduced Fraction of
-#: integers.  Past it, the constructor's gcd, quadratic in the size of its
-#: arguments, costs more than scaling a coordinate reduced once (about 200 bits).
+#: integers, which costs less than a count times a Fraction.  Past it, the
+#: constructor's gcd, quadratic in the size of its arguments, costs more than
+#: scaling a coordinate reduced once (crossover about 200 bits).
 _DIRECT_BITS = 128
 
 _TAG_ARGUMENT = {"a": "alpha", "b": "beta"}
@@ -159,60 +160,53 @@ class IdentitySet:
     formulas: tuple[SymPoly, ...]
 
     @cached_property
-    def _dense(self) -> "_DenseForm":
-        """The formulas as arrays, built on first certification."""
-        return _dense_form(self)
+    def _dense(self) -> tuple[np.ndarray, np.ndarray]:
+        """The formulas as read-only arrays over a value table
+        ``[s(alpha) | s(beta) | 1]`` of one sampled row per case
+        (``[s(alpha) | 1]`` for De Moivre), built on first certification from
+        the set's own terms, so that a parsed set is certified as it renders.
 
+        Monomial t is the product of the table columns ``index[t]``, padded
+        with -1, the column of ones; formula i is ``sum_t coeffs[t, i]`` times
+        it.  Each coefficient is ``float(q)``, the correctly rounded double;
+        one past the largest double, or a symbol the set's kind has no column
+        for, raises ``InvalidArgument``.
+        """
+        n, tags = self.presentation.degree, "ab" if self.kind == "adding_angle" else "a"
+        columns = {TrigSymbol(t, i + 1): p * n + i for p, t in enumerate(tags) for i in range(n)}
+        rows: dict = {}  # monomial -> its row of index and of coeffs
+        index, coeffs = [], []
+        for i, formula in enumerate(self.formulas):
+            for mono, q in formula._terms.items():
+                row = rows.get(mono)
+                if row is None:
+                    try:
+                        index.append([columns[sym] for sym in mono])
+                    except KeyError as missing:
+                        name = missing.args[0].name
+                        raise InvalidArgument(f"{name} is not an argument of the set") from None
+                    row = rows[mono] = len(coeffs)
+                    coeffs.append([0.0] * len(self.formulas))
+                try:
+                    coeffs[row][i] = q.numerator / q.denominator
+                except OverflowError:
+                    raise InvalidArgument("a coefficient exceeds the largest double") from None
+        width = max(map(len, index), default=0) or 1
+        index = np.array([cols + [-1] * (width - len(cols)) for cols in index], dtype=np.intp)
+        index = index.reshape(len(rows), width)
+        coeffs = np.array(coeffs, dtype=float).reshape(len(rows), len(self.formulas))
+        index.flags.writeable = coeffs.flags.writeable = False
+        return index, coeffs
 
-class _DenseForm(NamedTuple):
-    """An identity set's formulas over a value table ``[s(alpha) | s(beta) | 1]``
-    of one sampled row per case (``[s(alpha) | 1]`` for De Moivre).
-
-    Monomial t is the product of the table columns ``index[t]``, padded with
-    -1, the column of ones; formula i is ``sum_t coeffs[t, i]`` times it.
-    """
-
-    index: np.ndarray  # (terms, degree) column numbers, read-only
-    coeffs: np.ndarray  # (terms, n) coefficients as doubles, read-only
-
-    def evaluate(self, table: np.ndarray) -> np.ndarray:
-        """All n formulas at each row of ``table``: one column per formula."""
+    def _dense_values(self, table: np.ndarray) -> np.ndarray:
+        """All formulas at each row of ``table``: one column per formula."""
+        index, coeffs = self._dense
         # A product over the degree axis, one gathered column at a time, so
         # that only (rows, terms) values are ever held.
-        values = table[:, self.index[:, 0]]
-        for column in self.index.T[1:]:
+        values = table[:, index[:, 0]]
+        for column in index.T[1:]:
             values *= table[:, column]
-        return values @ self.coeffs
-
-
-def _dense_form(ids: IdentitySet) -> _DenseForm:
-    """The dense form of ``ids`` from its own terms, so that a parsed set is
-    certified as it renders.  Each coefficient is ``float(q)``, the correctly
-    rounded double; one past the largest double, or a symbol the set's kind
-    has no column for, raises ``InvalidArgument``."""
-    terms = [formula._terms for formula in ids.formulas]
-    try:
-        values = [q.numerator / q.denominator for each in terms for q in each.values()]
-    except OverflowError:
-        raise InvalidArgument("an identity coefficient exceeds the largest double") from None
-    monomials = {mono: row for row, mono in enumerate(dict.fromkeys(chain.from_iterable(terms)))}
-    n, tags = ids.presentation.degree, "ab" if ids.kind == "adding_angle" else "a"
-    columns = {TrigSymbol(tag, i + 1): p * n + i for p, tag in enumerate(tags) for i in range(n)}
-    width = max(map(len, monomials), default=0) or 1
-    column, padding = columns.__getitem__, [-1] * width
-    try:
-        index = [[*map(column, mono), *padding[len(mono) :]] for mono in monomials]
-    except KeyError as exc:
-        name = exc.args[0].name
-        raise InvalidArgument(f"symbol {name} is not one of the set's arguments") from None
-    coeffs = np.zeros((len(monomials), len(terms)))
-    coeffs[
-        list(map(monomials.__getitem__, chain.from_iterable(terms))),
-        [i for i, each in enumerate(terms) for _ in each],
-    ] = values
-    index = np.array(index, dtype=np.intp).reshape(len(monomials), width)
-    index.flags.writeable = coeffs.flags.writeable = False
-    return _DenseForm(index, coeffs)
+        return values @ coeffs
 
 
 @dataclass(frozen=True)
@@ -356,7 +350,7 @@ def _verify_sets(sets: list, seeds: list, samples: int, tol: float) -> list[Veri
     for ids, drawn in zip(sets, angles):
         *sides, lhs = comps[start : start + len(drawn)]
         start += len(drawn)
-        rhs = ids._dense.evaluate(np.concatenate([*sides, ones], axis=1))
+        rhs = ids._dense_values(np.concatenate([*sides, ones], axis=1))
         residuals = tuple(np.abs(lhs - rhs).max(axis=0, initial=0.0).tolist())
         passed = tuple(r <= tol for r in residuals)
         reports.append(VerificationReport(ids.kind, samples, tol, residuals, passed))

@@ -3,6 +3,7 @@
 import json
 import math
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations_with_replacement, product
 from pathlib import Path
 
@@ -461,7 +462,7 @@ def _per_set_report(ids, samples, tol, seed):
     else:
         lhs = trig_components(pres, 1, ids.power * alphas)
     table = np.concatenate(sides + [np.ones((samples, 1))], axis=1)
-    residuals = tuple(np.abs(lhs - ids._dense.evaluate(table)).max(axis=0, initial=0.0).tolist())
+    residuals = tuple(np.abs(lhs - ids._dense_values(table)).max(axis=0, initial=0.0).tolist())
     return identities.VerificationReport(
         ids.kind, samples, tol, residuals, tuple(r <= tol for r in residuals)
     )
@@ -497,23 +498,26 @@ def test_identities_suite_equals_per_set_certification(monkeypatch):
 
 
 def test_identities_suite_builds_each_dense_form_once(monkeypatch):
-    built, dense_form = [], identities._dense_form
+    built, build = [], IdentitySet._dense.func
 
     def counted(ids):
         built.append(ids)
-        return dense_form(ids)
+        return build(ids)
 
     def refuse(self, values):
         raise AssertionError("certification calls SymPoly.evaluate")
 
-    monkeypatch.setattr(identities, "_dense_form", counted)
+    dense = cached_property(counted)
+    dense.__set_name__(IdentitySet, "_dense")
+    monkeypatch.setattr(IdentitySet, "_dense", dense)
     monkeypatch.setattr(SymPoly, "evaluate", refuse)
     report = verify.identities_suite(samples=10, seed=3, n_random=2)
     assert report.passed
     assert len(built) == len({id(ids) for ids in built}) == report.cases
     dense = built[0]._dense
-    assert dense is built[0]._dense and len(built) == report.cases  # cached, not rebuilt
-    assert not dense.index.flags.writeable and not dense.coeffs.flags.writeable
+    assert built[0]._dense is dense and len(built) == report.cases  # cached, not rebuilt
+    index, coeffs = dense
+    assert not index.flags.writeable and not coeffs.flags.writeable
 
 
 @pytest.mark.parametrize(
@@ -537,7 +541,7 @@ def test_dense_form_agrees_with_evaluate_within_the_summation_bound(ids):
     tags = "ab" if ids.kind == "adding_angle" else "a"
     table = np.concatenate([rng.uniform(-3.0, 3.0, (50, len(tags) * n)), np.ones((50, 1))], axis=1)
     values = {sym(tag, i + 1): table[:, p * n + i] for p, tag in enumerate(tags) for i in range(n)}
-    dense = ids._dense.evaluate(table)
+    dense = ids._dense_values(table)
     unit = np.finfo(float).eps / 2
     for i, formula in enumerate(ids.formulas):
         terms = formula.terms()
