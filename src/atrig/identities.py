@@ -436,17 +436,21 @@ def render(ids: IdentitySet, format: str = "latex") -> str:
 
     LaTeX uses the family naming scheme (cosh/sinh for k^n = 1, cos/sin
     for k^n = -1, plain s_i otherwise); JSON lists exact rational
-    coefficients with symbol tuples, in the canonical term order.
+    coefficients with symbol tuples, in the canonical term order.  A
+    coefficient past Python's limit on the digits of an int converted to a
+    string raises ``InvalidArgument``; the limit itself is left as it is.
     """
-    if format == "latex":
-        names = _symbol_latex_names(ids.presentation)
-        argument = _latex_lhs_argument(ids)
-        lines = []
-        for i, formula in enumerate(ids.formulas):
-            lhs = f"{names[i]}{argument}"
-            lines.append(rf"\[ {lhs} = {_latex_formula(formula, names)} \]")
-        return "\n".join(lines)
-    if format == "json":
+    if format not in ("latex", "json"):
+        raise ValueError(f"unknown render format {format!r}")
+    try:
+        if format == "latex":
+            names = _symbol_latex_names(ids.presentation)
+            argument = _latex_lhs_argument(ids)
+            lines = []
+            for i, formula in enumerate(ids.formulas):
+                lhs = f"{names[i]}{argument}"
+                lines.append(rf"\[ {lhs} = {_latex_formula(formula, names)} \]")
+            return "\n".join(lines)
         payload = {
             f"s{i + 1}": [
                 [_coefficient_json(q), [sym.name for sym in mono]]
@@ -455,7 +459,8 @@ def render(ids: IdentitySet, format: str = "latex") -> str:
             for i, formula in enumerate(ids.formulas)
         }
         return json.dumps(payload)
-    raise ValueError(f"unknown render format {format!r}")
+    except ValueError as exc:  # the only one raised here is the int-to-string limit
+        raise InvalidArgument(f"a coefficient is too long to render: {exc}") from None
 
 
 def parse_identities_json(
@@ -464,13 +469,18 @@ def parse_identities_json(
     kind: str,
     power: int | None = None,
 ) -> IdentitySet:
-    """Inverse of ``render(..., "json")`` given the owning context."""
-    data = json.loads(text)
-    formulas = []
-    for i in range(pres.degree):
-        terms: dict[tuple[TrigSymbol, ...], Fraction] = {}
-        for coeff, names in data[f"s{i + 1}"]:
-            mono = tuple(_parse_symbol(name) for name in names)
-            terms[mono] = terms.get(mono, Fraction(0)) + Fraction(coeff)
-        formulas.append(SymPoly(terms))
+    """Inverse of ``render(..., "json")`` given the owning context.  Text that
+    is not such a rendering (not JSON, a formula missing, a bad symbol name,
+    a coefficient that is not a finite rational) raises ``InvalidArgument``."""
+    try:
+        data = json.loads(text)
+        formulas = []
+        for i in range(pres.degree):
+            terms: dict[tuple[TrigSymbol, ...], Fraction] = {}
+            for coeff, names in data[f"s{i + 1}"]:
+                mono = tuple(_parse_symbol(name) for name in names)
+                terms[mono] = terms.get(mono, Fraction(0)) + Fraction(coeff)
+            formulas.append(SymPoly(terms))
+    except (ValueError, KeyError, TypeError, ZeroDivisionError, OverflowError) as exc:
+        raise InvalidArgument(f"malformed identity JSON: {type(exc).__name__}: {exc}") from None
     return IdentitySet(pres, kind, power, tuple(formulas))

@@ -142,21 +142,24 @@ def _taylor_e1(rep: np.ndarray, fold: np.ndarray) -> np.ndarray:
 # squaring leaves a result that is not finite; both are refused, so numpy's
 # warnings about them are noise.
 @np.errstate(over="ignore", invalid="ignore")
-def _exp_coords(coords: np.ndarray, pres: PrincipalPresentation) -> np.ndarray:
+def _exp_coords(coords: np.ndarray, fold: np.ndarray) -> np.ndarray:
     """exp of every row of ``coords`` (shape (m, n)), as an (m, n) array.
 
-    exp(z) is exp(M(z)) e_1.  Each row's M(z) is halved s times, s the
-    fewest that bring its 1-norm to _THETA or below, the degree-18 Taylor
-    polynomial of the scaled matrix is applied to e_1 (``_taylor_e1``), and
-    the result is squared s times in the algebra.  Scaling by 2**-s is
-    exact, so each row gets exactly the arithmetic it would get alone.
+    ``fold`` is the modulus's fold table (``core._fold_table``): one table
+    (n, 2n - 1) shared by every row, or one per row (m, n, 2n - 1), so one
+    batch may mix presentations of one degree.  exp(z) is exp(M(z)) e_1.
+    Each row's M(z) is halved s times, s the fewest that bring its 1-norm
+    to _THETA or below, the degree-18 Taylor polynomial of the scaled
+    matrix is applied to e_1 (``_taylor_e1``), and the result is squared s
+    times in the algebra.  Scaling by 2**-s is exact, and every product is
+    a stacked matmul with the row's own table, so each row gets exactly
+    the arithmetic it would get alone.
     """
     m, n = coords.shape
     if m == 0:
         return np.empty((0, n))
     if not np.isfinite(coords).all():
         raise InvalidArgument("exp requires finite coordinates")
-    fold = core._fold_table(pres.modulus_coeffs)
     rep = core._rep_stack(coords, fold)
     norms = np.abs(rep).sum(axis=1).max(axis=1)
     largest = float(norms.max())
@@ -178,7 +181,7 @@ def _exp_coords(coords: np.ndarray, pres: PrincipalPresentation) -> np.ndarray:
         else:
             need = counts > step
             part = out[need]
-            out[need] = core._mul_coords(part, part, fold)
+            out[need] = core._mul_coords(part, part, fold if fold.ndim == 2 else fold[need])
     if not np.isfinite(out).all():
         raise InvalidArgument("exp overflowed: the result is not finite")
     return out
@@ -198,7 +201,8 @@ def exp(z: AlgebraElement) -> AlgebraElement:
     into a double, and a result that overflows raise ``InvalidArgument``.
     """
     pres = z.presentation
-    return AlgebraElement(pres, _exp_coords(z.coords[None, :], pres)[0])
+    fold = core._fold_table(pres.modulus_coeffs)
+    return AlgebraElement(pres, _exp_coords(z.coords[None, :], fold)[0])
 
 
 def trig_components(pres: PrincipalPresentation, m: int, theta) -> np.ndarray:
@@ -216,7 +220,8 @@ def trig_components(pres: PrincipalPresentation, m: int, theta) -> np.ndarray:
     thetas = np.asarray(theta, dtype=float)
     coords = np.zeros((thetas.size, n))
     coords[:, m] = thetas.ravel()
-    return _exp_coords(coords, pres).reshape(thetas.shape + (n,))
+    fold = core._fold_table(pres.modulus_coeffs)
+    return _exp_coords(coords, fold).reshape(thetas.shape + (n,))
 
 
 def _modulus_coords(coords: np.ndarray, pres: PrincipalPresentation) -> np.ndarray:

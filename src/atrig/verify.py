@@ -100,7 +100,7 @@ def random_ld_samples(
         peaks = np.abs(_component_values(w, dec)).max(axis=1)
         capped = peaks > 2.0
         w[capped] *= (2.0 / peaks[capped])[:, None]
-    return _exp_coords(w, pres)
+    return _exp_coords(w, core._fold_table(pres.modulus_coeffs))
 
 
 def random_ld_sample(
@@ -163,6 +163,29 @@ def _unit_deviation(pres: PrincipalPresentation, exps: np.ndarray) -> np.ndarray
     return np.abs(np.linalg.det(reps) - 1.0)
 
 
+def _unit_deviations(batches) -> list[np.ndarray]:
+    """|F(exp(w)) - 1| for every row w of every ``(pres, coords)`` of
+    ``batches``, as one array per batch.
+
+    The batches of one degree share one stacked exponential and one stacked
+    determinant, each row carrying its own presentation's fold table, so
+    every row equals its value from a call on its batch alone, bit for bit.
+    """
+    by_degree: dict[int, list[int]] = {}
+    for i, (pres, _) in enumerate(batches):
+        by_degree.setdefault(pres.degree, []).append(i)
+    out = [None] * len(batches)
+    for group in by_degree.values():
+        sizes = [len(batches[i][1]) for i in group]
+        tables = [core._fold_table(batches[i][0].modulus_coeffs) for i in group]
+        folds = np.repeat(np.stack(tables), sizes, axis=0)
+        exps = _exp_coords(np.concatenate([batches[i][1] for i in group]), folds)
+        deviations = np.abs(np.linalg.det(core._rep_stack(exps, folds)) - 1.0)
+        for i, part in zip(group, np.split(deviations, np.cumsum(sizes)[:-1])):
+            out[i] = part
+    return out
+
+
 def kthagorean_suite(
     theta_samples: int = 100,
     tol: float = 1e-9,
@@ -172,7 +195,11 @@ def kthagorean_suite(
     coeff_range: float = 2.0,
 ) -> SuiteReport:
     """max |F(exp(k theta)) - 1| over random theta, for presets and random
-    depressed presentations; the determinant of exp(k theta) must be 1."""
+    depressed presentations; the determinant of exp(k theta) must be 1.
+
+    Every case draws its angles first, in case order; then each degree
+    takes one exponential and one determinant over all its cases' rows.
+    """
     rng = np.random.default_rng(seed)
     cases = _cases(
         rng,
@@ -181,11 +208,15 @@ def kthagorean_suite(
         degrees,
         lambda rng, degree: random_depressed_presentation(rng, degree, coeff_range),
     )
-    rows = []
-    for label, pres in cases:
-        thetas = rng.uniform(-3.0, 3.0, theta_samples)
-        deviations = _unit_deviation(pres, trig_components(pres, 1, thetas))
-        rows.append((label, float(deviations.max(initial=0.0)), tol))
+    batches = []
+    for _, pres in cases:
+        coords = np.zeros((theta_samples, pres.degree))
+        coords[:, 1] = rng.uniform(-3.0, 3.0, theta_samples)  # k theta
+        batches.append((pres, coords))
+    rows = [
+        (label, float(deviations.max(initial=0.0)), tol)
+        for (label, _), deviations in zip(cases, _unit_deviations(batches))
+    ]
     return _report("kthagorean", tol, rows)
 
 
@@ -196,16 +227,23 @@ def pure_power_suite(
     theta_samples: int = 100, tol: float = 1e-9, seed: int = 0
 ) -> SuiteReport:
     """F(exp(k^m theta)) = 1 for every m on pure-power presets, plus a
-    counterexample search on k^3 + k showing the condition is necessary."""
+    counterexample search on k^3 + k showing the condition is necessary.
+
+    Every preset draws its angles first, by m; then each degree takes one
+    exponential and one determinant over all its presets' rows.
+    """
     rng = np.random.default_rng(seed)
-    rows = []
-    for pres in preset_grid():
-        # exp(k^m theta) for every m from one exponential, thetas drawn by m.
+    presets = preset_grid()
+    batches = []
+    for pres in presets:
+        # k^m theta for every m, thetas drawn by m.
         n = pres.degree
         coords = np.zeros((n - 1, theta_samples, n))
         coords[range(n - 1), :, range(1, n)] = rng.uniform(-3.0, 3.0, (n - 1, theta_samples))
-        deviations = _unit_deviation(pres, _exp_coords(coords.reshape(-1, n), pres))
-        for m, per_m in enumerate(deviations.reshape(n - 1, theta_samples), start=1):
+        batches.append((pres, coords.reshape(-1, n)))
+    rows = []
+    for pres, deviations in zip(presets, _unit_deviations(batches)):
+        for m, per_m in enumerate(deviations.reshape(pres.degree - 1, theta_samples), start=1):
             rows.append((f"{_case_label(pres)} m={m}", float(per_m.max(initial=0.0)), tol))
 
     # Necessity direction: with a nonzero intermediate coefficient the
@@ -270,7 +308,8 @@ def roundtrip_suite(
     for label, pres in cases:
         dec = _decomposition(pres)
         z = random_ld_samples(rng, pres, dec, samples)
-        back = _exp_coords(_log_coords(z, pres, _PRINCIPAL, dec), pres)
+        logs = _log_coords(z, pres, _PRINCIPAL, dec)
+        back = _exp_coords(logs, core._fold_table(pres.modulus_coeffs))
         rows.append((f"roundtrip:{label}", _worst_deviation(back, z), tol))
 
     for pres in preset_grid():
@@ -293,7 +332,7 @@ def polar_suite(samples: int = 200, tol: float = 1e-8, seed: int = 0) -> SuiteRe
         log_rho = np.log(_modulus_coords(z, pres))
         recombined = _log_coords(z, pres, _PRINCIPAL, dec)  # the argument ...
         recombined[:, 0] = log_rho  # ... plus log(rho)
-        back = _exp_coords(recombined, pres)
+        back = _exp_coords(recombined, core._fold_table(pres.modulus_coeffs))
         rows.append((_case_label(pres), _worst_deviation(back, z), tol))
     return _report("polar", tol, rows)
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import pytest
 
@@ -345,4 +346,20 @@ def test_log_of_a_component_beyond_the_largest_double(capsys, command):
     code, out, err = run_cli(capsys, "--algebra", "C3", command, "--z", "1e308,1e308,1e308")
     assert code == 0
     assert all(math.isfinite(x) for x in _strict(out)[command])
+    assert "Traceback" not in err
+
+
+@pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() <= 4300,
+    reason="no int-to-string digit limit of at most 4300 digits in this Python",
+)
+def test_identity_render_past_the_int_string_limit_is_refused(capsys):
+    # Extreme binades make the power-8 De Moivre coefficients longer than
+    # Python's default limit of 4300 digits for an int converted to a string.
+    code, out, err = run_cli(
+        capsys, "--algebra", "5e-324,1e300,-1e-300", "identity", "de-moivre", "--power", "8",
+        "--format", "json",
+    )
+    assert code == 3
+    assert _strict(out)["error"] == "InvalidArgument"
     assert "Traceback" not in err

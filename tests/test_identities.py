@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement, product
@@ -571,6 +572,34 @@ def test_certification_refuses_a_symbol_outside_the_set(h2, name, kind):
     ids = parse_identities_json(text, h2, kind, None if kind == "adding_angle" else 1)
     with pytest.raises(InvalidArgument, match=name):
         verify_identity(ids, samples=5)
+
+
+@pytest.mark.parametrize(
+    "text, cause",
+    [
+        ('{"s1": [["1", ["x1a"]]], "s2": []}', "ValueError"),  # a bad symbol name
+        ('{"s1": [["1", ["s1a"]]]}', "KeyError"),  # s2 missing
+        ('{"s1": [["1/0", ["s1a"]]], "s2": []}', "ZeroDivisionError"),
+        ("not json", "JSONDecodeError"),
+    ],
+    ids=["symbol", "missing-formula", "zero-denominator", "not-json"],
+)
+def test_parse_refuses_malformed_identity_json(h2, text, cause):
+    with pytest.raises(InvalidArgument, match=f"malformed identity JSON: {cause}"):
+        parse_identities_json(text, h2, "adding_angle")
+
+
+def test_render_refuses_a_coefficient_past_the_int_string_limit(h2):
+    # 10**5000 has more digits than Python converts an int to a string by
+    # default; the render is refused, and the limit is left as it is.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit or limit > 5000:
+        pytest.skip("no int-to-string digit limit below 5001 digits in this Python")
+    ids = IdentitySet(h2, "adding_angle", None, (SymPoly({(sym("a", 1),): 10**5000}), SymPoly()))
+    for fmt in ("json", "latex"):
+        with pytest.raises(InvalidArgument, match="too long to render"):
+            render(ids, fmt)
+    assert sys.get_int_max_str_digits() == limit
 
 
 # -- integer generation -------------------------------------------------------------

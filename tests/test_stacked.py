@@ -2,6 +2,7 @@
 equals the one-row public call, and the batch refuses what a row refuses."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -337,9 +338,9 @@ def _count_exponentials(monkeypatch):
     calls = []
     exp_coords, trig_components = transcendental._exp_coords, transcendental.trig_components
 
-    def counted_exp(coords, pres):
+    def counted_exp(coords, fold):
         calls.append(("_exp_coords", len(coords)))
-        return exp_coords(coords, pres)
+        return exp_coords(coords, fold)
 
     def counted_trig(pres, m, theta):
         calls.append(("trig_components", np.size(theta)))
@@ -368,10 +369,41 @@ def test_one_stacked_exponential_per_pure_power_preset(monkeypatch):
 
     calls = _count_exponentials(monkeypatch)
     verify.pure_power_suite(theta_samples=10, seed=0)
-    presets = verify.preset_grid()
-    # Every m of a preset in one call, then the k^3 + k witness.
-    want = [("_exp_coords", 10 * (pres.degree - 1)) for pres in presets]
+    # Every m of every preset of a degree in one call (H_n, C_n and Gamma_n),
+    # then the k^3 + k witness.
+    want = [("_exp_coords", 3 * 10 * (n - 1)) for n in range(2, 7)]
     assert calls == want + [("trig_components", 31), ("_exp_coords", 31)]
+
+
+def test_one_stacked_exponential_per_kthagorean_degree(monkeypatch):
+    from atrig import verify
+
+    calls = _count_exponentials(monkeypatch)
+    report = verify.kthagorean_suite(theta_samples=10, seed=0, n_random=7)
+    degrees = [pres.degree for pres in verify.preset_grid()]
+    degrees += [int(row["case"].split("deg ")[1][:-1]) for row in report.details[len(degrees) :]]
+    # One call per degree, in the order the degrees first appear.
+    assert calls == [("_exp_coords", 10 * count) for count in Counter(degrees).values()]
+
+
+def test_kthagorean_suite_equals_one_exponential_per_case():
+    from atrig import trig_components, verify
+
+    report = verify.kthagorean_suite(theta_samples=15, seed=4, n_random=9)
+    rng = np.random.default_rng(4)
+    cases = verify._cases(
+        rng,
+        verify.preset_grid(),
+        9,
+        (2, 6),
+        lambda rng, degree: verify.random_depressed_presentation(rng, degree, 2.0),
+    )
+    want = []
+    for label, pres in cases:
+        thetas = rng.uniform(-3.0, 3.0, 15)
+        deviations = verify._unit_deviation(pres, trig_components(pres, 1, thetas))
+        want.append((label, float(deviations.max())))
+    assert [(row["case"], row["residual"]) for row in report.details] == want
 
 
 def test_pure_power_suite_equals_one_exponential_per_m():

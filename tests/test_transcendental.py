@@ -679,6 +679,49 @@ def test_batched_trig_components_match_single_calls(source, seed, draws, data):
         assert np.array_equal(_bits(row), _bits(single))
 
 
+@given(
+    n=st.sampled_from([2, 3, 5, 6, 16]),
+    seeds=st.lists(st.integers(0, 2**16), max_size=3),
+    draws=st.lists(
+        st.tuples(st.integers(0, 5), st.sampled_from([0.1, 1.0, 3.0, 12.0]), st.integers(0, 2**16)),
+        min_size=1,
+        max_size=12,
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_mixed_presentation_batch_matches_one_row_exp(n, seeds, draws):
+    # One batch over presets and fresh depressed moduli of one degree, each
+    # row with its own fold table, against exp of each row alone.
+    choices = [preset(kind, n) for kind in ("hyperbolic", "complicated", "nil")]
+    choices += [random_depressed_presentation(np.random.default_rng(s), n) for s in seeds]
+    rows = []
+    for pick, scale, seed in draws:
+        coords = np.random.default_rng(seed).uniform(-scale, scale, n)
+        rows.append((choices[pick % len(choices)], coords))
+    # Every presentation with no squaring (z = 0) and several (6 k, whose
+    # 1-norm is 6 on the presets), so the counts differ within the batch.
+    for pres in choices:
+        rows += [(pres, np.zeros(n)), (pres, 6.0 * pres.generator(1).coords)]
+    folds = np.stack([_fold_table(pres.modulus_coeffs) for pres, _ in rows])
+    coords = np.stack([z for _, z in rows])
+    norms = np.abs(_rep_stack(coords, folds)).sum(axis=1).max(axis=1)
+    assert len(set(_squaring_count(norms, _THETA).tolist())) > 1
+    singles = []
+    with np.errstate(all="ignore"):
+        for pres, z in rows:
+            try:
+                singles.append(exp(AlgebraElement(pres, z)).coords)
+            except InvalidArgument:
+                singles.append(None)
+        if any(single is None for single in singles):
+            with pytest.raises(InvalidArgument):  # the batch refuses as a row does
+                _exp_coords(coords, folds)
+            return
+        batch = _exp_coords(coords, folds)
+    for row, single in zip(batch, singles):
+        assert np.array_equal(_bits(row), _bits(single))
+
+
 def test_trig_components_shapes(h3):
     scalar = trig_components(h3, 1, 0.3)
     assert scalar.shape == (3,)
@@ -785,7 +828,7 @@ def test_taylor_stage_matches_the_exact_series(pres):
         [Fraction(a, 1 << e) for a in column]
         for column, e in _powers_of_k(pres.modulus_coeffs, 2 * n - 2)
     ]
-    for row, out in zip(coords, _exp_coords(coords, pres)):
+    for row, out in zip(coords, _exp_coords(coords, _fold_table(pres.modulus_coeffs))):
         z = [Fraction(x) for x in row]
         rep = [[sum(z[i] * powers[i + j][r] for i in range(n)) for j in range(n)] for r in range(n)]
         norm = max(sum(abs(rep[r][j]) for r in range(n)) for j in range(n))
