@@ -154,7 +154,7 @@ def _resolve_algebra(
             with open(args.algebra_file) as handle:
                 data = json.load(handle)
             return PrincipalPresentation.from_json_dict(data)
-        except (OSError, ValueError, KeyError, AlgebraError) as exc:
+        except (OSError, ValueError, AlgebraError) as exc:
             parser.error(f"cannot load algebra file: {exc}")
     if not args.algebra:
         parser.error("an algebra is required (--algebra or --algebra-file)")

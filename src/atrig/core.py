@@ -40,6 +40,11 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 PRESET_KINDS = ("hyperbolic", "complicated", "nil")
 
 
+def _is_integer(value) -> bool:
+    """True for Python and numpy integers; False for bools, which are not counts."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class PrincipalPresentation:
     """The algebra R[k]/<p(k)> for a monic modulus p.
@@ -102,6 +107,8 @@ class PrincipalPresentation:
 
     @staticmethod
     def from_json_dict(data: dict) -> "PrincipalPresentation":
+        if not isinstance(data, dict) or "coeffs" not in data:
+            raise InvalidArgument(f'an algebra needs an object with "coeffs", got {data!r:.80}')
         return make_presentation(data["coeffs"], label=data.get("label"))
 
     def __str__(self) -> str:
@@ -109,8 +116,21 @@ class PrincipalPresentation:
 
 
 def make_presentation(coeffs, label: str | None = None) -> PrincipalPresentation:
-    """Build a presentation from the non-leading coefficients [c0, ..., c_{n-1}]."""
-    values = tuple(float(c) for c in coeffs)
+    """Build a presentation from the non-leading coefficients [c0, ..., c_{n-1}].
+
+    Raises InvalidArgument unless ``coeffs`` makes a flat numpy array of
+    floats or 64-bit integers (so no strings, None, bools alone or nesting)
+    and ``label`` is a string or None.
+    """
+    if label is not None and not isinstance(label, str):
+        raise InvalidArgument(f"label must be a string, got {label!r:.80}")
+    try:
+        array = np.asarray(coeffs)
+    except ValueError:  # ragged nesting
+        array = None
+    if array is None or array.ndim != 1 or array.dtype.kind not in "iuf":
+        raise InvalidArgument(f"coefficients must be a flat list of numbers, got {coeffs!r:.80}")
+    values = tuple(array.astype(float).tolist())
     if not values:
         raise EmptyCoefficients("at least one modulus coefficient is required")
     for c in values:

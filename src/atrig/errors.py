@@ -38,8 +38,9 @@ class NonSemisimple(AlgebraError):
 
 
 class InvalidArgument(AlgebraError, ValueError):
-    """Argument outside the numeric range an operation accepts: not finite,
-    or too large for the exponential's scaling and squaring."""
+    """Argument outside the numeric range an operation accepts (not finite,
+    or too large for the exponential's scaling and squaring), or not of the
+    type it accepts."""
 
 
 class NoConvergence(AlgebraError):

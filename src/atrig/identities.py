@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import PrincipalPresentation
+from .core import PrincipalPresentation, _is_integer
 from .errors import InvalidArgument, InvalidPower, NonRationalCoefficients
 from .transcendental import trig_components
 
@@ -318,7 +317,7 @@ def adding_angle(pres: PrincipalPresentation) -> IdentitySet:
 
 def de_moivre(pres: PrincipalPresentation, power: int) -> IdentitySet:
     """Identities for s_i(power*alpha), the coordinates of exp(k alpha)^power."""
-    if not isinstance(power, numbers.Integral) or isinstance(power, bool) or power < 1:
+    if not _is_integer(power) or power < 1:
         raise InvalidPower(f"power must be a positive integer, got {power!r}")
     power = int(power)
     if power > POWER_CAP:

@@ -141,10 +141,10 @@ def _separations(roots: np.ndarray) -> np.ndarray:
     return diff.min(axis=1)
 
 
-def _newton_polish(both: np.ndarray, z: np.ndarray, steps: int = 3) -> np.ndarray:
-    """``steps`` Newton steps on every point of ``z``, for the p and p' of
+def _newton_polish(both: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Three Newton steps on every point of ``z``, for the p and p' of
     ``_value_and_slope_coeffs``."""
-    for _ in range(steps):
+    for _ in range(3):
         p, dp = (_powers(z, len(both) - 1) @ both).T
         dp = np.where(dp == 0, 1e-300, dp)
         z = z - p / dp

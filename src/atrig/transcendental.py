@@ -44,10 +44,18 @@ from .spectral import SpectralDecomposition, _component_values, _interpolate, fi
 class BranchSpec:
     """Per conjugate pair integer b shifting the complex log by 2*pi*b.
 
-    ``None`` means the principal branch for every pair.
+    ``None`` means the principal branch for every pair.  Anything but a
+    tuple or list of integers raises ``InvalidArgument``.
     """
 
     branch_indices: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        indices = self.branch_indices
+        if indices is not None and not (
+            isinstance(indices, (tuple, list)) and all(map(core._is_integer, indices))
+        ):
+            raise InvalidArgument(f"branch indices must be integers, got {indices!r:.80}")
 
     def indices_for(self, count: int) -> tuple[int, ...]:
         if self.branch_indices is None:
@@ -215,8 +223,8 @@ def trig_components(pres: PrincipalPresentation, m: int, theta) -> np.ndarray:
     equal to the exponential at that theta alone.
     """
     n = pres.degree
-    if not 1 <= m <= n - 1:
-        raise InvalidPower(f"m must lie in [1, {n - 1}], got {m}")
+    if not core._is_integer(m) or not 1 <= m <= n - 1:
+        raise InvalidPower(f"m must be an integer in [1, {n - 1}], got {m!r}")
     thetas = np.asarray(theta, dtype=float)
     coords = np.zeros((thetas.size, n))
     coords[:, m] = thetas.ravel()

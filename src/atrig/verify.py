@@ -53,19 +53,19 @@ def preset_grid(dims=range(2, 7), kinds=core.PRESET_KINDS) -> list[PrincipalPres
     return [preset(kind, n) for kind in kinds for n in dims]
 
 
-def random_depressed_presentation(
-    rng: np.random.Generator, degree: int, coeff_range: float = 2.0
-) -> PrincipalPresentation:
-    coeffs = rng.uniform(-coeff_range, coeff_range, degree)
+def random_depressed_presentation(rng: np.random.Generator, degree: int) -> PrincipalPresentation:
+    """A depressed modulus of ``degree`` with coefficients uniform in [-2, 2]."""
+    coeffs = rng.uniform(-2.0, 2.0, degree)
     coeffs[-1] = 0.0
     return make_presentation(coeffs)
 
 
 def random_semisimple_presentation(
-    rng: np.random.Generator, degree: int, coeff_range: float = 2.0, attempts: int = 50
+    rng: np.random.Generator, degree: int
 ) -> tuple[PrincipalPresentation, SpectralDecomposition]:
-    for _ in range(attempts):
-        pres = random_depressed_presentation(rng, degree, coeff_range)
+    """The first of up to 50 depressed draws that ``find_roots`` accepts, and its roots."""
+    for _ in range(50):
+        pres = random_depressed_presentation(rng, degree)
         try:
             return pres, find_roots(pres)
         except NonSemisimple:
@@ -73,9 +73,7 @@ def random_semisimple_presentation(
     raise RuntimeError("could not draw a semisimple presentation")
 
 
-def random_rational_presentation(
-    rng: np.random.Generator, degree: int
-) -> PrincipalPresentation:
+def random_rational_presentation(rng: np.random.Generator, degree: int) -> PrincipalPresentation:
     # Eighth-step coefficients in [-1/4, 1/4]: exact dyadic rationals whose
     # roots stay small enough that absolute 1e-9 residual checks are
     # meaningful in double precision even for fourth powers of components.
@@ -124,11 +122,11 @@ def _case_label(pres: PrincipalPresentation, index: int | None = None) -> str:
     return f"deg {pres.degree}"
 
 
-def _cases(rng, grid, n_random: int, degrees, draw) -> list[tuple[str, PrincipalPresentation]]:
-    """The labelled presets of ``grid``, then ``n_random`` presentations
+def _cases(rng, grid, count: int, degrees, draw) -> list[tuple[str, PrincipalPresentation]]:
+    """The labelled presets of ``grid``, then ``count`` presentations
     drawn by ``draw(rng, degree)`` at degrees drawn from ``degrees``."""
     cases = [(_case_label(p), p) for p in grid]
-    for i in range(n_random):
+    for i in range(count):
         pres = draw(rng, int(rng.integers(degrees[0], degrees[1] + 1)))
         cases.append((_case_label(pres, i), pres))
     return cases
@@ -186,32 +184,20 @@ def _unit_deviations(batches) -> list[np.ndarray]:
     return out
 
 
-def kthagorean_suite(
-    theta_samples: int = 100,
-    tol: float = 1e-9,
-    seed: int = 0,
-    n_random: int = 50,
-    degrees=(2, 6),
-    coeff_range: float = 2.0,
-) -> SuiteReport:
-    """max |F(exp(k theta)) - 1| over random theta, for presets and random
-    depressed presentations; the determinant of exp(k theta) must be 1.
+def kthagorean_suite(samples: int = 100, tol: float = 1e-9, seed: int = 0) -> SuiteReport:
+    """max |F(exp(k theta)) - 1| over ``samples`` random theta, for the
+    presets and 50 random depressed presentations of degrees 2-6 with
+    coefficients in [-2, 2]; the determinant of exp(k theta) must be 1.
 
     Every case draws its angles first, in case order; then each degree
     takes one exponential and one determinant over all its cases' rows.
     """
     rng = np.random.default_rng(seed)
-    cases = _cases(
-        rng,
-        preset_grid(),
-        n_random,
-        degrees,
-        lambda rng, degree: random_depressed_presentation(rng, degree, coeff_range),
-    )
+    cases = _cases(rng, preset_grid(), 50, (2, 6), random_depressed_presentation)
     batches = []
     for _, pres in cases:
-        coords = np.zeros((theta_samples, pres.degree))
-        coords[:, 1] = rng.uniform(-3.0, 3.0, theta_samples)  # k theta
+        coords = np.zeros((samples, pres.degree))
+        coords[:, 1] = rng.uniform(-3.0, 3.0, samples)  # k theta
         batches.append((pres, coords))
     rows = [
         (label, float(deviations.max(initial=0.0)), tol)
@@ -221,13 +207,13 @@ def kthagorean_suite(
 
 
 WITNESS_THRESHOLD = 1e-3
+#: Tolerance of the roundtrip suite's Re(log z) = log(modulus z) rows.
+RE_LAW_TOL = 1e-9
 
 
-def pure_power_suite(
-    theta_samples: int = 100, tol: float = 1e-9, seed: int = 0
-) -> SuiteReport:
-    """F(exp(k^m theta)) = 1 for every m on pure-power presets, plus a
-    counterexample search on k^3 + k showing the condition is necessary.
+def pure_power_suite(samples: int = 100, tol: float = 1e-9, seed: int = 0) -> SuiteReport:
+    """F(exp(k^m theta)) = 1 at ``samples`` random theta for every m on pure-power presets,
+    plus a counterexample search on k^3 + k showing the condition is necessary.
 
     Every preset draws its angles first, by m; then each degree takes one
     exponential and one determinant over all its presets' rows.
@@ -238,12 +224,12 @@ def pure_power_suite(
     for pres in presets:
         # k^m theta for every m, thetas drawn by m.
         n = pres.degree
-        coords = np.zeros((n - 1, theta_samples, n))
-        coords[range(n - 1), :, range(1, n)] = rng.uniform(-3.0, 3.0, (n - 1, theta_samples))
+        coords = np.zeros((n - 1, samples, n))
+        coords[range(n - 1), :, range(1, n)] = rng.uniform(-3.0, 3.0, (n - 1, samples))
         batches.append((pres, coords.reshape(-1, n)))
     rows = []
     for pres, deviations in zip(presets, _unit_deviations(batches)):
-        for m, per_m in enumerate(deviations.reshape(pres.degree - 1, theta_samples), start=1):
+        for m, per_m in enumerate(deviations.reshape(pres.degree - 1, samples), start=1):
             rows.append((f"{_case_label(pres)} m={m}", float(per_m.max(initial=0.0)), tol))
 
     # Necessity direction: with a nonzero intermediate coefficient the
@@ -256,25 +242,21 @@ def pure_power_suite(
     return _report("only-pure-power", tol, rows, checks=[witness])
 
 
-def lemma_suite(
-    n_random: int = 20,
-    tol: float = 1e-6,
-    h: float = 1e-5,
-    seed: int = 0,
-    thetas_per_case: int = 3,
-    degrees=(2, 6),
-) -> SuiteReport:
+def lemma_suite(samples: int = 20, tol: float = 1e-6, seed: int = 0) -> SuiteReport:
     """Finite-difference check of the column relations of M(exp(k theta)):
-    u_i' = u_{i+1} for i < n, and u_n' = -sum_j c_j u_{j+1}."""
+    u_i' = u_{i+1} for i < n, and u_n' = -sum_j c_j u_{j+1}, by central
+    differences with h = 1e-5 at 3 angles on each of ``samples`` random
+    depressed presentations of degrees 2-6."""
+    h = 1e-5
     rng = np.random.default_rng(seed)
     rows = []
-    for i in range(n_random):
-        degree = int(rng.integers(degrees[0], degrees[1] + 1))
+    for i in range(samples):
+        degree = int(rng.integers(2, 7))
         pres = random_depressed_presentation(rng, degree)
         c = np.array(pres.modulus_coeffs)
-        thetas = rng.uniform(-1.5, 1.5, thetas_per_case)
-        samples = trig_components(pres, 1, np.stack([thetas + h, thetas - h, thetas]))
-        plus, minus, centre = core._rep_stack(samples, core._fold_table(pres.modulus_coeffs))
+        thetas = rng.uniform(-1.5, 1.5, 3)
+        exps = trig_components(pres, 1, np.stack([thetas + h, thetas - h, thetas]))
+        plus, minus, centre = core._rep_stack(exps, core._fold_table(pres.modulus_coeffs))
         derivative = (plus - minus) / (2.0 * h)
         expected = np.empty_like(centre)
         expected[..., : degree - 1] = centre[..., 1:]
@@ -284,23 +266,16 @@ def lemma_suite(
     return _report("lemma", tol, rows)
 
 
-def roundtrip_suite(
-    samples: int = 500,
-    tol: float = 1e-8,
-    re_law_tol: float = 1e-9,
-    seed: int = 0,
-    n_random: int = 10,
-    degrees=(2, 6),
-) -> SuiteReport:
-    """exp(log(z)) = z on sampled logarithmic-domain elements, for the
-    semisimple path (presets plus random semisimple presentations) and the
-    nil path; plus Re(log z) = log(modulus z) on pure-power presets."""
+def roundtrip_suite(samples: int = 500, tol: float = 1e-8, seed: int = 0) -> SuiteReport:
+    """exp(log(z)) = z on ``samples`` logarithmic-domain elements per case, for the semisimple
+    path (presets plus 10 random semisimple presentations of degrees 2-6) and the nil path;
+    plus Re(log z) = log(modulus z) on pure-power presets, to ``RE_LAW_TOL``."""
     rng = np.random.default_rng(seed)
     cases = _cases(
         rng,
         preset_grid(kinds=("hyperbolic", "complicated")),
-        n_random,
-        degrees,
+        10,
+        (2, 6),
         lambda rng, degree: random_semisimple_presentation(rng, degree)[0],
     )
     cases += [(_case_label(pres), pres) for pres in preset_grid(kinds=("nil",))]
@@ -317,7 +292,7 @@ def roundtrip_suite(
         z = random_ld_samples(rng, pres, dec, samples)
         real_parts = _log_coords(z, pres, _PRINCIPAL, dec)[:, 0]
         residual = _worst_deviation(real_parts, np.log(_modulus_coords(z, pres)))
-        rows.append((f"re-law:{_case_label(pres)}", residual, re_law_tol))
+        rows.append((f"re-law:{_case_label(pres)}", residual, RE_LAW_TOL))
     return _report("roundtrip", tol, rows)
 
 
@@ -337,24 +312,16 @@ def polar_suite(samples: int = 200, tol: float = 1e-8, seed: int = 0) -> SuiteRe
     return _report("polar", tol, rows)
 
 
-def identities_suite(
-    samples: int = 200,
-    tol: float = 1e-9,
-    seed: int = 0,
-    n_random: int = 20,
-    dims=range(2, 6),
-    max_power: int = 4,
-) -> SuiteReport:
-    """Numeric certification of generated identities on presets of dims 2-5
-    and random rational-coefficient presentations."""
+def identities_suite(samples: int = 200, tol: float = 1e-9, seed: int = 0) -> SuiteReport:
+    """Numeric certification at ``samples`` points of the adding-angle and
+    De Moivre powers 1-4 identities, on presets of degrees 2-5 and 20 random
+    rational-coefficient presentations of degrees 2-5."""
     rng = np.random.default_rng(seed)
-    cases = _cases(
-        rng, preset_grid(dims=dims), n_random, (min(dims), max(dims)), random_rational_presentation
-    )
+    cases = _cases(rng, preset_grid(dims=range(2, 6)), 20, (2, 5), random_rational_presentation)
     rows = []
     for index, (label, pres) in enumerate(cases):
-        labels = ["add-angle"] + [f"de-moivre-{p}" for p in range(1, max_power + 1)]
-        sets = [adding_angle(pres)] + [de_moivre(pres, p) for p in range(1, max_power + 1)]
+        labels = ["add-angle"] + [f"de-moivre-{p}" for p in range(1, 5)]
+        sets = [adding_angle(pres)] + [de_moivre(pres, p) for p in range(1, 5)]
         # Each set of a case draws its own samples; one exponential serves them all.
         seeds = [seed + 97 * index + offset for offset in range(1, len(sets) + 1)]
         for kind_label, report in zip(labels, _verify_sets(sets, seeds, samples, tol)):
@@ -404,18 +371,17 @@ def crt_suite(samples: int = 500, tol: float = 1e-9, seed: int = 0) -> SuiteRepo
     return _report("crt", tol, rows, checks=rejections)
 
 
-# Suite name -> (suite function, the parameter that --samples sets).  The
-# function is looked up on the module when the suite runs, so a wrapper
-# rebound onto the module is the one called.  Every default lives in the
-# function's signature.
+# Suite name -> suite function, each taking (samples, tol, seed).  The function is looked
+# up on the module when the suite runs, so a wrapper rebound onto the module is the one
+# called.  Every default lives in the function's signature.
 _SUITES = {
-    "kthagorean": ("kthagorean_suite", "theta_samples"),
-    "lemma": ("lemma_suite", "n_random"),
-    "roundtrip": ("roundtrip_suite", "samples"),
-    "identities": ("identities_suite", "samples"),
-    "only-pure-power": ("pure_power_suite", "theta_samples"),
-    "polar": ("polar_suite", "samples"),
-    "crt": ("crt_suite", "samples"),
+    "kthagorean": "kthagorean_suite",
+    "lemma": "lemma_suite",
+    "roundtrip": "roundtrip_suite",
+    "identities": "identities_suite",
+    "only-pure-power": "pure_power_suite",
+    "polar": "polar_suite",
+    "crt": "crt_suite",
 }
 
 SUITE_NAMES = tuple(_SUITES)
@@ -427,8 +393,8 @@ def run_suite(
     """Run a suite by name; ``samples`` and ``tol`` left as None keep the
     suite's defaults."""
     try:
-        function, samples_parameter = _SUITES[name]
+        function = _SUITES[name]
     except KeyError:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}") from None
-    given = {samples_parameter: samples, "tol": tol}
+    given = {"samples": samples, "tol": tol}
     return globals()[function](seed=seed, **{k: v for k, v in given.items() if v is not None})

@@ -35,9 +35,7 @@ def _failures(report):
 
 def test_criterion_1_kthagorean_sweep():
     started = time.perf_counter()
-    report = verify.kthagorean_suite(
-        theta_samples=100, tol=1e-9, seed=SEED, n_random=50, degrees=(2, 6)
-    )
+    report = verify.kthagorean_suite(samples=100, tol=1e-9, seed=SEED)
     elapsed = time.perf_counter() - started
     ok = report.passed and elapsed < 10.0
     _report(
@@ -51,7 +49,7 @@ def test_criterion_1_kthagorean_sweep():
 
 
 def test_criterion_2_pure_power_gate():
-    report = verify.pure_power_suite(theta_samples=100, tol=1e-9, seed=SEED)
+    report = verify.pure_power_suite(samples=100, tol=1e-9, seed=SEED)
     witness = [row for row in report.details if "witness" in row["case"]]
     ok = report.passed and witness and witness[0]["residual"] > 1e-3
     _report(
@@ -67,7 +65,7 @@ def test_criterion_2_pure_power_gate():
 
 
 def test_criterion_3_column_derivative_lemma():
-    report = verify.lemma_suite(n_random=20, tol=1e-6, h=1e-5, seed=SEED)
+    report = verify.lemma_suite(samples=20, tol=1e-6, seed=SEED)
     _report(
         3,
         "finite-difference column relations on 20 random depressed presentations",
@@ -78,9 +76,7 @@ def test_criterion_3_column_derivative_lemma():
 
 
 def test_criterion_4_log_roundtrip():
-    report = verify.roundtrip_suite(
-        samples=500, tol=1e-8, re_law_tol=1e-9, seed=SEED, n_random=10
-    )
+    report = verify.roundtrip_suite(samples=500, tol=1e-8, seed=SEED)
     roundtrips = [row for row in report.details if row["case"].startswith("roundtrip:")]
     re_law = [row for row in report.details if row["case"].startswith("re-law:")]
     _report(
@@ -157,9 +153,7 @@ def test_criterion_6_golden_identities():
 
 
 def test_criterion_7_identity_certification():
-    report = verify.identities_suite(
-        samples=200, tol=1e-9, seed=SEED, n_random=20, dims=range(2, 6), max_power=4
-    )
+    report = verify.identities_suite(samples=200, tol=1e-9, seed=SEED)
 
     h3 = preset("hyperbolic", 3)
     ids = adding_angle(h3)

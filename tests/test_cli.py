@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: wire formats, exit codes, determinism."""
 
+import inspect
 import json
 import math
 import sys
@@ -78,6 +79,25 @@ def test_algebra_file(capsys, tmp_path):
     assert json.loads(out)["exp"] == pytest.approx([1.0, 0.0])
 
 
+@pytest.mark.parametrize(
+    "document",
+    [
+        '{"coeffs": 5}',
+        "[1, 2]",
+        '{"coeffs": [1, null]}',
+        '{"coeffs": [1, 2], "label": 7}',
+        '{"coeffs": "12"}',
+    ],
+)
+def test_malformed_algebra_file_exits_two(capsys, tmp_path, document):
+    path = tmp_path / "algebra.json"
+    path.write_text(document)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "--algebra-file", str(path), "exp", "--z", "0,0")
+    assert exc.value.code == 2
+    assert "cannot load algebra file" in capsys.readouterr().err
+
+
 def test_identity_latex(capsys):
     code, out, _ = run_cli(
         capsys, "--algebra", "H3", "identity", "add-angle", "--format", "latex"
@@ -134,21 +154,15 @@ def test_verify_suite_passes(capsys, suite):
     assert all("residual" in row for row in data["details"])
 
 
-_SAMPLES_PARAMETER = {
-    "kthagorean": ("kthagorean_suite", "theta_samples"),
-    "lemma": ("lemma_suite", "n_random"),
-    "roundtrip": ("roundtrip_suite", "samples"),
-    "identities": ("identities_suite", "samples"),
-    "only-pure-power": ("pure_power_suite", "theta_samples"),
-    "polar": ("polar_suite", "samples"),
-    "crt": ("crt_suite", "samples"),
-}
+@pytest.mark.parametrize("suite", verify.SUITE_NAMES)
+def test_every_suite_takes_samples_tol_and_seed(suite):
+    parameters = inspect.signature(getattr(verify, verify._SUITES[suite])).parameters
+    assert list(parameters) == ["samples", "tol", "seed"]
 
 
 @pytest.mark.parametrize("suite", verify.SUITE_NAMES)
 def test_run_suite_is_the_direct_call(suite):
-    function, parameter = _SAMPLES_PARAMETER[suite]
-    direct = getattr(verify, function)(**{parameter: 2}, tol=1e-3, seed=5)
+    direct = getattr(verify, verify._SUITES[suite])(samples=2, tol=1e-3, seed=5)
     assert verify.run_suite(suite, 2, 1e-3, 5) == direct
 
 

@@ -83,6 +83,23 @@ def test_make_presentation_rejects_bad_input():
 
 
 @pytest.mark.parametrize(
+    "document",
+    [
+        {"coeffs": 5},
+        [1, 2],
+        {"coeffs": [1, None]},
+        {"coeffs": [1, 2], "label": 7},
+        {"coeffs": "12"},
+        {"coeffs": [1, [2, 3]]},
+        {"label": "no coefficients"},
+    ],
+)
+def test_malformed_algebra_documents_are_refused(document):
+    with pytest.raises(InvalidArgument):
+        PrincipalPresentation.from_json_dict(document)
+
+
+@pytest.mark.parametrize(
     "kind, n, coeffs",
     [
         ("hyperbolic", 3, (-1.0, 0.0, 0.0)),

@@ -487,7 +487,7 @@ def test_stacked_certification_equals_per_set_calls(pres):
 
 
 def test_identities_suite_equals_per_set_certification(monkeypatch):
-    stacked = verify.identities_suite(samples=20, seed=5, n_random=4).to_json_dict()
+    stacked = verify.identities_suite(samples=20, seed=5).to_json_dict()
     monkeypatch.setattr(
         verify,
         "_verify_sets",
@@ -495,7 +495,7 @@ def test_identities_suite_equals_per_set_certification(monkeypatch):
             verify_identity(ids, samples, tol, seed) for ids, seed in zip(sets, seeds)
         ],
     )
-    assert verify.identities_suite(samples=20, seed=5, n_random=4).to_json_dict() == stacked
+    assert verify.identities_suite(samples=20, seed=5).to_json_dict() == stacked
 
 
 def test_identities_suite_builds_each_dense_form_once(monkeypatch):
@@ -512,7 +512,7 @@ def test_identities_suite_builds_each_dense_form_once(monkeypatch):
     dense.__set_name__(IdentitySet, "_dense")
     monkeypatch.setattr(IdentitySet, "_dense", dense)
     monkeypatch.setattr(SymPoly, "evaluate", refuse)
-    report = verify.identities_suite(samples=10, seed=3, n_random=2)
+    report = verify.identities_suite(samples=10, seed=3)
     assert report.passed
     assert len(built) == len({id(ids) for ids in built}) == report.cases
     dense = built[0]._dense

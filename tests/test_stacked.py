@@ -357,7 +357,7 @@ def test_one_stacked_exponential_per_identities_case(monkeypatch):
     from atrig import verify
 
     calls = _count_exponentials(monkeypatch)
-    report = verify.identities_suite(samples=10, seed=0, n_random=3)
+    report = verify.identities_suite(samples=10, seed=0)
     cases = report.cases // 5  # adding angle and De Moivre powers 1-4 per case
     # alpha, beta, alpha+beta for adding angle; alpha, p*alpha for each power.
     rows = 10 * (3 + 2 * 4)
@@ -368,7 +368,7 @@ def test_one_stacked_exponential_per_pure_power_preset(monkeypatch):
     from atrig import verify
 
     calls = _count_exponentials(monkeypatch)
-    verify.pure_power_suite(theta_samples=10, seed=0)
+    verify.pure_power_suite(samples=10, seed=0)
     # Every m of every preset of a degree in one call (H_n, C_n and Gamma_n),
     # then the k^3 + k witness.
     want = [("_exp_coords", 3 * 10 * (n - 1)) for n in range(2, 7)]
@@ -379,7 +379,7 @@ def test_one_stacked_exponential_per_kthagorean_degree(monkeypatch):
     from atrig import verify
 
     calls = _count_exponentials(monkeypatch)
-    report = verify.kthagorean_suite(theta_samples=10, seed=0, n_random=7)
+    report = verify.kthagorean_suite(samples=10, seed=0)
     degrees = [pres.degree for pres in verify.preset_grid()]
     degrees += [int(row["case"].split("deg ")[1][:-1]) for row in report.details[len(degrees) :]]
     # One call per degree, in the order the degrees first appear.
@@ -389,14 +389,10 @@ def test_one_stacked_exponential_per_kthagorean_degree(monkeypatch):
 def test_kthagorean_suite_equals_one_exponential_per_case():
     from atrig import trig_components, verify
 
-    report = verify.kthagorean_suite(theta_samples=15, seed=4, n_random=9)
+    report = verify.kthagorean_suite(samples=15, seed=4)
     rng = np.random.default_rng(4)
     cases = verify._cases(
-        rng,
-        verify.preset_grid(),
-        9,
-        (2, 6),
-        lambda rng, degree: verify.random_depressed_presentation(rng, degree, 2.0),
+        rng, verify.preset_grid(), 50, (2, 6), verify.random_depressed_presentation
     )
     want = []
     for label, pres in cases:
@@ -409,7 +405,7 @@ def test_kthagorean_suite_equals_one_exponential_per_case():
 def test_pure_power_suite_equals_one_exponential_per_m():
     from atrig import trig_components, verify
 
-    report = verify.pure_power_suite(theta_samples=15, seed=3)
+    report = verify.pure_power_suite(samples=15, seed=3)
     rng = np.random.default_rng(3)
     want = []
     for pres in verify.preset_grid():

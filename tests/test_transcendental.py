@@ -467,6 +467,20 @@ def test_log_branches(c2):
         log(z, BranchSpec((0, 1)))
 
 
+@pytest.mark.parametrize("indices", [(1.5,), ("a",), (True,), 1])
+def test_branch_spec_refuses_non_integer_indices(indices):
+    # (1.5,) used to shift the angle by 3 pi, a logarithm of -z.
+    with pytest.raises(InvalidArgument):
+        BranchSpec(indices)
+
+
+def test_branch_spec_takes_numpy_integers(c2):
+    z = c2.element([1.0, 1.0])
+    np.testing.assert_array_equal(
+        log(z, BranchSpec((np.int64(1),))).coords, log(z, BranchSpec((1,))).coords
+    )
+
+
 def test_log_branch_on_nil_path(gamma2):
     z = gamma2.element([2.0, 1.0])
     np.testing.assert_allclose(
@@ -732,6 +746,19 @@ def test_trig_components_shapes(h3):
     grid = trig_components(h3, 2, np.linspace(-1, 1, 6).reshape(2, 3))
     assert grid.shape == (2, 3, 3)
     assert trig_components(h3, 1, []).shape == (0, 3)
+
+
+@pytest.mark.parametrize("m", [True, 1.5, 2.0, "1"])
+def test_trig_components_refuses_a_non_integer_m(h3, m):
+    # True used to select every column, giving exp(theta (1 + k + k^2)).
+    with pytest.raises(InvalidPower):
+        trig_components(h3, m, 0.3)
+
+
+def test_trig_components_takes_a_numpy_integer_m(h3):
+    np.testing.assert_array_equal(
+        trig_components(h3, np.int64(1), 0.3), trig_components(h3, 1, 0.3)
+    )
 
 
 def test_trig_components_invalid_power_with_array(h3):
