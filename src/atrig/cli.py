@@ -181,8 +181,8 @@ def _parse_branch(text: str | None, parser: argparse.ArgumentParser) -> BranchSp
         return None
     try:
         return BranchSpec(tuple(int(p) for p in text.split(",")))
-    except ValueError:
-        parser.error(f"bad branch list {text!r}")
+    except ValueError as exc:
+        parser.error(f"bad branch list {text!r}: {exc}")
 
 
 def _seed(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:

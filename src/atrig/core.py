@@ -143,7 +143,7 @@ def preset(kind: str, n: int) -> PrincipalPresentation:
     """Standard families: hyperbolic k^n = 1, complicated k^n = -1, nil k^n = 0."""
     if kind not in PRESET_KINDS:
         raise InvalidKind(f"kind must be one of {PRESET_KINDS}, got {kind!r}")
-    if not isinstance(n, numbers.Integral) or n < 1:
+    if not _is_integer(n) or n < 1:
         raise InvalidDegree(f"degree must be a positive integer, got {n!r}")
     n = int(n)
     coeffs = [0.0] * n

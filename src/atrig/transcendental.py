@@ -40,12 +40,17 @@ from .errors import (
 from .spectral import SpectralDecomposition, _component_values, _interpolate, find_roots
 
 
+#: Largest branch index magnitude: past 2**53, float(b) is no longer exact.
+_MAX_BRANCH_INDEX = 2**53
+
+
 @dataclass(frozen=True)
 class BranchSpec:
     """Per conjugate pair integer b shifting the complex log by 2*pi*b.
 
     ``None`` means the principal branch for every pair.  Anything but a
-    tuple or list of integers raises ``InvalidArgument``.
+    tuple or list of integers of magnitude at most 2**53 raises
+    ``InvalidArgument``.
     """
 
     branch_indices: tuple[int, ...] | None = None
@@ -56,6 +61,10 @@ class BranchSpec:
             isinstance(indices, (tuple, list)) and all(map(core._is_integer, indices))
         ):
             raise InvalidArgument(f"branch indices must be integers, got {indices!r:.80}")
+        if indices is not None and any(abs(int(b)) > _MAX_BRANCH_INDEX for b in indices):
+            raise InvalidArgument(
+                f"branch indices must be at most 2**53 in magnitude, got {indices!r:.80}"
+            )
 
     def indices_for(self, count: int) -> tuple[int, ...]:
         if self.branch_indices is None:
@@ -331,7 +340,7 @@ def _log_coords(
     angles = logs.imag
     angles[angles <= -np.pi] = np.pi  # the principal angle lies in (-pi, pi]
     if spec.branch_indices is not None:
-        angles[:, r::2] += 2.0 * np.pi * np.array(indices)
+        angles[:, r::2] += 2.0 * np.pi * np.array(indices, dtype=float)
     np.conjugate(logs[:, r::2], out=logs[:, r + 1 :: 2])
     out = _interpolate(logs, dec)
     if overflowed is not None:

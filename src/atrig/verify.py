@@ -81,6 +81,23 @@ def random_rational_presentation(rng: np.random.Generator, degree: int) -> Princ
     return make_presentation(coeffs)
 
 
+def _ld_draws(
+    rng: np.random.Generator,
+    pres: PrincipalPresentation,
+    dec: SpectralDecomposition | None,
+    count: int,
+) -> np.ndarray:
+    """The random elements (count, n) whose exponentials ``random_ld_samples``
+    returns: coordinates uniform in [-1, 1], scaled down so that no
+    component value exceeds 2 in modulus when ``dec`` is given."""
+    w = rng.uniform(-1.0, 1.0, (count, pres.degree))
+    if dec is not None:
+        peaks = np.abs(_component_values(w, dec)).max(axis=1)
+        capped = peaks > 2.0
+        w[capped] *= (2.0 / peaks[capped])[:, None]
+    return w
+
+
 def random_ld_samples(
     rng: np.random.Generator,
     pres: PrincipalPresentation,
@@ -93,12 +110,7 @@ def random_ld_samples(
 
     The draws are those of ``count`` successive ``random_ld_sample`` calls.
     """
-    w = rng.uniform(-1.0, 1.0, (count, pres.degree))
-    if dec is not None:
-        peaks = np.abs(_component_values(w, dec)).max(axis=1)
-        capped = peaks > 2.0
-        w[capped] *= (2.0 / peaks[capped])[:, None]
-    return _exp_coords(w, core._fold_table(pres.modulus_coeffs))
+    return _exp_coords(_ld_draws(rng, pres, dec, count), core._fold_table(pres.modulus_coeffs))
 
 
 def random_ld_sample(
@@ -161,12 +173,12 @@ def _unit_deviation(pres: PrincipalPresentation, exps: np.ndarray) -> np.ndarray
     return np.abs(np.linalg.det(reps) - 1.0)
 
 
-def _unit_deviations(batches) -> list[np.ndarray]:
-    """|F(exp(w)) - 1| for every row w of every ``(pres, coords)`` of
-    ``batches``, as one array per batch.
+def _by_degree(batches, kernel) -> list[np.ndarray]:
+    """``kernel(rows, folds)`` over the rows of every ``(pres, coords)`` of
+    ``batches``, split back into one array per batch.
 
-    The batches of one degree share one stacked exponential and one stacked
-    determinant, each row carrying its own presentation's fold table, so
+    The batches of one degree share one kernel call, each row carrying its
+    own presentation's fold table (``folds`` has shape (m, n, 2n - 1)), so
     every row equals its value from a call on its batch alone, bit for bit.
     """
     by_degree: dict[int, list[int]] = {}
@@ -177,11 +189,37 @@ def _unit_deviations(batches) -> list[np.ndarray]:
         sizes = [len(batches[i][1]) for i in group]
         tables = [core._fold_table(batches[i][0].modulus_coeffs) for i in group]
         folds = np.repeat(np.stack(tables), sizes, axis=0)
-        exps = _exp_coords(np.concatenate([batches[i][1] for i in group]), folds)
-        deviations = np.abs(np.linalg.det(core._rep_stack(exps, folds)) - 1.0)
-        for i, part in zip(group, np.split(deviations, np.cumsum(sizes)[:-1])):
+        values = kernel(np.concatenate([batches[i][1] for i in group]), folds)
+        for i, part in zip(group, np.split(values, np.cumsum(sizes)[:-1])):
             out[i] = part
     return out
+
+
+def _exps(batches) -> list[np.ndarray]:
+    """exp of every row of every ``(pres, coords)`` of ``batches``, as one
+    array per batch: one stacked exponential per degree."""
+    return _by_degree(batches, _exp_coords)
+
+
+def _unit_deviations(batches) -> list[np.ndarray]:
+    """|F(exp(w)) - 1| for every row w of every ``(pres, coords)`` of
+    ``batches``, as one array per batch: one stacked exponential and one
+    stacked determinant per degree."""
+
+    def deviations(rows, folds):
+        exps = _exp_coords(rows, folds)
+        return np.abs(np.linalg.det(core._rep_stack(exps, folds)) - 1.0)
+
+    return _by_degree(batches, deviations)
+
+
+def _ld_batches(rng, presentations, samples: int):
+    """Each presentation's decomposition (None if nil) and ``samples``
+    log-domain samples, drawn in order as ``random_ld_samples`` draws them,
+    then exponentiated in one stacked call per degree."""
+    decs = [_decomposition(pres) for pres in presentations]
+    draws = [(pres, _ld_draws(rng, pres, dec, samples)) for pres, dec in zip(presentations, decs)]
+    return decs, _exps(draws)
 
 
 def kthagorean_suite(samples: int = 100, tol: float = 1e-9, seed: int = 0) -> SuiteReport:
@@ -269,7 +307,13 @@ def lemma_suite(samples: int = 20, tol: float = 1e-6, seed: int = 0) -> SuiteRep
 def roundtrip_suite(samples: int = 500, tol: float = 1e-8, seed: int = 0) -> SuiteReport:
     """exp(log(z)) = z on ``samples`` logarithmic-domain elements per case, for the semisimple
     path (presets plus 10 random semisimple presentations of degrees 2-6) and the nil path;
-    plus Re(log z) = log(modulus z) on pure-power presets, to ``RE_LAW_TOL``."""
+    plus Re(log z) = log(modulus z) on pure-power presets, to ``RE_LAW_TOL``.
+
+    Every case draws its samples first, round trips then re-law cases; each
+    degree takes one exponential over all of them.  ``log`` and ``modulus``
+    run per case, each on its own decomposition, and the exponentials back
+    take one call per degree.
+    """
     rng = np.random.default_rng(seed)
     cases = _cases(
         rng,
@@ -279,17 +323,17 @@ def roundtrip_suite(samples: int = 500, tol: float = 1e-8, seed: int = 0) -> Sui
         lambda rng, degree: random_semisimple_presentation(rng, degree)[0],
     )
     cases += [(_case_label(pres), pres) for pres in preset_grid(kinds=("nil",))]
-    rows = []
-    for label, pres in cases:
-        dec = _decomposition(pres)
-        z = random_ld_samples(rng, pres, dec, samples)
-        logs = _log_coords(z, pres, _PRINCIPAL, dec)
-        back = _exp_coords(logs, core._fold_table(pres.modulus_coeffs))
-        rows.append((f"roundtrip:{label}", _worst_deviation(back, z), tol))
-
-    for pres in preset_grid():
-        dec = _decomposition(pres)
-        z = random_ld_samples(rng, pres, dec, samples)
+    laws = preset_grid()
+    decs, zs = _ld_batches(rng, [pres for _, pres in cases] + laws, samples)
+    logs = [
+        (pres, _log_coords(z, pres, _PRINCIPAL, dec))
+        for (_, pres), dec, z in zip(cases, decs, zs)
+    ]
+    rows = [
+        (f"roundtrip:{label}", _worst_deviation(back, z), tol)
+        for (label, _), z, back in zip(cases, zs, _exps(logs))
+    ]
+    for pres, dec, z in zip(laws, decs[len(cases) :], zs[len(cases) :]):
         real_parts = _log_coords(z, pres, _PRINCIPAL, dec)[:, 0]
         residual = _worst_deviation(real_parts, np.log(_modulus_coords(z, pres)))
         rows.append((f"re-law:{_case_label(pres)}", residual, RE_LAW_TOL))
@@ -298,17 +342,25 @@ def roundtrip_suite(samples: int = 500, tol: float = 1e-8, seed: int = 0) -> Sui
 
 def polar_suite(samples: int = 200, tol: float = 1e-8, seed: int = 0) -> SuiteReport:
     """exp(log(rho) + arg) = z on pure-power presets, rho = F(z)^(1/n) by the determinant and
-    arg by ``log``: the independent check of ``modulus``, which ``polar`` does not use."""
+    arg by ``log``: the independent check of ``modulus``, which ``polar`` does not use.
+
+    Every preset draws its samples first; each degree takes one exponential
+    over all of them, ``log`` and ``modulus`` run per preset, and the
+    exponentials back take one call per degree.
+    """
     rng = np.random.default_rng(seed)
-    rows = []
-    for pres in preset_grid():
-        dec = _decomposition(pres)
-        z = random_ld_samples(rng, pres, dec, samples)
+    presets = preset_grid()
+    decs, zs = _ld_batches(rng, presets, samples)
+    recombined = []
+    for pres, dec, z in zip(presets, decs, zs):
         log_rho = np.log(_modulus_coords(z, pres))
-        recombined = _log_coords(z, pres, _PRINCIPAL, dec)  # the argument ...
-        recombined[:, 0] = log_rho  # ... plus log(rho)
-        back = _exp_coords(recombined, core._fold_table(pres.modulus_coeffs))
-        rows.append((_case_label(pres), _worst_deviation(back, z), tol))
+        coords = _log_coords(z, pres, _PRINCIPAL, dec)  # the argument ...
+        coords[:, 0] = log_rho  # ... plus log(rho)
+        recombined.append((pres, coords))
+    rows = [
+        (_case_label(pres), _worst_deviation(back, z), tol)
+        for pres, z, back in zip(presets, zs, _exps(recombined))
+    ]
     return _report("polar", tol, rows)
 
 

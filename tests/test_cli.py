@@ -57,6 +57,16 @@ def test_arg_with_branch(capsys):
     assert json.loads(out)["arg"] == pytest.approx([0.0, math.pi / 4 + 2 * math.pi])
 
 
+@pytest.mark.parametrize("index", ["1000000000000000000000000000000", "-9007199254740993"])
+def test_branch_index_past_2_53_exits_two(capsys, index):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "--algebra", "C2", "log", "--z", "1,1", "--branch", index)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "bad branch list" in captured.err and "2**53" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_roots(capsys):
     code, out, _ = run_cli(capsys, "--algebra", "H2", "roots")
     assert code == 0

@@ -118,6 +118,16 @@ def test_preset_errors():
         preset("quaternionic", 2)
     with pytest.raises(InvalidDegree):
         preset("hyperbolic", 0)
+    for degree in (True, False, 2.0):
+        with pytest.raises(InvalidDegree):
+            preset("hyperbolic", degree)
+
+
+@pytest.mark.parametrize("degree", [np.int64(3), np.uint8(3), np.int32(3)])
+def test_preset_takes_numpy_integers(degree):
+    pres = preset("complicated", degree)
+    assert pres == preset("complicated", 3)
+    assert pres.label == "C3"
 
 
 def test_presentation_flags():

@@ -23,9 +23,10 @@ from atrig import (
     pythagorean,
     to_components,
 )
+from atrig.core import _fold_table
 from atrig.errors import AlgebraError, IllConditioned, OutsideLogDomain
 from atrig.spectral import UNIT_ROUNDOFF, _component_values, _interpolate, _powers
-from atrig.transcendental import _log_coords, _modulus_coords
+from atrig.transcendental import _exp_coords, _log_coords, _modulus_coords
 from atrig.verify import (
     random_ld_sample,
     random_ld_samples,
@@ -414,3 +415,89 @@ def test_pure_power_suite_equals_one_exponential_per_m():
             deviations = verify._unit_deviation(pres, trig_components(pres, m, thetas))
             want.append(float(deviations.max()))
     assert [row["residual"] for row in report.details[:-1]] == want
+
+
+def _roundtrip_cases(rng):
+    from atrig import verify
+
+    cases = verify._cases(
+        rng,
+        verify.preset_grid(kinds=("hyperbolic", "complicated")),
+        10,
+        (2, 6),
+        lambda rng, degree: random_semisimple_presentation(rng, degree)[0],
+    )
+    return cases + [(verify._case_label(p), p) for p in verify.preset_grid(kinds=("nil",))]
+
+
+def _calls_by_degree(presentations, samples):
+    """One ``_exp_coords`` call per degree, in the order the degrees first
+    appear, over ``samples`` rows of every presentation of that degree."""
+    counts = Counter(pres.degree for pres in presentations)
+    return [("_exp_coords", samples * count) for count in counts.values()]
+
+
+def test_one_stacked_exponential_per_roundtrip_degree(monkeypatch):
+    from atrig import verify
+
+    calls = _count_exponentials(monkeypatch)
+    verify.roundtrip_suite(samples=7, seed=2)
+    trips = [pres for _, pres in _roundtrip_cases(np.random.default_rng(2))]
+    # Every sample of the round trips and of the re-law cases, then every
+    # exponential back.
+    forward = _calls_by_degree(trips + verify.preset_grid(), 7)
+    assert calls == forward + _calls_by_degree(trips, 7)
+
+
+def test_one_stacked_exponential_per_polar_degree(monkeypatch):
+    from atrig import verify
+
+    calls = _count_exponentials(monkeypatch)
+    verify.polar_suite(samples=7, seed=2)
+    want = _calls_by_degree(verify.preset_grid(), 7)
+    assert len(want) == 5
+    assert calls == want * 2  # the samples, then the recombined exponentials
+
+
+def _exp_one_case(coords, pres):
+    return _exp_coords(coords, _fold_table(pres.modulus_coeffs))
+
+
+def _worst(got, want):
+    return float(np.abs(got - want).max(initial=0.0))
+
+
+@pytest.mark.parametrize("samples, seed", [(1, 0), (9, 5), (40, 20170814)])
+def test_roundtrip_suite_equals_one_exponential_per_case(samples, seed):
+    from atrig import verify
+
+    report = verify.roundtrip_suite(samples=samples, seed=seed)
+    rng = np.random.default_rng(seed)
+    want = []
+    for label, pres in _roundtrip_cases(rng):
+        dec = None if pres.is_nil() else find_roots(pres)
+        z = random_ld_samples(rng, pres, dec, samples)
+        back = _exp_one_case(_log_coords(z, pres, BranchSpec(), dec), pres)
+        want.append((f"roundtrip:{label}", _worst(back, z)))
+    for pres in verify.preset_grid():
+        dec = None if pres.is_nil() else find_roots(pres)
+        z = random_ld_samples(rng, pres, dec, samples)
+        real_parts = _log_coords(z, pres, BranchSpec(), dec)[:, 0]
+        want.append((f"re-law:{pres.label}", _worst(real_parts, np.log(_modulus_coords(z, pres)))))
+    assert [(row["case"], row["residual"]) for row in report.details] == want
+
+
+@pytest.mark.parametrize("samples, seed", [(1, 0), (9, 5), (40, 20170814)])
+def test_polar_suite_equals_one_exponential_per_case(samples, seed):
+    from atrig import verify
+
+    report = verify.polar_suite(samples=samples, seed=seed)
+    rng = np.random.default_rng(seed)
+    want = []
+    for pres in verify.preset_grid():
+        dec = None if pres.is_nil() else find_roots(pres)
+        z = random_ld_samples(rng, pres, dec, samples)
+        recombined = _log_coords(z, pres, BranchSpec(), dec)
+        recombined[:, 0] = np.log(_modulus_coords(z, pres))
+        want.append((pres.label, _worst(_exp_one_case(recombined, pres), z)))
+    assert [(row["case"], row["residual"]) for row in report.details] == want

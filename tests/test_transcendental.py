@@ -474,6 +474,18 @@ def test_branch_spec_refuses_non_integer_indices(indices):
         BranchSpec(indices)
 
 
+@pytest.mark.parametrize("index", [2**53 + 1, -(2**53) - 1, 10**30, np.uint64(2**63)])
+def test_branch_spec_refuses_indices_past_2_53(c2, index):
+    # 10**30 used to reach the kernel as an object array, and numpy's add
+    # raised an untyped UFuncTypeError.
+    with pytest.raises(InvalidArgument):
+        BranchSpec((index,))
+    z = c2.element([1.0, 1.0])
+    for edge in (2**53, -(2**53)):
+        shifted = log(z, BranchSpec((edge,))).coords
+        assert shifted[1] == pytest.approx(2.0 * math.pi * edge, rel=1e-15)
+
+
 def test_branch_spec_takes_numpy_integers(c2):
     z = c2.element([1.0, 1.0])
     np.testing.assert_array_equal(
