@@ -236,15 +236,22 @@ def _fold_table(modulus_coeffs: tuple[float, ...]) -> np.ndarray:
     is the one before it times k: shifted one place up, with the k^n that
     falls off the top folded back through k^n = -c_0 - c_1 k - ... -
     c_{n-1} k^{n-1}.  Shared by every presentation with these coefficients.
+
+    A modulus whose reduced powers overflow raises ``InvalidArgument``: every
+    Hankel matrix has zeros that would meet the table's infinities, so no
+    M(z) on it is finite.
     """
     c = np.array(modulus_coeffs, dtype=float)
     n = len(c)
     fold = np.zeros((n, 2 * n - 1))
     fold[:, :n] = np.eye(n)
-    for s in range(n, 2 * n - 1):
-        top = fold[-1, s - 1]
-        fold[0, s] = -c[0] * top
-        fold[1:, s] = fold[:-1, s - 1] - c[1:] * top
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(n, 2 * n - 1):
+            top = fold[-1, s - 1]
+            fold[0, s] = -c[0] * top
+            fold[1:, s] = fold[:-1, s - 1] - c[1:] * top
+    if not np.isfinite(fold).all():
+        raise InvalidArgument(f"the powers of k overflow modulo {list(modulus_coeffs)!r:.80}")
     fold.setflags(write=False)
     return fold
 
@@ -304,13 +311,22 @@ def mul(z: AlgebraElement, w: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(z.presentation, coords)
 
 
+def _require_finite(z: AlgebraElement, operation: str) -> None:
+    if not np.isfinite(z.coords).all():
+        raise InvalidArgument(f"{operation} requires finite coordinates")
+
+
 def pythagorean(z: AlgebraElement) -> float:
-    """Determinant of the regular representation (LU with partial pivoting)."""
+    """Determinant of the regular representation (LU with partial pivoting);
+    non-finite coordinates raise ``InvalidArgument``."""
+    _require_finite(z, "pythagorean")
     return float(np.linalg.det(rep_matrix(z)))
 
 
 def invert(z: AlgebraElement) -> AlgebraElement:
-    """Multiplicative inverse, solving M(z) w = e1."""
+    """Multiplicative inverse, solving M(z) w = e1; non-finite coordinates
+    raise ``InvalidArgument``."""
+    _require_finite(z, "invert")
     matrix = rep_matrix(z)
     # The unit test in logarithms: neither F(z) nor the scale can overflow.
     sign, log_det = np.linalg.slogdet(matrix)
@@ -327,13 +343,17 @@ def invert(z: AlgebraElement) -> AlgebraElement:
 
 
 def _taylor_shift(values: np.ndarray, shift: float) -> np.ndarray:
-    """Coefficients of q(t) = sum_i values[i] (t + shift)^i, same length."""
+    """Coefficients of q(t) = sum_i values[i] (t + shift)^i, same length.
+
+    Coefficients that overflow come back not finite, for the caller to refuse.
+    """
     out = np.zeros_like(values, dtype=float)
-    for v in values[::-1]:
-        # out <- out * (t + shift) + v; the top coefficient is zero before
-        # the final multiply, so the degree never overflows the buffer.
-        out[1:] = out[:-1] + shift * out[1:]
-        out[0] = shift * out[0] + v
+    with np.errstate(over="ignore", invalid="ignore"):
+        for v in values[::-1]:
+            # out <- out * (t + shift) + v; the top coefficient is zero before
+            # the final multiply, so the degree never overflows the buffer.
+            out[1:] = out[:-1] + shift * out[1:]
+            out[0] = shift * out[0] + v
     return out
 
 
@@ -342,7 +362,8 @@ def depress(pres: PrincipalPresentation) -> tuple[PrincipalPresentation, float]:
 
     Returns the new presentation together with the shift s such that
     ``shift_element(z, s, new)`` rewrites coordinates (old k maps to k + s).
-    Already-depressed input comes back unchanged with shift 0.
+    Already-depressed input comes back unchanged with shift 0.  A shifted
+    coefficient that overflows raises ``NonFiniteCoefficient``.
     """
     n = pres.degree
     shift = -pres.modulus_coeffs[-1] / n
@@ -353,18 +374,22 @@ def depress(pres: PrincipalPresentation) -> tuple[PrincipalPresentation, float]:
     coeffs = list(shifted[:n])
     coeffs[-1] = 0.0  # zero analytically; kill the shift's round-off residue
     label = f"{pres.label}-depressed" if pres.label else None
-    return PrincipalPresentation(tuple(float(c) for c in coeffs), label), shift
+    return make_presentation(coeffs, label), shift
 
 
 def shift_element(
     z: AlgebraElement, shift: float, target: PrincipalPresentation
 ) -> AlgebraElement:
-    """Re-express z under the substitution k -> k + shift."""
+    """Re-express z under the substitution k -> k + shift; a result that
+    overflows or is not finite raises ``InvalidArgument``."""
     if target.degree != z.presentation.degree:
         raise PresentationMismatch(
             f"target degree {target.degree} != element degree {z.presentation.degree}"
         )
-    return AlgebraElement(target, _taylor_shift(z.coords, shift))
+    coords = _taylor_shift(z.coords, shift)
+    if not np.isfinite(coords).all():
+        raise InvalidArgument("shifted coordinates overflow or are not finite")
+    return AlgebraElement(target, coords)
 
 
 # -- wire formats --------------------------------------------------------------

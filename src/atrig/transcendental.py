@@ -131,28 +131,27 @@ def _squaring_count(norms: np.ndarray, threshold: float) -> np.ndarray:
 
 
 def _taylor_e1(rep: np.ndarray, fold: np.ndarray) -> np.ndarray:
-    """The degree-18 Taylor polynomial of every M(z) of ``rep`` (m, n, n)
-    applied to e_1, as an (m, n) array, by Paterson-Stockmeyer.
+    """The degree-18 Taylor polynomial of every M(z) of ``rep`` (..., n, n)
+    applied to e_1, as a (..., n) array, by Paterson-Stockmeyer.
 
     z is the first column of M(z); z^2, z^3, z^4 take three stacked
     matrix-vector products, the blocks B_j one stacked product of
     [1, z, z^2, z^3] with _TAYLOR_BLOCKS, and Horner in M(z^4) four more.
     Every product is a stacked matmul, the same BLAS call on every row.
     """
-    m, n, _ = rep.shape
-    # Vectors are kept as (rows, n, 1) columns, the shape matmul wants.
-    one = np.zeros((m, n, 1))
-    one[:, 0] = 1.0
-    powers = [one, rep[:, :, :1]]  # z = M(z) e_1
+    # Vectors are kept as (..., n, 1) columns, the shape matmul wants.
+    one = np.zeros(rep.shape[:-1] + (1,))
+    one[..., 0, :] = 1.0
+    powers = [one, rep[..., :1]]  # z = M(z) e_1
     for _ in range(_BLOCK - 1):
         powers.append(np.matmul(rep, powers[-1]))
-    blocks = np.matmul(np.concatenate(powers[:-1], axis=2), _TAYLOR_BLOCKS)
-    rep_top = core._rep_stack(powers[-1][:, :, 0], fold)
-    out = blocks[:, :, -1:]
-    for j in range(blocks.shape[2] - 2, -1, -1):
+    blocks = np.matmul(np.concatenate(powers[:-1], axis=-1), _TAYLOR_BLOCKS)
+    rep_top = core._rep_stack(powers[-1][..., 0], fold)
+    out = blocks[..., -1:]
+    for j in range(blocks.shape[-1] - 2, -1, -1):
         out = np.matmul(rep_top, out)
-        out += blocks[:, :, j : j + 1]
-    return out[:, :, 0]
+        out += blocks[..., j : j + 1]
+    return out[..., 0]
 
 
 # An M(z) that overflows has a norm that is not finite, and an overflowing
@@ -160,25 +159,25 @@ def _taylor_e1(rep: np.ndarray, fold: np.ndarray) -> np.ndarray:
 # warnings about them are noise.
 @np.errstate(over="ignore", invalid="ignore")
 def _exp_coords(coords: np.ndarray, fold: np.ndarray) -> np.ndarray:
-    """exp of every row of ``coords`` (shape (m, n)), as an (m, n) array.
+    """exp of every row of ``coords`` (shape (..., n)), in the same shape.
 
-    ``fold`` is the modulus's fold table (``core._fold_table``): one table
-    (n, 2n - 1) shared by every row, or one per row (m, n, 2n - 1), so one
-    batch may mix presentations of one degree.  exp(z) is exp(M(z)) e_1.
-    Each row's M(z) is halved s times, s the fewest that bring its 1-norm
-    to _THETA or below, the degree-18 Taylor polynomial of the scaled
-    matrix is applied to e_1 (``_taylor_e1``), and the result is squared s
-    times in the algebra.  Scaling by 2**-s is exact, and every product is
-    a stacked matmul with the row's own table, so each row gets exactly
-    the arithmetic it would get alone.
+    ``fold`` is the fold table (``core._fold_table``), (n, 2n - 1) for one
+    modulus or a stack that broadcasts against the rows, such as
+    (cases, 1, n, 2n - 1) for (cases, samples, n) rows, so one call may
+    mix presentations of one degree.  exp(z) is exp(M(z)) e_1.  Each row's
+    M(z) is halved s times, s the fewest that bring its 1-norm to _THETA
+    or below, the degree-18 Taylor polynomial of the scaled matrix is
+    applied to e_1 (``_taylor_e1``), and the result is squared s times in
+    the algebra.  Scaling by 2**-s is exact, and every product is a
+    stacked matmul with the row's own table, so each row gets exactly the
+    arithmetic it would get alone.
     """
-    m, n = coords.shape
-    if m == 0:
-        return np.empty((0, n))
+    if coords.size == 0:
+        return np.empty(coords.shape)
     if not np.isfinite(coords).all():
         raise InvalidArgument("exp requires finite coordinates")
     rep = core._rep_stack(coords, fold)
-    norms = np.abs(rep).sum(axis=1).max(axis=1)
+    norms = np.abs(rep).sum(axis=-2).max(axis=-1)
     largest = float(norms.max())
     if not largest <= _THETA * 2.0**_MAX_SQUARINGS:
         raise InvalidArgument(
@@ -189,7 +188,7 @@ def _exp_coords(coords: np.ndarray, fold: np.ndarray) -> np.ndarray:
     if largest > _THETA:
         counts = _squaring_count(norms, _THETA)
         least, most = int(counts.min()), int(counts.max())
-        rep = np.ldexp(rep, -counts[:, None, None])
+        rep = np.ldexp(rep, -counts[..., None, None])
 
     out = _taylor_e1(rep, fold)
     for step in range(most):
@@ -198,7 +197,8 @@ def _exp_coords(coords: np.ndarray, fold: np.ndarray) -> np.ndarray:
         else:
             need = counts > step
             part = out[need]
-            out[need] = core._mul_coords(part, part, fold if fold.ndim == 2 else fold[need])
+            folds = np.broadcast_to(fold, need.shape + fold.shape[-2:])[need]
+            out[need] = core._mul_coords(part, part, folds)
     if not np.isfinite(out).all():
         raise InvalidArgument("exp overflowed: the result is not finite")
     return out
@@ -235,10 +235,9 @@ def trig_components(pres: PrincipalPresentation, m: int, theta) -> np.ndarray:
     if not core._is_integer(m) or not 1 <= m <= n - 1:
         raise InvalidPower(f"m must be an integer in [1, {n - 1}], got {m!r}")
     thetas = np.asarray(theta, dtype=float)
-    coords = np.zeros((thetas.size, n))
-    coords[:, m] = thetas.ravel()
-    fold = core._fold_table(pres.modulus_coeffs)
-    return _exp_coords(coords, fold).reshape(thetas.shape + (n,))
+    coords = np.zeros(thetas.shape + (n,))
+    coords[..., m] = thetas
+    return _exp_coords(coords, core._fold_table(pres.modulus_coeffs))
 
 
 def _modulus_coords(coords: np.ndarray, pres: PrincipalPresentation) -> np.ndarray:
@@ -247,9 +246,9 @@ def _modulus_coords(coords: np.ndarray, pres: PrincipalPresentation) -> np.ndarr
     if not pres.is_pure_power():
         raise UnsupportedAlgebra(f"modulus needs a pure-power presentation, not {pres}")
     fold = core._fold_table(pres.modulus_coeffs)
-    # NaN and overflow are refused below, so numpy's warnings about them
-    # are noise.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # NaN, overflow and a determinant that is zero or underflows to zero are
+    # refused below, so numpy's warnings about them are noise.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         values = np.linalg.det(core._rep_stack(coords, fold))
     lowest = values.min(initial=np.inf)
     if not lowest > 0.0:

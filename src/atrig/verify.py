@@ -166,31 +166,24 @@ def _report(suite: str, tol: float, rows, checks=()) -> SuiteReport:
     return SuiteReport(suite, tol, worst, all(d["pass"] for d in details), details)
 
 
-def _unit_deviation(pres: PrincipalPresentation, exps: np.ndarray) -> np.ndarray:
-    """|F(e) - 1| for every row e of ``exps`` (shape (m, n)), from one
-    batched determinant."""
-    reps = core._rep_stack(exps, core._fold_table(pres.modulus_coeffs))
-    return np.abs(np.linalg.det(reps) - 1.0)
-
-
 def _by_degree(batches, kernel) -> list[np.ndarray]:
     """``kernel(rows, folds)`` over the rows of every ``(pres, coords)`` of
-    ``batches``, split back into one array per batch.
+    ``batches``, as one array per batch.
 
-    The batches of one degree share one kernel call, each row carrying its
-    own presentation's fold table (``folds`` has shape (m, n, 2n - 1)), so
-    every row equals its value from a call on its batch alone, bit for bit.
+    The batches of one degree, which share one shape, are stacked into one
+    kernel call, with one fold table per presentation broadcast over its
+    rows (``folds`` has shape (cases, 1, ..., 1, n, 2n - 1)), so every row
+    equals its value from a call on its batch alone, bit for bit.
     """
     by_degree: dict[int, list[int]] = {}
     for i, (pres, _) in enumerate(batches):
         by_degree.setdefault(pres.degree, []).append(i)
     out = [None] * len(batches)
     for group in by_degree.values():
-        sizes = [len(batches[i][1]) for i in group]
-        tables = [core._fold_table(batches[i][0].modulus_coeffs) for i in group]
-        folds = np.repeat(np.stack(tables), sizes, axis=0)
-        values = kernel(np.concatenate([batches[i][1] for i in group]), folds)
-        for i, part in zip(group, np.split(values, np.cumsum(sizes)[:-1])):
+        rows = np.stack([batches[i][1] for i in group])
+        tables = np.stack([core._fold_table(batches[i][0].modulus_coeffs) for i in group])
+        folds = np.expand_dims(tables, tuple(range(1, rows.ndim - 1)))
+        for i, part in zip(group, kernel(rows, folds)):
             out[i] = part
     return out
 
@@ -264,17 +257,18 @@ def pure_power_suite(samples: int = 100, tol: float = 1e-9, seed: int = 0) -> Su
         n = pres.degree
         coords = np.zeros((n - 1, samples, n))
         coords[range(n - 1), :, range(1, n)] = rng.uniform(-3.0, 3.0, (n - 1, samples))
-        batches.append((pres, coords.reshape(-1, n)))
+        batches.append((pres, coords))
     rows = []
     for pres, deviations in zip(presets, _unit_deviations(batches)):
-        for m, per_m in enumerate(deviations.reshape(pres.degree - 1, samples), start=1):
+        for m, per_m in enumerate(deviations, start=1):
             rows.append((f"{_case_label(pres)} m={m}", float(per_m.max(initial=0.0)), tol))
 
     # Necessity direction: with a nonzero intermediate coefficient the
     # deviation must be macroscopic somewhere on [0.5, 2].
     witness_pres = make_presentation((0.0, 1.0, 0.0), label="k^3+k")
     thetas = np.linspace(0.5, 2.0, 31)
-    deviations = _unit_deviation(witness_pres, trig_components(witness_pres, 2, thetas))
+    coords = thetas[:, None] * witness_pres.generator(2).coords  # k^2 theta
+    (deviations,) = _unit_deviations([(witness_pres, coords)])
     best, theta = max(zip(deviations.tolist(), thetas.tolist()))
     witness = ("k^3+k m=2 witness", best, best > WITNESS_THRESHOLD, {"theta": float(theta)})
     return _report("only-pure-power", tol, rows, checks=[witness])

@@ -16,6 +16,7 @@ from atrig import (
     AlgebraElement,
     depress,
     element_literal,
+    exp,
     invert,
     make_presentation,
     mul,
@@ -191,6 +192,18 @@ def test_depress_roundtrip_with_multiplication(rng):
         moved = mul(shift_element(z, s, shifted), shift_element(w, s, shifted))
         direct = shift_element(mul(z, w), s, shifted)
         np.testing.assert_allclose(moved.coords, direct.coords, rtol=1e-10, atol=1e-10)
+
+
+def test_depress_refuses_coefficients_that_overflow():
+    # Shifting k^3 + 1e300 k^2 + 1e300 k + 1 by -1e300/3 overflows.
+    with pytest.raises(NonFiniteCoefficient):
+        depress(make_presentation([1.0, 1e300, 1e300]))
+
+
+def test_shift_element_refuses_a_result_that_overflows(h3):
+    # 1e200 (k + 1e200)^2 holds 1e600.
+    with pytest.raises(InvalidArgument, match="not finite"):
+        shift_element(h3.element([0.0, 0.0, 1e200]), 1e200, h3)
 
 
 # -- multiplication ------------------------------------------------------------
@@ -381,6 +394,29 @@ def test_pythagorean_homogeneity(rng):
         np.testing.assert_allclose(
             pythagorean(rho * z), rho**n * pythagorean(z), rtol=1e-9, atol=1e-12
         )
+
+
+@pytest.mark.parametrize("coeffs", [[1e120] * 6, [1e184] * 3])
+def test_a_modulus_whose_powers_overflow_is_refused(coeffs):
+    # k^(2n-2) reduces to about 1e600 and 1e368: no M(z) there is finite.
+    pres = make_presentation(coeffs)
+    calls = [
+        lambda: rep_matrix(pres.one()),
+        lambda: exp(pres.zero()),
+        lambda: mul(pres.one(), pres.generator(1)),
+        lambda: pythagorean(pres.one()),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidArgument, match="overflow"):
+            call()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_pythagorean_and_invert_refuse_non_finite_coordinates(h2, bad):
+    for operation in (pythagorean, invert):
+        for coords in ([bad, 0.0], [0.0, bad]):
+            with pytest.raises(InvalidArgument, match="finite coordinates"):
+                operation(h2.element(coords))
 
 
 # -- inversion -------------------------------------------------------------------

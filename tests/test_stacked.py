@@ -340,7 +340,7 @@ def _count_exponentials(monkeypatch):
     exp_coords, trig_components = transcendental._exp_coords, transcendental.trig_components
 
     def counted_exp(coords, fold):
-        calls.append(("_exp_coords", len(coords)))
+        calls.append(("_exp_coords", coords[..., 0].size))
         return exp_coords(coords, fold)
 
     def counted_trig(pres, m, theta):
@@ -373,7 +373,7 @@ def test_one_stacked_exponential_per_pure_power_preset(monkeypatch):
     # Every m of every preset of a degree in one call (H_n, C_n and Gamma_n),
     # then the k^3 + k witness.
     want = [("_exp_coords", 3 * 10 * (n - 1)) for n in range(2, 7)]
-    assert calls == want + [("trig_components", 31), ("_exp_coords", 31)]
+    assert calls == want + [("_exp_coords", 31)]
 
 
 def test_one_stacked_exponential_per_kthagorean_degree(monkeypatch):
@@ -387,6 +387,35 @@ def test_one_stacked_exponential_per_kthagorean_degree(monkeypatch):
     assert calls == [("_exp_coords", 10 * count) for count in Counter(degrees).values()]
 
 
+def _unit_deviation(pres, exps):
+    """|F(e) - 1| for every row e of ``exps``, one ``pythagorean`` call a row."""
+    return np.array([abs(pythagorean(AlgebraElement(pres, e)) - 1.0) for e in exps])
+
+
+def test_by_degree_hands_the_kernel_one_fold_table_per_presentation():
+    from atrig import verify
+
+    cases = [preset("hyperbolic", 3), preset("nil", 2), make_presentation([0.5, -1, 0])]
+    batches = [(pres, np.full((2, 5, pres.degree), i + 1.0)) for i, pres in enumerate(cases)]
+    seen = []
+
+    def kernel(rows, folds):
+        seen.append((rows, folds))
+        return -rows
+
+    out = verify._by_degree(batches, kernel)
+    # The degree-3 cases stacked on a new axis, then the degree-2 case.
+    assert [(rows.shape, folds.shape) for rows, folds in seen] == [
+        ((2, 2, 5, 3), (2, 1, 1, 3, 5)),
+        ((1, 2, 5, 2), (1, 1, 1, 2, 3)),
+    ]
+    tables = [_fold_table(pres.modulus_coeffs) for pres in cases]
+    assert np.array_equal(seen[0][1][:, 0, 0], np.stack([tables[0], tables[2]]))
+    assert np.array_equal(seen[1][1][0, 0, 0], tables[1])
+    for (_, coords), part in zip(batches, out):
+        assert np.array_equal(part, -coords)
+
+
 def test_kthagorean_suite_equals_one_exponential_per_case():
     from atrig import trig_components, verify
 
@@ -398,7 +427,7 @@ def test_kthagorean_suite_equals_one_exponential_per_case():
     want = []
     for label, pres in cases:
         thetas = rng.uniform(-3.0, 3.0, 15)
-        deviations = verify._unit_deviation(pres, trig_components(pres, 1, thetas))
+        deviations = _unit_deviation(pres, trig_components(pres, 1, thetas))
         want.append((label, float(deviations.max())))
     assert [(row["case"], row["residual"]) for row in report.details] == want
 
@@ -412,7 +441,7 @@ def test_pure_power_suite_equals_one_exponential_per_m():
     for pres in verify.preset_grid():
         for m in range(1, pres.degree):
             thetas = rng.uniform(-3.0, 3.0, 15)
-            deviations = verify._unit_deviation(pres, trig_components(pres, m, thetas))
+            deviations = _unit_deviation(pres, trig_components(pres, m, thetas))
             want.append(float(deviations.max()))
     assert [row["residual"] for row in report.details[:-1]] == want
 

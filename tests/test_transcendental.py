@@ -285,6 +285,13 @@ def test_modulus_gates(h2):
         modulus(h2.element([0, 1]))  # F = -1
 
 
+@pytest.mark.filterwarnings("error")
+def test_modulus_of_a_pythagorean_value_that_underflows_is_refused(c2):
+    # F(z) = 1e-640 is zero in doubles.
+    with pytest.raises(NonPositivePythagorean):
+        modulus(c2.element([0.0, 1e-320]))
+
+
 def test_modulus_homogeneity(rng):
     pres = preset("complicated", 4)
     for _ in range(25):
@@ -746,6 +753,31 @@ def test_mixed_presentation_batch_matches_one_row_exp(n, seeds, draws):
         batch = _exp_coords(coords, folds)
     for row, single in zip(batch, singles):
         assert np.array_equal(_bits(row), _bits(single))
+
+
+def test_stack_of_cases_with_broadcast_folds_matches_one_row_exp():
+    # (cases, samples, n) rows, each case's fold table broadcast over its
+    # samples as (cases, 1, n, 2n - 1), against exp of each row alone.
+    cases = [preset("hyperbolic", 4), preset("complicated", 4), preset("nil", 4)]
+    cases.append(random_depressed_presentation(np.random.default_rng(21), 4))
+    scales = np.geomspace(0.1, 40.0, 9)  # no squaring up to about eight
+    coords = np.random.default_rng(7).uniform(-1.0, 1.0, (len(cases), 9, 4)) * scales[:, None]
+    folds = np.stack([_fold_table(pres.modulus_coeffs) for pres in cases])[:, None]
+    norms = np.abs(_rep_stack(coords, folds)).sum(axis=-2).max(axis=-1)
+    counts = _squaring_count(norms, _THETA)
+    assert counts.min() == 0 and len(set(counts.ravel().tolist())) > 3
+    batch = _exp_coords(coords, folds)
+    assert batch.shape == coords.shape
+    for pres, rows, values in zip(cases, coords, batch):
+        for z, value in zip(rows, values):
+            assert np.array_equal(_bits(value), _bits(exp(AlgebraElement(pres, z)).coords))
+
+
+def test_exp_of_an_empty_batch_is_empty_in_its_shape(h3):
+    fold = _fold_table(h3.modulus_coeffs)
+    assert _exp_coords(np.zeros((0, 3)), fold).shape == (0, 3)
+    folds = np.stack([fold] * 4)[:, None]
+    assert _exp_coords(np.zeros((4, 0, 3)), folds).shape == (4, 0, 3)
 
 
 def test_trig_components_shapes(h3):
