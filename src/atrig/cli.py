@@ -46,34 +46,48 @@ def _add_common_options(parser: argparse.ArgumentParser, top_level: bool) -> Non
     )
 
 
-def _non_negative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
-    return value
+def _bounded(convert, accept, noun: str):
+    """An argparse type: ``convert(text)`` where ``accept`` holds for it."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {noun}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+_non_negative_int = _bounded(int, lambda v: v >= 0, "a non-negative integer")
+_positive_int = _bounded(int, lambda v: v > 0, "a positive integer")
+_positive_float = _bounded(float, lambda v: 0.0 < v < math.inf, "a positive finite number")
 
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
-    return value
+#: Every command, in help order.
+_COMMANDS = {
+    "exp": "exponential of an element",
+    "pyth": "Pythagorean value det(M(z))",
+    "trig": "components of exp(k^m * theta)",
+    "log": "log of an element",
+    "arg": "arg of an element",
+    "polar": "polar of an element",
+    "roots": "spectral decomposition of the modulus",
+    "identity": "generate symbolic identities",
+    "verify": "run a verification suite",
+}
+
+#: The commands on one element --z: name -> (takes --branch, payload(z, branch),
+#: summary, a format string filled from the payload).
+_ELEMENT_COMMANDS = {
+    "exp": (False, lambda z, _: {"exp": exp(z).coords.tolist()}, "exponential computed"),
+    "pyth": (False, lambda z, _: {"pyth": core.pythagorean(z)}, "Pythagorean value computed"),
+    "log": (True, lambda z, branch: {"log": log(z, branch).coords.tolist()}, "logarithm computed"),
+    "arg": (True, lambda z, branch: {"arg": arg(z, branch).coords.tolist()}, "argument computed"),
+    "polar": (True, lambda z, branch: polar(z, branch).to_json_dict(), "rho={rho!r}"),
+}
 
 
 @functools.cache
@@ -93,53 +107,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common_options(parser, top_level=True)
     sub = parser.add_subparsers(dest="command", required=True)
-    leaf_parsers: list[argparse.ArgumentParser] = []
-
-    def add_z(p):
-        p.add_argument("--z", required=True, help='element literal "x1,x2,...,xn"')
-
-    def add_branch(p):
-        p.add_argument(
-            "--branch",
-            help="comma-separated branch indices, one per complex pair "
-            "(default: principal)",
-        )
-
-    p = sub.add_parser("exp", help="exponential of an element")
-    add_z(p)
-    leaf_parsers.append(p)
-    p = sub.add_parser("pyth", help="Pythagorean value det(M(z))")
-    add_z(p)
-    leaf_parsers.append(p)
-    p = sub.add_parser("trig", help="components of exp(k^m * theta)")
-    p.add_argument("--m", type=int, default=1, help="generator power (default 1)")
-    p.add_argument("--theta", type=float, required=True)
-    leaf_parsers.append(p)
-    for name in ("log", "arg", "polar"):
-        p = sub.add_parser(name, help=f"{name} of an element")
-        add_z(p)
-        add_branch(p)
-        leaf_parsers.append(p)
-    p = sub.add_parser("roots", help="spectral decomposition of the modulus")
-    p.add_argument(
+    leaves = {name: sub.add_parser(name, help=text) for name, text in _COMMANDS.items()}
+    for name, (takes_branch, _, _) in _ELEMENT_COMMANDS.items():
+        leaves[name].add_argument("--z", required=True, help='element literal "x1,x2,...,xn"')
+        if takes_branch:
+            leaves[name].add_argument(
+                "--branch",
+                help="comma-separated branch indices, one per complex pair "
+                "(default: principal)",
+            )
+    leaves["trig"].add_argument("--m", type=int, default=1, help="generator power (default 1)")
+    leaves["trig"].add_argument("--theta", type=float, required=True)
+    leaves["roots"].add_argument(
         "--tol", type=_positive_float, default=None, help="root residual tolerance"
     )
-    leaf_parsers.append(p)
 
-    p = sub.add_parser("identity", help="generate symbolic identities")
-    idsub = p.add_subparsers(dest="identity_kind", required=True)
-    leaf_parsers.append(idsub.add_parser("add-angle", help="adding-angle identities"))
-    dm = idsub.add_parser("de-moivre", help="multiple-angle identities")
-    dm.add_argument("--power", type=int, required=True)
-    leaf_parsers.append(dm)
+    idsub = leaves.pop("identity").add_subparsers(dest="identity_kind", required=True)
+    leaves["add-angle"] = idsub.add_parser("add-angle", help="adding-angle identities")
+    leaves["de-moivre"] = idsub.add_parser("de-moivre", help="multiple-angle identities")
+    leaves["de-moivre"].add_argument("--power", type=int, required=True)
 
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", choices=verify.SUITE_NAMES, required=True)
-    p.add_argument("--samples", type=_positive_int, default=None)
-    p.add_argument("--tol", type=_positive_float, default=None)
-    leaf_parsers.append(p)
+    leaves["verify"].add_argument("--suite", choices=verify.SUITE_NAMES, required=True)
+    leaves["verify"].add_argument("--samples", type=_positive_int, default=None)
+    leaves["verify"].add_argument("--tol", type=_positive_float, default=None)
 
-    for leaf in leaf_parsers:
+    # Common options come after each leaf's own, as in its usage line.
+    for leaf in leaves.values():
         _add_common_options(leaf, top_level=False)
     return parser
 
@@ -194,21 +187,13 @@ def _seed(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         parser.error(f"ATRIG_SEED {exc}")
 
 
-def _csv_lines(payload) -> list[str]:
-    if isinstance(payload, dict) and "details" in payload:  # suite report
+def _csv_lines(payload: dict) -> list[str]:
+    if "details" in payload:  # suite report
         lines = ["case,residual,pass"]
         for row in payload["details"]:
             lines.append(f"{row['case']},{row['residual']!r},{row['pass']}")
         return lines
-    lines = []
-    items = payload.items() if isinstance(payload, dict) else [("value", payload)]
-    for key, value in items:
-        if isinstance(value, dict):
-            for inner_key, inner in value.items():
-                lines.append(f"{key}.{inner_key},{_csv_value(inner)}")
-        else:
-            lines.append(f"{key},{_csv_value(value)}")
-    return lines
+    return [f"{key},{_csv_value(value)}" for key, value in payload.items()]
 
 
 def _csv_value(value) -> str:
@@ -217,10 +202,10 @@ def _csv_value(value) -> str:
             " ".join(repr(float(x)) for x in item) if isinstance(item, list) else repr(float(item))
             for item in value
         )
-    return repr(value) if isinstance(value, float) else str(value)
+    return repr(value)
 
 
-def _emit(payload, args: argparse.Namespace, summary: str) -> None:
+def _emit(payload: dict, args: argparse.Namespace, summary: str) -> None:
     # Strict JSON has no Infinity or NaN; a result holding one is refused
     # in every format rather than printed.
     try:
@@ -229,8 +214,6 @@ def _emit(payload, args: argparse.Namespace, summary: str) -> None:
         raise InvalidArgument("the result is not finite") from None
     if args.format == "csv":
         sys.stdout.write("\n".join(_csv_lines(payload)) + "\n")
-    elif isinstance(payload, str):
-        sys.stdout.write(payload + "\n")
     else:
         sys.stdout.write(text + "\n")
     print(summary, file=sys.stderr)
@@ -279,27 +262,13 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         _emit({"trig": values.tolist()}, args, f"components of exp(k^{args.m} theta)")
         return 0
 
+    takes_branch, evaluate, summary = _ELEMENT_COMMANDS[command]
     try:
         z = parse_element(pres, args.z)
     except ValueError as exc:
         parser.error(str(exc))
-
-    if command == "exp":
-        result = exp(z)
-        _emit({"exp": result.coords.tolist()}, args, "exponential computed")
-    elif command == "pyth":
-        _emit({"pyth": core.pythagorean(z)}, args, "Pythagorean value computed")
-    elif command == "log":
-        result = log(z, _parse_branch(args.branch, parser))
-        _emit({"log": result.coords.tolist()}, args, "logarithm computed")
-    elif command == "arg":
-        result = arg(z, _parse_branch(args.branch, parser))
-        _emit({"arg": result.coords.tolist()}, args, "argument computed")
-    elif command == "polar":
-        form = polar(z, _parse_branch(args.branch, parser))
-        _emit(form.to_json_dict(), args, f"rho={form.rho!r}")
-    else:  # pragma: no cover - argparse restricts the choices
-        parser.error(f"unknown command {command!r}")
+    payload = evaluate(z, _parse_branch(args.branch, parser) if takes_branch else None)
+    _emit(payload, args, summary.format(**payload))
     return 0
 
 
