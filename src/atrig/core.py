@@ -39,6 +39,10 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 PRESET_KINDS = ("hyperbolic", "complicated", "nil")
 
+#: A decorator turning numpy's floating-point warnings off, for functions that
+#: check their results and refuse those that are not finite.
+_QUIET = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
 
 def _is_integer(value) -> bool:
     """True for Python and numpy integers; False for bools, which are not counts."""
@@ -90,11 +94,14 @@ class PrincipalPresentation:
         return AlgebraElement(self, coords)
 
     def generator(self, power: int = 1) -> "AlgebraElement":
-        """The basis element k^power for 0 <= power < n."""
-        if not 0 <= power < self.degree:
-            raise ValueError(f"power must lie in [0, {self.degree - 1}]")
+        """The basis element k^power for an integer 0 <= power < n; any other
+        power raises ``InvalidArgument``."""
+        if not (_is_integer(power) and 0 <= power < self.degree):
+            raise InvalidArgument(
+                f"power must be an integer in [0, {self.degree - 1}], got {power!r:.80}"
+            )
         coords = np.zeros(self.degree)
-        coords[power] = 1.0
+        coords[int(power)] = 1.0
         return AlgebraElement(self, coords)
 
     # -- serialization -------------------------------------------------------
@@ -159,15 +166,23 @@ def preset(kind: str, n: int) -> PrincipalPresentation:
 
 
 class AlgebraElement:
-    """x1*1 + x2*k + ... + xn*k^{n-1}, tied to a presentation; immutable."""
+    """x1*1 + x2*k + ... + xn*k^{n-1}, tied to a presentation; immutable.
+
+    Coordinates that are not n real numbers raise ``InvalidArgument``.  The
+    arithmetic operators refuse a result that overflows or is not finite
+    with ``InvalidArgument``, as ``mul`` does.
+    """
 
     __slots__ = ("presentation", "_coords")
 
     def __init__(self, presentation: PrincipalPresentation, coords):
-        arr = np.array(coords, dtype=float)
-        if arr.ndim != 1 or arr.size != presentation.degree:
-            raise ValueError(
-                f"expected {presentation.degree} coordinates, got shape {arr.shape}"
+        try:
+            arr = np.array(coords, dtype=float)
+        except (TypeError, ValueError):
+            arr = None
+        if arr is None or arr.ndim != 1 or arr.size != presentation.degree:
+            raise InvalidArgument(
+                f"expected {presentation.degree} real coordinates, got {coords!r:.80}"
             )
         arr.setflags(write=False)
         self.presentation = presentation
@@ -187,29 +202,42 @@ class AlgebraElement:
                 f"{self.presentation} vs {other.presentation}"
             )
 
+    def _finite(self, coords: np.ndarray) -> "AlgebraElement":
+        """An element of this algebra; coordinates that are not finite raise
+        ``InvalidArgument``."""
+        if not np.isfinite(coords).all():
+            raise InvalidArgument("the result overflows or is not finite")
+        return AlgebraElement(self.presentation, coords)
+
+    # A result that overflows, or divides by zero, is refused by _finite, so
+    # numpy's warnings about it are noise.
+    @_QUIET
     def __add__(self, other):
         self._require_same(other)
-        return AlgebraElement(self.presentation, self._coords + other._coords)
+        return self._finite(self._coords + other._coords)
 
+    @_QUIET
     def __sub__(self, other):
         self._require_same(other)
-        return AlgebraElement(self.presentation, self._coords - other._coords)
+        return self._finite(self._coords - other._coords)
 
     def __neg__(self):
-        return AlgebraElement(self.presentation, -self._coords)
+        return self._finite(-self._coords)
 
+    @_QUIET
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             return mul(self, other)
         if isinstance(other, numbers.Real):
-            return AlgebraElement(self.presentation, self._coords * float(other))
+            return self._finite(self._coords * float(other))
         return NotImplemented
 
     __rmul__ = __mul__  # reached only for a left operand that is not an element
 
+    @_QUIET
     def __truediv__(self, other):
         if isinstance(other, numbers.Real):
-            return AlgebraElement(self.presentation, self._coords / float(other))
+            return self._finite(self._coords / float(other))
         return NotImplemented
 
     def __eq__(self, other):
@@ -291,44 +319,58 @@ def _mul_coords(a: np.ndarray, b: np.ndarray, fold: np.ndarray) -> np.ndarray:
 # -- public operations --------------------------------------------------------
 
 
+def _rep_of_finite(z: AlgebraElement, operation: str) -> np.ndarray:
+    """M(z) with its entries as they come out, overflow included, for a
+    caller under ``_QUIET``; coordinates that are not finite raise
+    ``InvalidArgument``."""
+    if not np.isfinite(z.coords).all():
+        raise InvalidArgument(f"{operation} requires finite coordinates")
+    return _rep_stack(z.coords, _fold_table(z.presentation.modulus_coeffs))
+
+
+@_QUIET
 def rep_matrix(z: AlgebraElement) -> np.ndarray:
     """Matrix of left-multiplication by z in the power basis.
 
     Column j (0-based) equals the coordinates of z * k^j, so the first
-    column is z itself and rep_matrix(1) is the identity.
+    column is z itself and rep_matrix(1) is the identity.  Coordinates that
+    are not finite, and an M(z) that overflows, raise ``InvalidArgument``.
     """
-    return _rep_stack(z.coords, _fold_table(z.presentation.modulus_coeffs))
+    matrix = _rep_of_finite(z, "rep_matrix")
+    if not np.isfinite(matrix).all():
+        raise InvalidArgument("M(z) overflows")
+    return matrix
 
 
 def mul(z: AlgebraElement, w: AlgebraElement) -> AlgebraElement:
     """Product in the algebra, reduced modulo the modulus polynomial; a
     product that overflows or is not finite raises ``InvalidArgument``."""
     z._require_same(w)
+    # Any entry of z, w or M(z) that is not finite leaves the product not finite.
     with np.errstate(over="ignore", invalid="ignore"):
-        coords = rep_matrix(z) @ w.coords
-    if not np.isfinite(coords).all():
-        raise InvalidArgument("product overflows or is not finite")
-    return AlgebraElement(z.presentation, coords)
+        coords = _rep_stack(z.coords, _fold_table(z.presentation.modulus_coeffs)) @ w.coords
+    return z._finite(coords)
 
 
-def _require_finite(z: AlgebraElement, operation: str) -> None:
-    if not np.isfinite(z.coords).all():
-        raise InvalidArgument(f"{operation} requires finite coordinates")
-
-
+@_QUIET
 def pythagorean(z: AlgebraElement) -> float:
     """Determinant of the regular representation (LU with partial pivoting);
-    non-finite coordinates raise ``InvalidArgument``."""
-    _require_finite(z, "pythagorean")
-    return float(np.linalg.det(rep_matrix(z)))
+    non-finite coordinates raise ``InvalidArgument``.
+
+    On finite coordinates the value is returned as the determinant comes
+    out, with no warning: ``inf`` or NaN where M(z) or its determinant
+    overflows.
+    """
+    return float(np.linalg.det(_rep_of_finite(z, "pythagorean")))
 
 
+@_QUIET
 def invert(z: AlgebraElement) -> AlgebraElement:
-    """Multiplicative inverse, solving M(z) w = e1; non-finite coordinates
-    raise ``InvalidArgument``."""
-    _require_finite(z, "invert")
-    matrix = rep_matrix(z)
+    """Multiplicative inverse, solving M(z) w = e1; non-finite coordinates,
+    and an M(z), F(z) or inverse that overflows, raise ``InvalidArgument``."""
+    matrix = _rep_of_finite(z, "invert")
     # The unit test in logarithms: neither F(z) nor the scale can overflow.
+    # An M(z) that overflows gives a log_det that is not finite, refused here.
     sign, log_det = np.linalg.slogdet(matrix)
     if not log_det < _LOG_FLOAT_MAX:
         raise InvalidArgument(f"Pythagorean value is not finite: log|F(z)| = {log_det}")
@@ -339,7 +381,7 @@ def invert(z: AlgebraElement) -> AlgebraElement:
         raise NotAUnit(f"Pythagorean value {det:.3e} is below the unit tolerance")
     rhs = np.zeros(n)
     rhs[0] = 1.0
-    return AlgebraElement(z.presentation, np.linalg.solve(matrix, rhs))
+    return z._finite(np.linalg.solve(matrix, rhs))
 
 
 def _taylor_shift(values: np.ndarray, shift: float) -> np.ndarray:
@@ -396,14 +438,15 @@ def shift_element(
 
 
 def parse_element(pres: PrincipalPresentation, text: str) -> AlgebraElement:
-    """Parse the literal "x1,x2,...,xn" (ascending powers of k)."""
+    """Parse the literal "x1,x2,...,xn" (ascending powers of k); a malformed
+    literal raises ``InvalidArgument``."""
     parts = [p.strip() for p in text.split(",")]
     try:
         coords = [float(p) for p in parts]
     except ValueError as exc:
-        raise ValueError(f"bad element literal {text!r}: {exc}") from None
+        raise InvalidArgument(f"bad element literal {text!r}: {exc}") from None
     if len(coords) != pres.degree:
-        raise ValueError(
+        raise InvalidArgument(
             f"element literal has {len(coords)} coordinates, expected {pres.degree}"
         )
     return AlgebraElement(pres, coords)

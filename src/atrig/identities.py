@@ -334,7 +334,7 @@ def _draw_angles(ids: IdentitySet, samples: int, seed: int) -> tuple[np.ndarray,
         return alphas, betas, alphas + betas
     if ids.kind == "de_moivre":
         return alphas, ids.power * alphas
-    raise ValueError(f"unknown identity kind {ids.kind!r}")
+    raise InvalidArgument(f"unknown identity kind {ids.kind!r}")
 
 
 def _verify_sets(sets: list, seeds: list, samples: int, tol: float) -> list[VerificationReport]:
@@ -440,7 +440,7 @@ def render(ids: IdentitySet, format: str = "latex") -> str:
     string raises ``InvalidArgument``; the limit itself is left as it is.
     """
     if format not in ("latex", "json"):
-        raise ValueError(f"unknown render format {format!r}")
+        raise InvalidArgument(f"unknown render format {format!r}")
     try:
         if format == "latex":
             names = _symbol_latex_names(ids.presentation)

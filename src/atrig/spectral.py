@@ -271,7 +271,11 @@ def _interpolate(values: np.ndarray, dec: SpectralDecomposition) -> np.ndarray:
         coeffs = np.linalg.solve(vander, rhs)
     except np.linalg.LinAlgError as exc:
         raise IllConditioned(f"singular interpolation system: {exc}") from None
-    residual = np.abs(vander @ coeffs - rhs).max(axis=0)
+    # Values near the top of the double range overflow here, leaving a
+    # residual that is not finite; the check below refuses it, so numpy's
+    # warnings about it are noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = np.abs(vander @ coeffs - rhs).max(axis=0)
     bound = INTERPOLATION_RESIDUAL_FACTOR * np.maximum(1.0, np.abs(rhs).max(axis=0))
     passed = residual <= bound  # False for the NaNs of a singular solve
     if not passed.all():
@@ -301,6 +305,7 @@ def from_components(v: ComponentVector, dec: SpectralDecomposition) -> AlgebraEl
     Solves the complex Vandermonde system over all n roots (conjugate values
     at conjugate roots) and projects onto real coordinates; the one-row case
     of the stacked interpolation, with the decomposition's cached matrix.
+    Values that are not finite raise ``InvalidArgument``.
     """
     r, c = dec.real_count, dec.complex_count
     if len(v.real_parts) != r or len(v.complex_parts) != c:
@@ -312,4 +317,6 @@ def from_components(v: ComponentVector, dec: SpectralDecomposition) -> AlgebraEl
     values[0, :r] = v.real_parts
     values[0, r::2] = v.complex_parts
     values[0, r + 1 :: 2] = np.conj(values[0, r::2])
+    if not np.isfinite(values).all():
+        raise InvalidArgument("component values must be finite")
     return AlgebraElement(dec.presentation, _interpolate(values, dec)[0])

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import core
 from .core import AlgebraElement, PrincipalPresentation, make_presentation, preset
-from .errors import NonSemisimple
+from .errors import InvalidArgument, NonSemisimple
 from .identities import _verify_sets, adding_angle, de_moivre
 from .spectral import SpectralDecomposition, _component_values, _interpolate, find_roots
 from .transcendental import (
@@ -441,6 +441,6 @@ def run_suite(
     try:
         function = _SUITES[name]
     except KeyError:
-        raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}") from None
+        raise InvalidArgument(f"unknown suite {name!r}; choose from {SUITE_NAMES}") from None
     given = {"samples": samples, "tol": tol}
     return globals()[function](seed=seed, **{k: v for k, v in given.items() if v is not None})

@@ -250,6 +250,68 @@ def test_mul_refuses_a_product_that_is_not_finite(h2, c2):
         big * big
 
 
+# The element of [0.6, -1e300] has a finite M(z) column 0 but k * z overflows.
+_OVERFLOWING = ([1.3e157, -1.1e157], [0.6, -1e300])
+
+
+@pytest.mark.filterwarnings("error")
+def test_rep_matrix_refuses_an_overflowing_representation():
+    coeffs, coords = _OVERFLOWING
+    with pytest.raises(InvalidArgument, match="overflows"):
+        rep_matrix(make_presentation(coeffs).element(coords))
+
+
+@pytest.mark.filterwarnings("error")
+def test_pythagorean_returns_an_overflowing_value_without_warning(h2):
+    assert pythagorean(h2.element([1e200, 0])) == np.inf
+    coeffs, coords = _OVERFLOWING
+    assert np.isnan(pythagorean(make_presentation(coeffs).element(coords)))
+
+
+@pytest.mark.filterwarnings("error")
+def test_invert_refuses_an_overflowing_representation_without_warning():
+    coeffs, coords = _OVERFLOWING
+    with pytest.raises(InvalidArgument):
+        invert(make_presentation(coeffs).element(coords))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "operation",
+    [
+        lambda big, one: big + big,
+        lambda big, one: big - (-big),
+        lambda big, one: big * 10.0,
+        lambda big, one: 10.0 * big,
+        lambda big, one: one * float("nan"),
+        lambda big, one: one / 0.0,
+    ],
+    ids=["add", "sub", "mul", "rmul", "mul-nan", "div"],
+)
+def test_element_operators_refuse_a_result_that_is_not_finite(h2, operation):
+    with pytest.raises(InvalidArgument):
+        operation(h2.element([1e308, 0]), h2.one())
+
+
+def test_negation_refuses_coordinates_that_are_not_finite(h2):
+    with pytest.raises(InvalidArgument):
+        -h2.element([float("nan"), 0])
+
+
+@pytest.mark.parametrize("power", [True, 1.5, 2, -1, "1"])
+def test_generator_refuses_a_power_that_is_not_an_index(h2, power):
+    with pytest.raises(InvalidArgument):
+        h2.generator(power)
+
+
+@pytest.mark.parametrize(
+    "coords", [[1, 2, 3], [[1, 2]], ["a", 1], [1j, 1], {}, [[1], [2, 3]]]
+)
+def test_element_refuses_coordinates_that_are_not_n_reals(h2, coords):
+    with pytest.raises(InvalidArgument):
+        AlgebraElement(h2, coords)
+
+
 def test_element_operators(h2):
     z = h2.element([1, 2])
     w = h2.element([0, 1])
@@ -411,9 +473,10 @@ def test_a_modulus_whose_powers_overflow_is_refused(coeffs):
             call()
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_pythagorean_and_invert_refuse_non_finite_coordinates(h2, bad):
-    for operation in (pythagorean, invert):
+    for operation in (pythagorean, invert, rep_matrix):
         for coords in ([bad, 0.0], [0.0, bad]):
             with pytest.raises(InvalidArgument, match="finite coordinates"):
                 operation(h2.element(coords))
@@ -458,9 +521,9 @@ def test_invert_is_right_inverse(rng):
 def test_element_literal_roundtrip(h3):
     z = h3.element([1.25, -0.5, 3.0])
     assert parse_element(h3, element_literal(z)) == z
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         parse_element(h3, "1,2")
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         parse_element(h3, "1,x,3")
 
 

@@ -266,8 +266,19 @@ def test_render_is_deterministic(h3):
 
 
 def test_render_unknown_format(h2):
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         render(adding_angle(h2), "html")
+
+
+def test_verify_identity_refuses_an_unknown_kind(h2):
+    ids = adding_angle(h2)
+    with pytest.raises(InvalidArgument):
+        verify_identity(IdentitySet(ids.presentation, "triple_angle", None, ids.formulas))
+
+
+def test_run_suite_refuses_an_unknown_suite():
+    with pytest.raises(InvalidArgument):
+        verify.run_suite("nope")
 
 
 def test_sympoly_canonical_form():

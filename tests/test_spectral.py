@@ -370,6 +370,21 @@ def test_from_components_complex(c2):
     np.testing.assert_allclose(z.coords, [0.0, 2.0], atol=1e-12)
 
 
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_from_components_refuses_values_that_are_not_finite(h2, value):
+    with pytest.raises(InvalidArgument):
+        from_components(ComponentVector((value, 1.0), ()), find_roots(h2))
+
+
+@pytest.mark.filterwarnings("error")
+def test_from_components_refuses_an_overflowing_residual_without_warning():
+    # Values near 1e308 at the roots of k^15 = -1 overflow the residual V x - v.
+    dec = find_roots(preset("complicated", 15))
+    values = (0j, 1e308j, 0j, 1e308 + 0j, 1e308 + 0j, 0j, 0j)
+    with pytest.raises(IllConditioned):
+        from_components(ComponentVector((0.0,), values), dec)
+
+
 def test_from_components_shape_mismatch(h2):
     dec = find_roots(h2)
     with pytest.raises(ShapeMismatch):
