@@ -44,6 +44,14 @@ PRESET_KINDS = ("hyperbolic", "complicated", "nil")
 _QUIET = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
+def _scalar(value: numbers.Real) -> float:
+    """``value`` as a float; an integer past the double range raises ``InvalidArgument``."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidArgument(f"scalar {value!r:.80} is past the range of a double") from None
+
+
 def _is_integer(value) -> bool:
     """True for Python and numpy integers; False for bools, which are not counts."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
@@ -229,7 +237,7 @@ class AlgebraElement:
         if isinstance(other, AlgebraElement):
             return mul(self, other)
         if isinstance(other, numbers.Real):
-            return self._finite(self._coords * float(other))
+            return self._finite(self._coords * _scalar(other))
         return NotImplemented
 
     __rmul__ = __mul__  # reached only for a left operand that is not an element
@@ -237,7 +245,7 @@ class AlgebraElement:
     @_QUIET
     def __truediv__(self, other):
         if isinstance(other, numbers.Real):
-            return self._finite(self._coords / float(other))
+            return self._finite(self._coords / _scalar(other))
         return NotImplemented
 
     def __eq__(self, other):

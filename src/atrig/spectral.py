@@ -305,7 +305,6 @@ def from_components(v: ComponentVector, dec: SpectralDecomposition) -> AlgebraEl
     Solves the complex Vandermonde system over all n roots (conjugate values
     at conjugate roots) and projects onto real coordinates; the one-row case
     of the stacked interpolation, with the decomposition's cached matrix.
-    Values that are not finite raise ``InvalidArgument``.
     """
     r, c = dec.real_count, dec.complex_count
     if len(v.real_parts) != r or len(v.complex_parts) != c:
@@ -317,6 +316,4 @@ def from_components(v: ComponentVector, dec: SpectralDecomposition) -> AlgebraEl
     values[0, :r] = v.real_parts
     values[0, r::2] = v.complex_parts
     values[0, r + 1 :: 2] = np.conj(values[0, r::2])
-    if not np.isfinite(values).all():
-        raise InvalidArgument("component values must be finite")
     return AlgebraElement(dec.presentation, _interpolate(values, dec)[0])

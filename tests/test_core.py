@@ -285,8 +285,10 @@ def test_invert_refuses_an_overflowing_representation_without_warning():
         lambda big, one: 10.0 * big,
         lambda big, one: one * float("nan"),
         lambda big, one: one / 0.0,
+        lambda big, one: one * 10**400,
+        lambda big, one: one / 10**400,
     ],
-    ids=["add", "sub", "mul", "rmul", "mul-nan", "div"],
+    ids=["add", "sub", "mul", "rmul", "mul-nan", "div", "mul-huge-int", "div-huge-int"],
 )
 def test_element_operators_refuse_a_result_that_is_not_finite(h2, operation):
     with pytest.raises(InvalidArgument):

@@ -370,12 +370,6 @@ def test_from_components_complex(c2):
     np.testing.assert_allclose(z.coords, [0.0, 2.0], atol=1e-12)
 
 
-@pytest.mark.parametrize("value", [np.inf, np.nan])
-def test_from_components_refuses_values_that_are_not_finite(h2, value):
-    with pytest.raises(InvalidArgument):
-        from_components(ComponentVector((value, 1.0), ()), find_roots(h2))
-
-
 @pytest.mark.filterwarnings("error")
 def test_from_components_refuses_an_overflowing_residual_without_warning():
     # Values near 1e308 at the roots of k^15 = -1 overflow the residual V x - v.
