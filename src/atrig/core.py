@@ -52,6 +52,21 @@ def _scalar(value: numbers.Real) -> float:
         raise InvalidArgument(f"scalar {value!r:.80} is past the range of a double") from None
 
 
+def _real_array(coords) -> np.ndarray | None:
+    """``coords`` as a float array, or None where they are not real numbers:
+    an array of objects, strings or complex numbers, or None or a string among
+    the coordinates, which a float conversion would read as NaN or parse."""
+    try:
+        if isinstance(coords, np.ndarray):
+            if coords.dtype.kind not in "biuf":
+                return None
+        elif not all(isinstance(x, numbers.Real) for x in np.asarray(coords, dtype=object).flat):
+            return None
+        return np.array(coords, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
 def _is_integer(value) -> bool:
     """True for Python and numpy integers; False for bools, which are not counts."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
@@ -184,10 +199,10 @@ class AlgebraElement:
     __slots__ = ("presentation", "_coords")
 
     def __init__(self, presentation: PrincipalPresentation, coords):
-        try:
+        if isinstance(coords, np.ndarray) and coords.dtype.kind == "f":
             arr = np.array(coords, dtype=float)
-        except (TypeError, ValueError):
-            arr = None
+        else:
+            arr = _real_array(coords)
         if arr is None or arr.ndim != 1 or arr.size != presentation.degree:
             raise InvalidArgument(
                 f"expected {presentation.degree} real coordinates, got {coords!r:.80}"

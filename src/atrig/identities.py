@@ -5,12 +5,13 @@ power basis and reducing modulo the modulus polynomial yields, for each
 component function s_i, a polynomial identity with exact rational
 coefficients: by the multinomial theorem, each coefficient is a multinomial
 count times one coordinate of a reduced power of k.  This module generates
-those identities from a table of monomials and counts per shape, with the
-reduced powers of k worked out in integers (every finite double is an
-integer over a power of two) and one ``Fraction`` made per coefficient.
-It certifies them from one stacked exponential per presentation and, per
-set, one gather, product and matmul over a dense form of the set's own
-terms, and renders them.
+those identities from a table of monomials, counts and gather indices per
+shape, with the reduced powers of k worked out in integers (every finite
+double is an integer over a power of two).  A generated set certifies from
+a dense form whose coefficients are divided straight from those integers,
+from one stacked exponential per presentation and, per set, one gather,
+product and matmul; its ``Fraction`` formulas are made only when read, for
+rendering, comparison and tests.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from itertools import combinations_with_replacement, groupby, product
+from itertools import combinations_with_replacement, compress, groupby, product
 from operator import or_
 from typing import NamedTuple
 
@@ -35,11 +36,6 @@ from .transcendental import trig_components
 POWER_CAP = 12
 #: Ceiling on monomials times degree, bounding an expansion to about a second.
 EXPANSION_CAP = 100_000
-#: Denominator bits up to which a coefficient is built as one reduced Fraction of
-#: integers, which costs less than a count times a Fraction.  Past it, the
-#: constructor's gcd, quadratic in the size of its arguments, costs more than
-#: scaling a coordinate reduced once (crossover about 200 bits).
-_DIRECT_BITS = 128
 
 _TAG_ARGUMENT = {"a": "alpha", "b": "beta"}
 
@@ -145,12 +141,16 @@ class SymPoly:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class IdentitySet:
     """The n component identities for one algebra and one expansion kind.
 
     ``formulas[i]`` expresses s_{i+1}(alpha+beta) (adding angle) or
-    s_{i+1}(power*alpha) (De Moivre) in the trig symbols.
+    s_{i+1}(power*alpha) (De Moivre) in the trig symbols.  A set built as
+    ``IdentitySet(presentation, kind, power, formulas)`` holds its formulas;
+    one from ``adding_angle`` or ``de_moivre`` holds its expansion, the shape
+    table and the integer powers of k, and makes its formulas when they are
+    first read.  Equality and hashing compare the formulas.
     """
 
     presentation: PrincipalPresentation
@@ -158,44 +158,40 @@ class IdentitySet:
     power: int | None
     formulas: tuple[SymPoly, ...]
 
+    def __init__(self, presentation, kind, power, formulas):
+        vars(self).update(
+            presentation=presentation, kind=kind, power=power, formulas=formulas, _expansion=None
+        )
+
+    @classmethod
+    def _generated(cls, presentation, kind, power, expansion: tuple) -> "IdentitySet":
+        """A set of the expansion ``(shape table, powers of k)``, formulas unmade."""
+        ids = cls.__new__(cls)
+        vars(ids).update(presentation=presentation, kind=kind, power=power, _expansion=expansion)
+        return ids
+
+    @cached_property
+    def formulas(self) -> tuple[SymPoly, ...]:
+        # Read only where __init__ left no formulas, so on generated sets.
+        return _expansion_formulas(*self._expansion)
+
     @cached_property
     def _dense(self) -> tuple[np.ndarray, np.ndarray]:
         """The formulas as read-only arrays over a value table
         ``[s(alpha) | s(beta) | 1]`` of one sampled row per case
-        (``[s(alpha) | 1]`` for De Moivre), built on first certification from
-        the set's own terms, so that a parsed set is certified as it renders.
+        (``[s(alpha) | 1]`` for De Moivre), built on first certification:
+        from the expansion's integers for a generated set, from the set's own
+        terms otherwise, so that a parsed set is certified as it renders.
 
         Monomial t is the product of the table columns ``index[t]``, padded
         with -1, the column of ones; formula i is ``sum_t coeffs[t, i]`` times
-        it.  Each coefficient is ``float(q)``, the correctly rounded double;
-        one past the largest double, or a symbol the set's kind has no column
-        for, raises ``InvalidArgument``.
+        it.  Each coefficient is the correctly rounded double of its exact
+        rational; one past the largest double, or a symbol the set's kind has
+        no column for, raises ``InvalidArgument``.
         """
-        n, tags = self.presentation.degree, "ab" if self.kind == "adding_angle" else "a"
-        columns = {TrigSymbol(t, i + 1): p * n + i for p, t in enumerate(tags) for i in range(n)}
-        rows: dict = {}  # monomial -> its row of index and of coeffs
-        index, coeffs = [], []
-        for i, formula in enumerate(self.formulas):
-            for mono, q in formula._terms.items():
-                row = rows.get(mono)
-                if row is None:
-                    try:
-                        index.append([columns[sym] for sym in mono])
-                    except KeyError as missing:
-                        name = missing.args[0].name
-                        raise InvalidArgument(f"{name} is not an argument of the set") from None
-                    row = rows[mono] = len(coeffs)
-                    coeffs.append([0.0] * len(self.formulas))
-                try:
-                    coeffs[row][i] = q.numerator / q.denominator
-                except OverflowError:
-                    raise InvalidArgument("a coefficient exceeds the largest double") from None
-        width = max(map(len, index), default=0) or 1
-        index = np.array([cols + [-1] * (width - len(cols)) for cols in index], dtype=np.intp)
-        index = index.reshape(len(rows), width)
-        coeffs = np.array(coeffs, dtype=float).reshape(len(rows), len(self.formulas))
-        index.flags.writeable = coeffs.flags.writeable = False
-        return index, coeffs
+        if self._expansion is not None:
+            return _expansion_dense(*self._expansion)
+        return _formulas_dense(self)
 
     def _dense_values(self, table: np.ndarray) -> np.ndarray:
         """All formulas at each row of ``table``: one column per formula."""
@@ -206,6 +202,66 @@ class IdentitySet:
         for column in index.T[1:]:
             values *= table[:, column]
         return values @ coeffs
+
+
+def _dense_form(index: np.ndarray, rows, formulas: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only dense form of gather ``index`` whose row t has the
+    coefficients ``numerators / denominator`` of ``rows[t]``.  Python int true
+    division rounds correctly, so each coefficient is the double nearest its
+    rational, whichever integers feed it."""
+    try:
+        coeffs = np.array([[a / d for a in numerators] for numerators, d in rows], dtype=float)
+    except OverflowError:
+        raise InvalidArgument("a coefficient exceeds the largest double") from None
+    coeffs = coeffs.reshape(len(index), formulas)
+    index.flags.writeable = coeffs.flags.writeable = False
+    return index, coeffs
+
+
+def _expansion_dense(shape: _Shape, powers: list) -> tuple[np.ndarray, np.ndarray]:
+    """The dense form of an expansion: entry (t, i) is ``count_t * a_i / 2**e``
+    for ``(a, e)`` the power of k at term t's index sum.  A row is kept where
+    that power is not zero, and rows are ordered first by the first formula
+    the term appears in, then in shape order, as the terms of the formulas
+    would order them."""
+    n = len(powers[0][0])
+    # The first nonzero coordinate of each power of k, n for a zero power.
+    leads = [next(compress(range(n), column), n) for column, _ in powers]
+    keys = [leads[degree] for degree in shape.degrees]
+    order = sorted(range(len(keys)), key=keys.__getitem__)[: len(keys) - keys.count(n)]
+    rows = []
+    for t in order:
+        column, exponent = powers[shape.degrees[t]]
+        count = shape.counts[t]
+        rows.append(([count * a for a in column], 1 << exponent))
+    return _dense_form(shape.index[order], rows, n)
+
+
+def _formulas_dense(ids: IdentitySet) -> tuple[np.ndarray, np.ndarray]:
+    """The dense form of a set's own terms, rows in order of first appearance,
+    each row's rationals put over their least common denominator."""
+    n, tags = ids.presentation.degree, "ab" if ids.kind == "adding_angle" else "a"
+    columns = {TrigSymbol(t, i + 1): p * n + i for p, t in enumerate(tags) for i in range(n)}
+    rows: dict = {}  # monomial -> its row of coefficients
+    index = []
+    for i, formula in enumerate(ids.formulas):
+        for mono, q in formula._terms.items():
+            row = rows.get(mono)
+            if row is None:
+                try:
+                    index.append([columns[sym] for sym in mono])
+                except KeyError as missing:
+                    name = missing.args[0].name
+                    raise InvalidArgument(f"{name} is not an argument of the set") from None
+                row = rows[mono] = [Fraction(0)] * len(ids.formulas)
+            row[i] = q
+    width = max(map(len, index), default=0) or 1
+    index = np.array([cols + [-1] * (width - len(cols)) for cols in index], dtype=np.intp)
+    common = []
+    for row in rows.values():
+        d = math.lcm(*(q.denominator for q in row))
+        common.append(([q.numerator * (d // q.denominator) for q in row], d))
+    return _dense_form(index.reshape(len(rows), width), common, len(ids.formulas))
 
 
 @dataclass(frozen=True)
@@ -268,61 +324,90 @@ def _multinomial(pick: tuple[int, ...]) -> int:
     return math.factorial(len(pick)) // math.prod(repeats)
 
 
+class _Shape(NamedTuple):
+    """The terms of one expansion shape: monomial t is ``monomials[t]``, with
+    multinomial count ``counts[t]``, index sum ``degrees[t]`` and the columns
+    ``index[t]`` of the value table ``[s(alpha) | s(beta) | 1]`` it multiplies."""
+
+    monomials: tuple[tuple[TrigSymbol, ...], ...]
+    counts: tuple[int, ...]
+    degrees: tuple[int, ...]
+    index: np.ndarray  # read-only, (terms, total degree)
+
+
 @lru_cache(maxsize=32)
-def _shape_table(n: int, powers: tuple[tuple[str, int], ...]) -> tuple:
-    """(monomial, multinomial count, index sum) of each term of the product over
-    (tag, power) of exp(k tag)^power at degree n, exp(k tag) = sum_i s_{i+1}(tag) k^i:
-    one sorted monomial per choice of a multiset of indices per tag, in canonical order."""
-    table, symbols = [], {tag: [TrigSymbol(tag, i + 1) for i in range(n)] for tag, _ in powers}
+def _shape_table(n: int, powers: tuple[tuple[str, int], ...]) -> _Shape:
+    """The terms of the product over (tag, power) of exp(k tag)^power at degree n,
+    exp(k tag) = sum_i s_{i+1}(tag) k^i: one sorted monomial per choice of a
+    multiset of indices per tag, in canonical order."""
+    symbols = {tag: [TrigSymbol(tag, i + 1) for i in range(n)] for tag, _ in powers}
+    monomials, counts, degrees, index = [], [], [], []
     for picks in product(*(combinations_with_replacement(range(n), p) for _, p in powers)):
-        mono = tuple(symbols[tag][i] for (tag, _), pick in zip(powers, picks) for i in pick)
-        table.append((mono, math.prod(map(_multinomial, picks)), sum(map(sum, picks))))
-    return tuple(table)
+        monomials.append(
+            tuple(symbols[tag][i] for (tag, _), pick in zip(powers, picks) for i in pick)
+        )
+        counts.append(math.prod(map(_multinomial, picks)))
+        degrees.append(sum(map(sum, picks)))
+        index.append([p * n + i for p, pick in enumerate(picks) for i in pick])
+    index = np.array(index, dtype=np.intp)
+    index.flags.writeable = False
+    return _Shape(tuple(monomials), tuple(counts), tuple(degrees), index)
 
 
-def _expand(pres: PrincipalPresentation, powers: dict[str, int], refusal: type) -> tuple:
-    """The coordinates of the product over tags of exp(k tag)^power: formula i
-    has each monomial's count times coordinate i of k^(its index sum).  Raises
+def _expansion_formulas(shape: _Shape, powers: list) -> tuple[SymPoly, ...]:
+    """The formulas of an expansion: formula i has each monomial's count times
+    coordinate i of k^(its index sum), each coordinate reduced once."""
+    top = max(shape.degrees)
+    reduced = [[Fraction(a, 1 << exponent) for a in column] for column, exponent in powers[: top + 1]]
+    formulas: list[dict] = [{} for _ in powers[0][0]]
+    for mono, count, degree in zip(shape.monomials, shape.counts, shape.degrees):
+        for formula, q in zip(formulas, reduced[degree]):
+            if q:
+                formula[mono] = count * q
+    return tuple(SymPoly._canonical(terms) for terms in formulas)
+
+
+def _expand(
+    pres: PrincipalPresentation, kind: str, power: int | None, refusal: type, k_powers
+) -> IdentitySet:
+    """The set of the product over tags of exp(k tag)^power, with the reduced
+    powers of k ``k_powers`` when given (``_powers_of_k`` at least up to the
+    expansion's top index sum) and worked out here otherwise.  Raises
     ``refusal`` when the monomial count times n passes ``EXPANSION_CAP``."""
     coeffs = pres.modulus_coeffs
     bad = [c for c in coeffs if not math.isfinite(c)]
     if bad:
         raise NonRationalCoefficients(f"coefficient {bad[0]!r} has no rational value")
     n = len(coeffs)
-    size = n * math.prod(math.comb(n + power - 1, power) for power in powers.values())
+    powers = {"a": 1, "b": 1} if kind == "adding_angle" else {"a": power}
+    size = n * math.prod(math.comb(n + p - 1, p) for p in powers.values())
     if size > EXPANSION_CAP:
         raise refusal(f"expansion size {size} (monomials times degree) exceeds {EXPANSION_CAP}")
-    reduced = []
-    for column, exponent in _powers_of_k(coeffs, (n - 1) * sum(powers.values())):
-        if exponent <= _DIRECT_BITS:
-            reduced.append((column, 1 << exponent))
-        else:  # reduce each coordinate once, then scale it by the counts
-            reduced.append(([Fraction(a, 1 << exponent) for a in column], None))
-    formulas: list[dict] = [{} for _ in range(n)]
-    for mono, count, degree in _shape_table(n, tuple(powers.items())):
-        column, denominator = reduced[degree]
-        for formula, a in zip(formulas, column):
-            if a:
-                formula[mono] = (
-                    a * count if denominator is None else Fraction(count * a, denominator)
-                )
-    return tuple(SymPoly._canonical(terms) for terms in formulas)
+    if k_powers is None:
+        k_powers = _powers_of_k(coeffs, (n - 1) * sum(powers.values()))
+    shape = _shape_table(n, tuple(powers.items()))
+    return IdentitySet._generated(pres, kind, power, (shape, k_powers))
 
 
-def adding_angle(pres: PrincipalPresentation) -> IdentitySet:
-    """Identities for s_i(alpha+beta), the coordinates of exp(k alpha) exp(k beta)."""
-    formulas = _expand(pres, {"a": 1, "b": 1}, InvalidArgument)
-    return IdentitySet(pres, "adding_angle", None, formulas)
+def adding_angle(pres: PrincipalPresentation, *, _k_powers=None) -> IdentitySet:
+    """Identities for s_i(alpha+beta), the coordinates of exp(k alpha) exp(k beta).
+
+    ``_k_powers``, private and not checked, is the ``_powers_of_k`` table of
+    the modulus up to at least 2(n - 1), so that the sets of one
+    presentation share one table."""
+    return _expand(pres, "adding_angle", None, InvalidArgument, _k_powers)
 
 
-def de_moivre(pres: PrincipalPresentation, power: int) -> IdentitySet:
-    """Identities for s_i(power*alpha), the coordinates of exp(k alpha)^power."""
+def de_moivre(pres: PrincipalPresentation, power: int, *, _k_powers=None) -> IdentitySet:
+    """Identities for s_i(power*alpha), the coordinates of exp(k alpha)^power.
+
+    ``_k_powers`` is as for ``adding_angle``, up to at least power·(n - 1)."""
     if not _is_integer(power) or power < 1:
         raise InvalidPower(f"power must be a positive integer, got {power!r}")
     power = int(power)
     if power > POWER_CAP:
         raise InvalidPower(f"power {power} exceeds the cap {POWER_CAP}")
-    return IdentitySet(pres, "de_moivre", power, _expand(pres, {"a": power}, InvalidPower))
+    return _expand(pres, "de_moivre", power, InvalidPower, _k_powers)
 
 
 def _draw_angles(ids: IdentitySet, samples: int, seed: int) -> tuple[np.ndarray, ...]:

@@ -263,7 +263,10 @@ def _interpolate(values: np.ndarray, dec: SpectralDecomposition) -> np.ndarray:
     order, from one Vandermonde solve over all rows.
 
     Each row's interpolation residual is checked on its own; any row that
-    fails raises ``IllConditioned``.
+    fails raises ``IllConditioned``.  A row of finite values whose residual
+    overflows is solved again at its values over a power of two, so that
+    values near the largest double get an answer where it is representable;
+    coordinates past it raise ``InvalidArgument``.
     """
     vander = dec.vandermonde
     rhs = values.T
@@ -272,16 +275,31 @@ def _interpolate(values: np.ndarray, dec: SpectralDecomposition) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise IllConditioned(f"singular interpolation system: {exc}") from None
     # Values near the top of the double range overflow here, leaving a
-    # residual that is not finite; the check below refuses it, so numpy's
-    # warnings about it are noise.
+    # residual that is not finite; those rows are solved again below, so
+    # numpy's warnings about it are noise.
     with np.errstate(over="ignore", invalid="ignore"):
         residual = np.abs(vander @ coeffs - rhs).max(axis=0)
     bound = INTERPOLATION_RESIDUAL_FACTOR * np.maximum(1.0, np.abs(rhs).max(axis=0))
+    coords = coeffs.real
     passed = residual <= bound  # False for the NaNs of a singular solve
     if not passed.all():
-        worst = residual[np.argmin(passed)]
-        raise IllConditioned(f"interpolation residual {worst:.3e} too large")
-    return np.ascontiguousarray(coeffs.real.T)
+        overflowed = np.flatnonzero(~np.isfinite(residual) & np.isfinite(rhs).all(axis=0))
+        if overflowed.size:  # x = 2^e solve(V, v / 2^e), with bound and residual scaled alike
+            shifts = np.frexp(np.abs(rhs[:, overflowed]).max(axis=0))[1]
+            scale = np.ldexp(1.0, -shifts)
+            scaled = rhs[:, overflowed] * scale
+            solved = np.linalg.solve(vander, scaled)
+            residual[overflowed] = np.abs(vander @ solved - scaled).max(axis=0)
+            bound[overflowed] *= scale
+            passed = residual <= bound
+            with np.errstate(over="ignore"):  # refused below where it overflows
+                coords[:, overflowed] = np.ldexp(solved.real, shifts)
+        if not passed.all():
+            worst = residual[np.argmin(passed)]
+            raise IllConditioned(f"interpolation residual {worst:.3e} too large")
+        if not np.isfinite(coords).all():
+            raise InvalidArgument("interpolated coordinates overflow")
+    return np.ascontiguousarray(coords.T)
 
 
 def to_components(z: AlgebraElement, dec: SpectralDecomposition) -> ComponentVector:

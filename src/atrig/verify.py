@@ -12,7 +12,7 @@ import numpy as np
 from . import core
 from .core import AlgebraElement, PrincipalPresentation, make_presentation, preset
 from .errors import InvalidArgument, NonSemisimple
-from .identities import _verify_sets, adding_angle, de_moivre
+from .identities import _powers_of_k, _verify_sets, adding_angle, de_moivre
 from .spectral import SpectralDecomposition, _component_values, _interpolate, find_roots
 from .transcendental import (
     BranchSpec,
@@ -367,7 +367,10 @@ def identities_suite(samples: int = 200, tol: float = 1e-9, seed: int = 0) -> Su
     rows = []
     for index, (label, pres) in enumerate(cases):
         labels = ["add-angle"] + [f"de-moivre-{p}" for p in range(1, 5)]
-        sets = [adding_angle(pres)] + [de_moivre(pres, p) for p in range(1, 5)]
+        # One table of k^0 ... k^(4(n - 1)) serves the case's five sets.
+        k_powers = _powers_of_k(pres.modulus_coeffs, 4 * (pres.degree - 1))
+        sets = [adding_angle(pres, _k_powers=k_powers)]
+        sets += [de_moivre(pres, p, _k_powers=k_powers) for p in range(1, 5)]
         # Each set of a case draws its own samples; one exponential serves them all.
         seeds = [seed + 97 * index + offset for offset in range(1, len(sets) + 1)]
         for kind_label, report in zip(labels, _verify_sets(sets, seeds, samples, tol)):

@@ -6,6 +6,8 @@ oracles defined at the top of this file (plain expand-and-reduce for
 products, numpy polynomial composition for generator shifts).
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -312,6 +314,34 @@ def test_generator_refuses_a_power_that_is_not_an_index(h2, power):
 def test_element_refuses_coordinates_that_are_not_n_reals(h2, coords):
     with pytest.raises(InvalidArgument):
         AlgebraElement(h2, coords)
+
+
+# A float conversion reads None as NaN, parses numeric strings and takes the
+# items of an object array as they come; each must be refused instead.
+def test_element_refuses_none(h2):
+    with pytest.raises(InvalidArgument):
+        h2.element([1.5, None])
+
+
+def test_element_refuses_strings(h2):
+    with pytest.raises(InvalidArgument):
+        h2.element(["1.5", "2"])
+
+
+def test_element_refuses_an_object_array(h2):
+    with pytest.raises(InvalidArgument):
+        h2.element(np.array([1.5, 2.0], dtype=object))
+
+
+def test_element_refuses_an_int_past_the_double_range(h2):
+    with pytest.raises(InvalidArgument):
+        h2.element([10**400, 0])
+
+
+def test_element_takes_real_numbers_of_any_type(h2):
+    for coords in ([1, 2], (1.0, 2), np.array([1, 2]), np.array([1, 2], dtype=np.float32)):
+        assert h2.element(coords).coords.tolist() == [1.0, 2.0]
+    assert h2.element([Fraction(1, 2), 10**20]).coords.tolist() == [0.5, 1e20]
 
 
 def test_element_operators(h2):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from atrig import (
@@ -434,11 +434,10 @@ def test_expansion_from_the_shape_table_matches_the_enumeration(n):
     [[0.1, -0.2, 0.3], [-0.27, 0.11, 0.05, -0.19], [5e-324, 1e300, -1e-300], [1e-300, -0.125, 3.0]],
 )
 def test_expansion_on_full_precision_moduli_matches_the_enumeration(coeffs):
-    # Denominators past _DIRECT_BITS take the once-reduced coordinates times
-    # the counts; the rest, one Fraction of integers per coefficient.
+    # Moduli whose powers of k have denominators past 128 bits.
     pres = make_presentation(coeffs)
     exponents = {e for _, e in identities._powers_of_k(coeffs, 4 * (len(coeffs) - 1))}
-    assert max(exponents) > identities._DIRECT_BITS
+    assert max(exponents) > 128
     for ids, powers in [(adding_angle(pres), {"a": 1, "b": 1}), (de_moivre(pres, 4), {"a": 4})]:
         assert ids.formulas == _enumerated(pres, powers)
 
@@ -532,6 +531,20 @@ def test_identities_suite_builds_each_dense_form_once(monkeypatch):
     assert not index.flags.writeable and not coeffs.flags.writeable
 
 
+def test_certification_builds_no_formulas(monkeypatch, h3):
+    # A generated set certifies from its integers; its formulas are made only
+    # when read, here by the render.
+    def refuse(shape, powers):
+        raise AssertionError("certification built the formulas")
+
+    monkeypatch.setattr(identities, "_expansion_formulas", refuse)
+    assert verify.identities_suite(samples=10, seed=3).passed
+    ids = adding_angle(h3)
+    assert verify_identity(ids, samples=10).passed
+    with pytest.raises(AssertionError, match="built the formulas"):
+        render(ids)
+
+
 @pytest.mark.parametrize(
     "ids",
     [adding_angle(preset("hyperbolic", 5)), de_moivre(preset("complicated", 4), 4)]
@@ -563,6 +576,55 @@ def test_dense_form_agrees_with_evaluate_within_the_summation_bound(ids):
         )
         bound = 2 * (len(terms) + degree) * unit * magnitude
         assert np.all(np.abs(dense[:, i] - formula.evaluate(values)) <= bound)
+
+
+@st.composite
+def _feed_moduli(draw):
+    degree = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(["hyperbolic", "complicated", "nil", "rational", "full"]))
+    if kind == "rational":
+        eighths = draw(st.lists(st.integers(-16, 16), min_size=degree, max_size=degree))
+        return make_presentation([k / 8 for k in eighths])
+    if kind == "full":
+        finite = st.floats(allow_nan=False, allow_infinity=False) | _binades
+        return make_presentation(draw(st.lists(finite, min_size=degree, max_size=degree)))
+    return preset(kind, degree)
+
+
+def _dense_or_refusal(ids):
+    try:
+        return ids._dense
+    except InvalidArgument as exc:
+        return str(exc)
+
+
+@given(pres=_feed_moduli(), power=st.sampled_from([None, 1, 2, 3, 4]))
+@settings(max_examples=150, deadline=None)
+@example(pres=make_presentation([5e-324, 1e300, -1e-300]), power=4)
+def test_the_integer_feed_equals_the_formula_feed(pres, power):
+    # A generated set's dense form, divided from the integer powers of k, equals
+    # that of a set holding the same formulas, to the bit and the sign of zero,
+    # and both refuse a coefficient past the largest double alike.
+    generated = adding_angle(pres) if power is None else de_moivre(pres, power)
+    held = IdentitySet(pres, generated.kind, power, generated.formulas)
+    assert held._expansion is None and generated._expansion is not None
+    got, want = _dense_or_refusal(generated), _dense_or_refusal(held)
+    if isinstance(want, str):
+        assert got == want == "a coefficient exceeds the largest double"
+        return
+    (index, coeffs), (want_index, want_coeffs) = got, want
+    assert index.shape == want_index.shape and np.array_equal(index, want_index)
+    assert coeffs.shape == want_coeffs.shape and np.array_equal(coeffs, want_coeffs)
+    assert np.array_equal(np.signbit(coeffs), np.signbit(want_coeffs))
+
+
+def test_both_feeds_refuse_a_coefficient_past_the_largest_double():
+    # k^5 on this modulus holds 1e600 (1e300 squared): De Moivre power 3 reaches it.
+    pres = make_presentation([5e-324, 1e300, -1e-300])
+    generated = de_moivre(pres, 3)
+    for ids in (generated, IdentitySet(pres, "de_moivre", 3, generated.formulas)):
+        with pytest.raises(InvalidArgument, match="largest double"):
+            ids._dense
 
 
 def test_certification_refuses_a_coefficient_past_the_largest_double(h2):

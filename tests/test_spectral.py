@@ -1,5 +1,6 @@
 """Root finding and the component isomorphism onto R^r x C^c."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -371,12 +372,41 @@ def test_from_components_complex(c2):
 
 
 @pytest.mark.filterwarnings("error")
-def test_from_components_refuses_an_overflowing_residual_without_warning():
-    # Values near 1e308 at the roots of k^15 = -1 overflow the residual V x - v.
+def test_from_components_answers_an_overflowing_residual_without_warning():
+    # Values near 1e308 at the roots of k^15 = -1 overflow the residual V x - v;
+    # the row is solved again at its values over a power of two.
     dec = find_roots(preset("complicated", 15))
     values = (0j, 1e308j, 0j, 1e308 + 0j, 1e308 + 0j, 0j, 0j)
+    z = from_components(ComponentVector((0.0,), values), dec)
+    assert np.isfinite(z.coords).all()
+    back = to_components(z, dec)
+    np.testing.assert_allclose(back.real_parts, (0.0,), rtol=0, atol=1e-9 * 1e308)
+    np.testing.assert_allclose(back.complex_parts, values, rtol=0, atol=1e-9 * 1e308)
+
+
+@pytest.mark.filterwarnings("error")
+def test_from_components_answers_values_near_the_double_limit(h2):
+    # x1 = (v(1) + v(-1)) / 2 and x2 = (v(1) - v(-1)) / 2 on k^2 = 1: the sum
+    # of the values overflows inside the solve, the answer does not.
+    dec = find_roots(h2)
+    at = dict(zip(dec.real_roots, (1e308, -1e308)))
+    z = from_components(ComponentVector((1e308, -1e308), ()), dec)
+    assert z.coords.tolist() == [0.0, at[1.0] / 2 - at[-1.0] / 2]
+
+
+@pytest.mark.filterwarnings("error")
+def test_from_components_refuses_coordinates_past_the_largest_double():
+    # On k^2 = 1/100, x2 = (v(0.1) - v(-0.1)) / 0.2 is 1e309 for these values.
+    dec = find_roots(make_presentation([-0.01, 0.0]))
+    with pytest.raises(InvalidArgument, match="overflow"):
+        from_components(ComponentVector((1e308, -1e308), ()), dec)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_from_components_refuses_values_that_are_not_finite_without_warning(h2, value):
     with pytest.raises(IllConditioned):
-        from_components(ComponentVector((0.0,), values), dec)
+        from_components(ComponentVector((value, 1.0), ()), find_roots(h2))
 
 
 def test_from_components_shape_mismatch(h2):
