@@ -8,6 +8,14 @@ Paterson-Stockmeyer in the algebra: z^2, z^3, z^4 from three products,
 five blocks of four terms from one table of 1/k!, and Horner in M(z^4),
 seven matrix-vector products in all where term by term takes eighteen.
 
+An exponential of a monomial theta k^m, behind ``trig_components``, has a
+second Taylor stage.  Its Taylor coefficients are the coordinates of
+k^(mj) / j!, fixed by the modulus and m, so one cached table per
+(modulus, m), scaled by a power of two, serves every theta, and each theta
+takes Horner in one scalar over the table's rows.  The form of the input
+picks the stage: dense coordinates or angles.  Both stages take their
+squaring counts from the same 1-norm and share the squarings.
+
 The logarithm dispatches on the presentation: nilpotent generators get the
 power-series recurrence for log, semisimple moduli go through the
 component isomorphism with a per-pair branch of the complex logarithm.
@@ -23,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -154,9 +163,42 @@ def _taylor_e1(rep: np.ndarray, fold: np.ndarray) -> np.ndarray:
     return out[..., 0]
 
 
-# An M(z) that overflows has a norm that is not finite, and an overflowing
-# squaring leaves a result that is not finite; both are refused, so numpy's
-# warnings about them are noise.
+def _squarings(norms: np.ndarray) -> np.ndarray:
+    """Each row's squaring count, the fewest halvings that bring its norm
+    to _THETA or below; a norm that 1023 squarings cannot scale raises
+    ``InvalidArgument``."""
+    largest = float(norms.max())
+    if not largest <= _THETA * 2.0**_MAX_SQUARINGS:
+        raise InvalidArgument(
+            f"exp cannot scale |M(z)|_1 = {largest:.6g} to {_THETA} "
+            f"within {_MAX_SQUARINGS} squarings"
+        )
+    return _squaring_count(norms, _THETA)
+
+
+# An overflowing squaring leaves a result that is not finite, which is
+# refused, so numpy's warnings about it are noise.
+@np.errstate(over="ignore", invalid="ignore")
+def _squared(out: np.ndarray, counts: np.ndarray, fold: np.ndarray) -> np.ndarray:
+    """Every row of ``out`` (..., n) squared in the algebra as many times as
+    its entry of ``counts`` (...) says, each with its own fold table; a
+    result that is not finite raises ``InvalidArgument``."""
+    least, most = int(counts.min()), int(counts.max())
+    for step in range(most):
+        if step < least:
+            out = core._mul_coords(out, out, fold)
+        else:
+            need = counts > step
+            part = out[need]
+            folds = np.broadcast_to(fold, need.shape + fold.shape[-2:])[need]
+            out[need] = core._mul_coords(part, part, folds)
+    if not np.isfinite(out).all():
+        raise InvalidArgument("exp overflowed: the result is not finite")
+    return out
+
+
+# An M(z) that overflows has a norm that is not finite, which is refused,
+# so numpy's warnings about it are noise.
 @np.errstate(over="ignore", invalid="ignore")
 def _exp_coords(coords: np.ndarray, fold: np.ndarray) -> np.ndarray:
     """exp of every row of ``coords`` (shape (..., n)), in the same shape.
@@ -177,31 +219,76 @@ def _exp_coords(coords: np.ndarray, fold: np.ndarray) -> np.ndarray:
     if not np.isfinite(coords).all():
         raise InvalidArgument("exp requires finite coordinates")
     rep = core._rep_stack(coords, fold)
-    norms = np.abs(rep).sum(axis=-2).max(axis=-1)
-    largest = float(norms.max())
-    if not largest <= _THETA * 2.0**_MAX_SQUARINGS:
-        raise InvalidArgument(
-            f"exp cannot scale |M(z)|_1 = {largest:.6g} to {_THETA} "
-            f"within {_MAX_SQUARINGS} squarings"
-        )
-    least = most = 0
-    if largest > _THETA:
-        counts = _squaring_count(norms, _THETA)
-        least, most = int(counts.min()), int(counts.max())
-        rep = np.ldexp(rep, -counts[..., None, None])
+    counts = _squarings(np.abs(rep).sum(axis=-2).max(axis=-1))
+    rep = np.ldexp(rep, -counts[..., None, None])
+    return _squared(_taylor_e1(rep, fold), counts, fold)
 
-    out = _taylor_e1(rep, fold)
-    for step in range(most):
-        if step < least:
-            out = core._mul_coords(out, out, fold)
-        else:
-            need = counts > step
-            part = out[need]
-            folds = np.broadcast_to(fold, need.shape + fold.shape[-2:])[need]
-            out[need] = core._mul_coords(part, part, folds)
-    if not np.isfinite(out).all():
-        raise InvalidArgument("exp overflowed: the result is not finite")
-    return out
+
+# One pass of the kthagorean, only-pure-power, identities and lemma suites
+# at their default sizes touches 129 (modulus, m) pairs, more than a cache
+# of 128, the fold table's, holds; an entry is 19 n doubles.
+@lru_cache(maxsize=512)
+def _monomial_series(
+    modulus_coeffs: tuple[float, ...], m: int
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """The tables behind exp(theta k^m) on one modulus: |M(k^m)|_1, the
+    read-only (19, n) series table whose row j is A^j e_1 / j! for
+    A = M(k^m) / 2^sigma, and the fold table.
+
+    M(k^m) is the slice fold[:, m:m + n] of the fold table, and 2^sigma is
+    the binade of its 1-norm (the norm lies in [2^(sigma - 1), 2^sigma)),
+    so |A|_1 < 1 and row j is at most 1/j! in every entry: no modulus that
+    ``core._fold_table`` accepts can overflow the table.
+    """
+    fold = core._fold_table(modulus_coeffs)
+    n = len(modulus_coeffs)
+    rep = fold[:, m : m + n]
+    norm = float(np.abs(rep).sum(axis=0).max())
+    scaled = np.ldexp(rep, -math.frexp(norm)[1])
+    series = np.empty((_TAYLOR_DEGREE + 1, n))
+    series[0] = np.eye(1, n)
+    for j in range(1, _TAYLOR_DEGREE + 1):
+        series[j] = scaled @ series[j - 1] / j
+    series.setflags(write=False)
+    return norm, series, fold
+
+
+# |theta| |M(k^m)|_1 may overflow, which is refused, so numpy's warning
+# about it is noise.
+@np.errstate(over="ignore")
+def _exp_monomial(
+    thetas: np.ndarray, norms: np.ndarray, series: np.ndarray, fold: np.ndarray
+) -> np.ndarray:
+    """exp(theta k^m) for every theta of ``thetas`` (any shape), as a
+    ``thetas.shape + (n,)`` array.
+
+    ``norms``, ``series`` and ``fold`` are the tables of
+    ``_monomial_series``, for one (modulus, m) or stacked to broadcast
+    against the angles, such as (cases, 1), (cases, 1, 19, n) and
+    (cases, 1, n, 2n - 1) for (cases, samples) angles.  Each angle takes s
+    squarings, the fewest that bring |theta| |M(k^m)|_1 to _THETA or below,
+    by the rule ``_exp_coords`` applies to |M(z)|_1.  The Taylor stage is Horner in
+    t = theta 2^(sigma - s) over the rows of the series table, since
+    (theta M(k^m) / 2^s)^j e_1 / j! = t^j A^j e_1 / j!; scaling by a power
+    of two is exact and the rest is elementwise, so each angle gets the
+    same bits in any batch.  The squarings are those of ``_exp_coords``.
+    """
+    if not np.isfinite(thetas).all():
+        raise InvalidArgument("exp requires finite coordinates")
+    if thetas.size == 0:
+        return np.empty(thetas.shape + series.shape[-1:])
+    counts = _squarings(np.abs(thetas) * norms)
+    t = np.ldexp(thetas, np.frexp(norms)[1] - counts)
+    # t spread over the coordinates once: numpy multiplies arrays of one
+    # shape faster than it broadcasts.
+    t = np.repeat(t[..., None], series.shape[-1], axis=-1)
+    terms = np.moveaxis(series, -2, 0)
+    out = terms[_TAYLOR_DEGREE] * t
+    for term in terms[_TAYLOR_DEGREE - 1 : 0 : -1]:
+        out += term
+        out *= t
+    out += terms[0]
+    return _squared(out, counts, fold)
 
 
 def exp(z: AlgebraElement) -> AlgebraElement:
@@ -214,8 +301,9 @@ def exp(z: AlgebraElement) -> AlgebraElement:
     Paterson-Stockmeyer with blocks of four terms: z^2, z^3 and z^4, then
     Horner in M(z^4), seven matrix-vector products where term by term
     takes eighteen.  This is the one-row case of the stacked kernel behind
-    ``trig_components``.  Non-finite input, an M(z) too large to scale
-    into a double, and a result that overflows raise ``InvalidArgument``.
+    the suites' dense exponentials.  Non-finite input, an M(z) too large to
+    scale into a double, and a result that overflows raise
+    ``InvalidArgument``.
     """
     pres = z.presentation
     fold = core._fold_table(pres.modulus_coeffs)
@@ -227,17 +315,21 @@ def trig_components(pres: PrincipalPresentation, m: int, theta) -> np.ndarray:
 
     For m = 1 these are the generalized trigonometric functions of the
     algebra (cosh/sinh-like for k^n = 1, cos/sin-like for k^n = -1).
-    ``theta`` may be a scalar or an array; the result has shape
-    ``theta.shape + (n,)`` and comes from one stacked exponential, each row
-    equal to the exponential at that theta alone.
+    ``theta`` may be a real scalar or an array of reals; anything else
+    raises ``InvalidArgument``.  The result has shape ``theta.shape + (n,)``
+    and comes from one stacked monomial exponential over a series table
+    cached per (modulus, m) (``_exp_monomial``), each row equal to the
+    result at that theta alone.  It takes the squaring counts of
+    ``exp(theta * k^m)`` but not its Taylor arithmetic, so the two agree to
+    rounding, not bit for bit.
     """
     n = pres.degree
     if not core._is_integer(m) or not 1 <= m <= n - 1:
         raise InvalidPower(f"m must be an integer in [1, {n - 1}], got {m!r}")
-    thetas = np.asarray(theta, dtype=float)
-    coords = np.zeros(thetas.shape + (n,))
-    coords[..., m] = thetas
-    return _exp_coords(coords, core._fold_table(pres.modulus_coeffs))
+    thetas = core._real_array(theta)
+    if thetas is None:
+        raise InvalidArgument(f"theta must be real numbers, got {theta!r:.80}")
+    return _exp_monomial(thetas, *_monomial_series(pres.modulus_coeffs, int(m)))
 
 
 def _modulus_coords(coords: np.ndarray, pres: PrincipalPresentation) -> np.ndarray:

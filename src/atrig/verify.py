@@ -5,6 +5,8 @@ residuals so tolerance behaviour stays observable.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,8 +20,10 @@ from .transcendental import (
     BranchSpec,
     _decomposition_of,
     _exp_coords,
+    _exp_monomial,
     _log_coords,
     _modulus_coords,
+    _monomial_series,
     trig_components,
 )
 
@@ -166,24 +170,32 @@ def _report(suite: str, tol: float, rows, checks=()) -> SuiteReport:
     return SuiteReport(suite, tol, worst, all(d["pass"] for d in details), details)
 
 
-def _by_degree(batches, kernel) -> list[np.ndarray]:
-    """``kernel(rows, folds)`` over the rows of every ``(pres, coords)`` of
-    ``batches``, as one array per batch.
+def _fold_of(modulus_coeffs) -> tuple[np.ndarray]:
+    return (core._fold_table(modulus_coeffs),)
 
-    The batches of one degree, which share one shape, are stacked into one
-    kernel call, with one fold table per presentation broadcast over its
+
+def _by_degree(batches, kernel, tables=_fold_of, row_axes: int = 1) -> list[np.ndarray]:
+    """``kernel(rows, *shared)`` over the rows of every ``(pres, *key, rows)``
+    of ``batches``, as one array per batch.
+
+    ``tables(pres.modulus_coeffs, *key)`` gives the arrays that a batch's
+    rows share, by default its fold table; each row has ``row_axes`` axes
+    of its own (1 for coordinates, 0 for angles).  The batches of one
+    degree, which share one shape, are stacked into one kernel call, with
+    every table stacked on a new first axis and broadcast over its batch's
     rows (``folds`` has shape (cases, 1, ..., 1, n, 2n - 1)), so every row
     equals its value from a call on its batch alone, bit for bit.
     """
     by_degree: dict[int, list[int]] = {}
-    for i, (pres, _) in enumerate(batches):
+    for i, (pres, *_) in enumerate(batches):
         by_degree.setdefault(pres.degree, []).append(i)
     out = [None] * len(batches)
     for group in by_degree.values():
-        rows = np.stack([batches[i][1] for i in group])
-        tables = np.stack([core._fold_table(batches[i][0].modulus_coeffs) for i in group])
-        folds = np.expand_dims(tables, tuple(range(1, rows.ndim - 1)))
-        for i, part in zip(group, kernel(rows, folds)):
+        rows = np.stack([batches[i][-1] for i in group])
+        spread = tuple(range(1, rows.ndim - row_axes))
+        per_case = [tables(batches[i][0].modulus_coeffs, *batches[i][1:-1]) for i in group]
+        shared = [np.expand_dims(np.stack(table), spread) for table in zip(*per_case)]
+        for i, part in zip(group, kernel(rows, *shared)):
             out[i] = part
     return out
 
@@ -195,15 +207,15 @@ def _exps(batches) -> list[np.ndarray]:
 
 
 def _unit_deviations(batches) -> list[np.ndarray]:
-    """|F(exp(w)) - 1| for every row w of every ``(pres, coords)`` of
-    ``batches``, as one array per batch: one stacked exponential and one
-    stacked determinant per degree."""
+    """|F(exp(theta k^m)) - 1| for every theta of every ``(pres, m, thetas)``
+    of ``batches``, as one array per batch: one stacked monomial exponential
+    and one stacked determinant per degree."""
 
-    def deviations(rows, folds):
-        exps = _exp_coords(rows, folds)
+    def deviations(thetas, norms, series, folds):
+        exps = _exp_monomial(thetas, norms, series, folds)
         return np.abs(np.linalg.det(core._rep_stack(exps, folds)) - 1.0)
 
-    return _by_degree(batches, deviations)
+    return _by_degree(batches, deviations, _monomial_series, row_axes=0)
 
 
 def _ld_batches(rng, presentations, samples: int):
@@ -225,11 +237,7 @@ def kthagorean_suite(samples: int = 100, tol: float = 1e-9, seed: int = 0) -> Su
     """
     rng = np.random.default_rng(seed)
     cases = _cases(rng, preset_grid(), 50, (2, 6), random_depressed_presentation)
-    batches = []
-    for _, pres in cases:
-        coords = np.zeros((samples, pres.degree))
-        coords[:, 1] = rng.uniform(-3.0, 3.0, samples)  # k theta
-        batches.append((pres, coords))
+    batches = [(pres, 1, rng.uniform(-3.0, 3.0, samples)) for _, pres in cases]
     rows = [
         (label, float(deviations.max(initial=0.0)), tol)
         for (label, _), deviations in zip(cases, _unit_deviations(batches))
@@ -253,22 +261,19 @@ def pure_power_suite(samples: int = 100, tol: float = 1e-9, seed: int = 0) -> Su
     presets = preset_grid()
     batches = []
     for pres in presets:
-        # k^m theta for every m, thetas drawn by m.
-        n = pres.degree
-        coords = np.zeros((n - 1, samples, n))
-        coords[range(n - 1), :, range(1, n)] = rng.uniform(-3.0, 3.0, (n - 1, samples))
-        batches.append((pres, coords))
-    rows = []
-    for pres, deviations in zip(presets, _unit_deviations(batches)):
-        for m, per_m in enumerate(deviations, start=1):
-            rows.append((f"{_case_label(pres)} m={m}", float(per_m.max(initial=0.0)), tol))
+        # theta for every m, drawn by m.
+        thetas = rng.uniform(-3.0, 3.0, (pres.degree - 1, samples))
+        batches += [(pres, m, row) for m, row in enumerate(thetas, start=1)]
+    rows = [
+        (f"{_case_label(pres)} m={m}", float(deviations.max(initial=0.0)), tol)
+        for (pres, m, _), deviations in zip(batches, _unit_deviations(batches))
+    ]
 
     # Necessity direction: with a nonzero intermediate coefficient the
     # deviation must be macroscopic somewhere on [0.5, 2].
     witness_pres = make_presentation((0.0, 1.0, 0.0), label="k^3+k")
     thetas = np.linspace(0.5, 2.0, 31)
-    coords = thetas[:, None] * witness_pres.generator(2).coords  # k^2 theta
-    (deviations,) = _unit_deviations([(witness_pres, coords)])
+    (deviations,) = _unit_deviations([(witness_pres, 2, thetas)])
     best, theta = max(zip(deviations.tolist(), thetas.tolist()))
     witness = ("k^3+k m=2 witness", best, best > WITNESS_THRESHOLD, {"theta": float(theta)})
     return _report("only-pure-power", tol, rows, checks=[witness])
@@ -440,10 +445,20 @@ def run_suite(
     name: str, samples: int | None = None, tol: float | None = None, seed: int = 0
 ) -> SuiteReport:
     """Run a suite by name; ``samples`` and ``tol`` left as None keep the
-    suite's defaults."""
+    suite's defaults.  An unknown name, ``samples`` that is not a positive
+    integer, ``tol`` that is not a positive finite number and ``seed`` that
+    is not a non-negative integer raise ``InvalidArgument``."""
     try:
         function = _SUITES[name]
     except KeyError:
         raise InvalidArgument(f"unknown suite {name!r}; choose from {SUITE_NAMES}") from None
+    if samples is not None and not (core._is_integer(samples) and samples > 0):
+        raise InvalidArgument(f"samples must be a positive integer, got {samples!r:.80}")
+    if tol is not None and not (
+        isinstance(tol, numbers.Real) and not isinstance(tol, bool) and 0.0 < tol < math.inf
+    ):
+        raise InvalidArgument(f"tol must be a positive finite number, got {tol!r:.80}")
+    if not (core._is_integer(seed) and seed >= 0):
+        raise InvalidArgument(f"seed must be a non-negative integer, got {seed!r:.80}")
     given = {"samples": samples, "tol": tol}
     return globals()[function](seed=seed, **{k: v for k, v in given.items() if v is not None})

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from atrig import cli, verify
+from atrig.errors import InvalidArgument
 
 
 def run_cli(capsys, *argv):
@@ -190,6 +191,26 @@ def test_run_suite_calls_the_module_attribute(monkeypatch):
     report = verify.run_suite("crt", 2)
     assert calls == [{"seed": 0, "samples": 2}]
     assert report.suite == "crt" and report.passed
+
+
+@pytest.mark.parametrize("samples", [0, -1, 2.5, True, "2"])
+def test_run_suite_refuses_samples_that_are_not_a_positive_integer(samples):
+    # 0 and -1 used to give a report that passed with no lemma rows.
+    with pytest.raises(InvalidArgument, match="samples"):
+        verify.run_suite("lemma", samples)
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-9, True, "1e-9"])
+def test_run_suite_refuses_a_tol_that_is_not_positive_and_finite(tol):
+    # An infinite tolerance used to pass every case.
+    with pytest.raises(InvalidArgument, match="tol"):
+        verify.run_suite("lemma", 1, tol)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, None, "0"])
+def test_run_suite_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(InvalidArgument, match="seed"):
+        verify.run_suite("lemma", 1, 1e-6, seed)
 
 
 def test_verify_suite_failure_exit_code(capsys):

@@ -332,16 +332,22 @@ def test_decomposition_cache_is_keyed_on_the_modulus(monkeypatch, labelled_first
 
 
 def _count_exponentials(monkeypatch):
-    """Patch counters onto ``trig_components`` and ``_exp_coords`` wherever
-    the suites and the identity checks look them up; returns the call log."""
+    """Patch counters onto ``trig_components``, ``_exp_coords`` and
+    ``_exp_monomial`` wherever the suites and the identity checks look them
+    up; returns the call log."""
     from atrig import identities, transcendental, verify
 
     calls = []
     exp_coords, trig_components = transcendental._exp_coords, transcendental.trig_components
+    exp_monomial = transcendental._exp_monomial
 
     def counted_exp(coords, fold):
         calls.append(("_exp_coords", coords[..., 0].size))
         return exp_coords(coords, fold)
+
+    def counted_monomial(thetas, norms, series, fold):
+        calls.append(("_exp_monomial", np.size(thetas)))
+        return exp_monomial(thetas, norms, series, fold)
 
     def counted_trig(pres, m, theta):
         calls.append(("trig_components", np.size(theta)))
@@ -349,6 +355,7 @@ def _count_exponentials(monkeypatch):
 
     for module in (transcendental, verify):
         monkeypatch.setattr(module, "_exp_coords", counted_exp)
+        monkeypatch.setattr(module, "_exp_monomial", counted_monomial)
     for module in (identities, verify):
         monkeypatch.setattr(module, "trig_components", counted_trig)
     return calls
@@ -362,7 +369,7 @@ def test_one_stacked_exponential_per_identities_case(monkeypatch):
     cases = report.cases // 5  # adding angle and De Moivre powers 1-4 per case
     # alpha, beta, alpha+beta for adding angle; alpha, p*alpha for each power.
     rows = 10 * (3 + 2 * 4)
-    assert calls == [("trig_components", rows), ("_exp_coords", rows)] * cases
+    assert calls == [("trig_components", rows), ("_exp_monomial", rows)] * cases
 
 
 def test_one_stacked_exponential_per_pure_power_preset(monkeypatch):
@@ -372,8 +379,8 @@ def test_one_stacked_exponential_per_pure_power_preset(monkeypatch):
     verify.pure_power_suite(samples=10, seed=0)
     # Every m of every preset of a degree in one call (H_n, C_n and Gamma_n),
     # then the k^3 + k witness.
-    want = [("_exp_coords", 3 * 10 * (n - 1)) for n in range(2, 7)]
-    assert calls == want + [("_exp_coords", 31)]
+    want = [("_exp_monomial", 3 * 10 * (n - 1)) for n in range(2, 7)]
+    assert calls == want + [("_exp_monomial", 31)]
 
 
 def test_one_stacked_exponential_per_kthagorean_degree(monkeypatch):
@@ -384,7 +391,7 @@ def test_one_stacked_exponential_per_kthagorean_degree(monkeypatch):
     degrees = [pres.degree for pres in verify.preset_grid()]
     degrees += [int(row["case"].split("deg ")[1][:-1]) for row in report.details[len(degrees) :]]
     # One call per degree, in the order the degrees first appear.
-    assert calls == [("_exp_coords", 10 * count) for count in Counter(degrees).values()]
+    assert calls == [("_exp_monomial", 10 * count) for count in Counter(degrees).values()]
 
 
 def _unit_deviation(pres, exps):

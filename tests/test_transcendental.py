@@ -43,9 +43,14 @@ from atrig.transcendental import (
     _THETA,
     _exp_coords,
     _log_coords,
+    _monomial_series,
     _squaring_count,
 )
-from atrig.verify import random_depressed_presentation, random_ld_sample
+from atrig.verify import (
+    random_depressed_presentation,
+    random_ld_sample,
+    random_rational_presentation,
+)
 
 
 def nil_exp_oracle(pres, coords):
@@ -823,6 +828,29 @@ def test_exp_scales_by_the_norm_of_the_representation():
     np.testing.assert_allclose(batch[1], [math.cos(400), math.sin(400) / 1000], rtol=2.0**-33)
 
 
+def test_monomial_series_is_scaled_to_the_binade_of_the_norm():
+    # k^2 = -1e100: k^18 = -1e900 overflows, so an unscaled table of
+    # M(k)^j e_1 / j! holds infinities.  |theta| |M(k)|_1 = 0.4 asks for no
+    # squaring, so exp(theta k) = cos(theta 1e50) + sin(theta 1e50) / 1e50 k
+    # to the bound of test_exp_scales_by_the_norm_of_the_representation.
+    pres = make_presentation([1e100, 0.0])
+    norm, series, _ = _monomial_series(pres.modulus_coeffs, 1)
+    assert norm == 1e100 and np.abs(series).max() <= 1.0
+    batch = trig_components(pres, 1, [0.0, 0.4e-100])
+    np.testing.assert_array_equal(batch[0], [1.0, 0.0])
+    phase = 0.4e-100 * 1e50
+    np.testing.assert_allclose(batch[1], [math.cos(phase), math.sin(phase) / 1e50], rtol=2.0**-33)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "theta", [1 + 2j, "0.5", [0.1, "x"], [[0.1], [0.2, 0.3]], 10**400, None, np.array([1j])]
+)
+def test_trig_components_refuses_a_theta_that_is_not_real(h3, theta):
+    with pytest.raises(InvalidArgument, match="theta"):
+        trig_components(h3, 1, theta)
+
+
 @pytest.mark.filterwarnings("error")
 def test_exp_refuses_what_it_cannot_scale(h2):
     for bad in ([float("nan"), 0.0], [0.0, -float("inf")], [1e308, 0.0]):
@@ -911,6 +939,47 @@ def test_taylor_stage_matches_the_exact_series(pres):
             total = [t + s for t, s in zip(total, term)]
         error = max(abs(Fraction(x) - t) for x, t in zip(out, total))
         assert float(error) <= 4 * n * UNIT_ROUNDOFF * math.exp(norm)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_monomial_series_matches_the_exact_powers_of_k(seed):
+    # Eighth-step moduli make every power of k an exact dyadic rational.
+    # Row j of the series table is k^(mj) / (2^(sigma j) j!), 2^sigma the
+    # binade of |M(k^m)|_1; each row takes one more matrix-vector product
+    # and division, so row j errs by at most j (n + 1) u (|A|^j e_1) / j!.
+    # The rows with no squaring are the Taylor stage alone, which must meet
+    # the bound of test_taylor_stage_matches_the_exact_series.  Over 40 such
+    # moduli the largest ratios to j (n + 1) u (|A|^j e_1) / j! and to
+    # n u e^(|theta| |M(k^m)|_1) are 0.11 and 0.32.
+    rng = np.random.default_rng(seed)
+    pres = random_rational_presentation(rng, 2 + seed % 5)
+    n = pres.degree
+    powers = [
+        [Fraction(a, 1 << e) for a in column]
+        for column, e in _powers_of_k(pres.modulus_coeffs, _TAYLOR_DEGREE * (n - 1) + n - 1)
+    ]
+    for m in range(1, n):
+        norm, series, _ = _monomial_series(pres.modulus_coeffs, m)
+        exact_norm = max(sum(abs(x) for x in powers[m + j]) for j in range(n))
+        assert abs(Fraction(norm) - exact_norm) <= n * UNIT_ROUNDOFF * exact_norm
+        scale = Fraction(1, 2 ** math.frexp(float(exact_norm))[1])
+        rep = [[abs(powers[m + j][r]) * scale for j in range(n)] for r in range(n)]
+        bound = [Fraction(int(r == 0)) for r in range(n)]  # |A|^j e_1 / j!
+        for j in range(_TAYLOR_DEGREE + 1):
+            if j:
+                bound = [sum(a * b for a, b in zip(rep[r], bound)) / j for r in range(n)]
+            exact = [x * scale**j / math.factorial(j) for x in powers[m * j]]
+            for got, want, most in zip(series[j], exact, bound):
+                assert abs(Fraction(got) - want) <= j * (n + 1) * UNIT_ROUNDOFF * most
+        thetas = rng.integers(-(2**10), 2**10 + 1, 6) / 2.0**10 * (_THETA / norm)
+        for theta, out in zip(thetas, trig_components(pres, m, thetas)):
+            t = Fraction(theta)
+            total = [
+                sum(t**j * powers[m * j][r] / math.factorial(j) for j in range(_TAYLOR_DEGREE + 1))
+                for r in range(n)
+            ]
+            error = max(abs(Fraction(x) - want) for x, want in zip(out, total))
+            assert float(error) <= 4 * n * UNIT_ROUNDOFF * math.exp(abs(theta) * norm)
 
 
 def test_taylor_blocks_hold_the_inverse_factorials():
