@@ -10,8 +10,8 @@ seven matrix-vector products in all where term by term takes eighteen.
 
 An exponential of a monomial theta k^m, behind ``trig_components``, has a
 second Taylor stage.  Its Taylor coefficients are the coordinates of
-k^(mj) / j!, fixed by the modulus and m, so one cached table per
-(modulus, m), scaled by a power of two, serves every theta, and each theta
+k^(mj) / j!, fixed by the modulus and m, so one table per (modulus, m),
+scaled by a power of two, serves every theta of a call, and each theta
 takes Horner in one scalar over the table's rows.  The form of the input
 picks the stage: dense coordinates or angles.  Both stages take their
 squaring counts from the same 1-norm and share the squarings.
@@ -128,15 +128,17 @@ _TAYLOR_BLOCKS = np.array(
 _TAYLOR_BLOCKS.setflags(write=False)
 
 
-def _squaring_count(norms: np.ndarray, threshold: float) -> np.ndarray:
-    """The smallest s >= 0 with norm <= threshold * 2**s, for every norm.
+def _squaring_count(norms: np.ndarray, threshold: float, scale=0) -> np.ndarray:
+    """The smallest s >= 0 with norm * 2**scale <= threshold * 2**s, for
+    every norm and its entry of ``scale``, an integer or an integer array
+    that broadcasts against ``norms``.
 
     Comparing frexp mantissas and exponents is exact and cannot overflow,
-    however large the norm.
+    however large the norm or the scale.
     """
     mant, expo = np.frexp(norms)
     t_mant, t_expo = math.frexp(threshold)
-    return np.where(norms > threshold, expo - t_expo + (mant > t_mant), 0)
+    return np.where(norms > 0, np.maximum(expo + scale - t_expo + (mant > t_mant), 0), 0)
 
 
 def _taylor_e1(rep: np.ndarray, fold: np.ndarray) -> np.ndarray:
@@ -163,35 +165,31 @@ def _taylor_e1(rep: np.ndarray, fold: np.ndarray) -> np.ndarray:
     return out[..., 0]
 
 
-def _squarings(norms: np.ndarray) -> np.ndarray:
-    """Each row's squaring count, the fewest halvings that bring its norm
-    to _THETA or below; a norm that 1023 squarings cannot scale raises
-    ``InvalidArgument``."""
-    largest = float(norms.max())
-    if not largest <= _THETA * 2.0**_MAX_SQUARINGS:
-        raise InvalidArgument(
-            f"exp cannot scale |M(z)|_1 = {largest:.6g} to {_THETA} "
-            f"within {_MAX_SQUARINGS} squarings"
-        )
-    return _squaring_count(norms, _THETA)
+def _unscalable(largest: float) -> InvalidArgument:
+    return InvalidArgument(
+        f"exp cannot scale |M(z)|_1 = {largest:.6g} to {_THETA} "
+        f"within {_MAX_SQUARINGS} squarings"
+    )
 
 
 # An overflowing squaring leaves a result that is not finite, which is
 # refused, so numpy's warnings about it are noise.
 @np.errstate(over="ignore", invalid="ignore")
-def _squared(out: np.ndarray, counts: np.ndarray, fold: np.ndarray) -> np.ndarray:
+def _squared(out: np.ndarray, counts: np.ndarray | None, fold: np.ndarray) -> np.ndarray:
     """Every row of ``out`` (..., n) squared in the algebra as many times as
-    its entry of ``counts`` (...) says, each with its own fold table; a
-    result that is not finite raises ``InvalidArgument``."""
-    least, most = int(counts.min()), int(counts.max())
-    for step in range(most):
-        if step < least:
-            out = core._mul_coords(out, out, fold)
-        else:
-            need = counts > step
-            part = out[need]
-            folds = np.broadcast_to(fold, need.shape + fold.shape[-2:])[need]
-            out[need] = core._mul_coords(part, part, folds)
+    its entry of ``counts`` (...) says, each with its own fold table, or
+    not at all if ``counts`` is None; a result that is not finite raises
+    ``InvalidArgument``."""
+    if counts is not None:
+        least, most = int(counts.min()), int(counts.max())
+        for step in range(most):
+            if step < least:
+                out = core._mul_coords(out, out, fold)
+            else:
+                need = counts > step
+                part = out[need]
+                folds = np.broadcast_to(fold, need.shape + fold.shape[-2:])[need]
+                out[need] = core._mul_coords(part, part, folds)
     if not np.isfinite(out).all():
         raise InvalidArgument("exp overflowed: the result is not finite")
     return out
@@ -219,56 +217,69 @@ def _exp_coords(coords: np.ndarray, fold: np.ndarray) -> np.ndarray:
     if not np.isfinite(coords).all():
         raise InvalidArgument("exp requires finite coordinates")
     rep = core._rep_stack(coords, fold)
-    counts = _squarings(np.abs(rep).sum(axis=-2).max(axis=-1))
-    rep = np.ldexp(rep, -counts[..., None, None])
+    norms = np.abs(rep).sum(axis=-2).max(axis=-1)
+    largest = float(norms.max())
+    if not largest <= _THETA * 2.0**_MAX_SQUARINGS:
+        raise _unscalable(largest)
+    counts = None
+    if largest > _THETA:
+        counts = _squaring_count(norms, _THETA)
+        rep = np.ldexp(rep, -counts[..., None, None])
     return _squared(_taylor_e1(rep, fold), counts, fold)
 
 
-# One pass of the kthagorean, only-pure-power, identities and lemma suites
-# at their default sizes touches 129 (modulus, m) pairs, more than a cache
-# of 128, the fold table's, holds; an entry is 19 n doubles.
+# A table costs 18 matrix-vector products.  Every angle of a call shares
+# it, and a caller that returns to a modulus, say one angle per call on one
+# algebra, finds it built: a one-angle trig_components takes about 36 us
+# with the table cached and 90 us without.  An entry holds 19 n doubles
+# and keeps its fold table, n (2n - 1) doubles, so 512 entries of degree
+# 32 hold at most 11 MB.
 @lru_cache(maxsize=512)
 def _monomial_series(
     modulus_coeffs: tuple[float, ...], m: int
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """The tables behind exp(theta k^m) on one modulus: |M(k^m)|_1, the
-    read-only (19, n) series table whose row j is A^j e_1 / j! for
-    A = M(k^m) / 2^sigma, and the fold table.
+) -> tuple[int, float, np.ndarray, np.ndarray]:
+    """The tables behind exp(theta k^m) on one modulus: sigma and |A|_1 for
+    A = M(k^m) / 2^sigma, 2^sigma the binade of |M(k^m)|_1, the read-only
+    (19, n) series table whose row j is A^j e_1 / j!, and the fold table.
 
-    M(k^m) is the slice fold[:, m:m + n] of the fold table, and 2^sigma is
-    the binade of its 1-norm (the norm lies in [2^(sigma - 1), 2^sigma)),
-    so |A|_1 < 1 and row j is at most 1/j! in every entry: no modulus that
-    ``core._fold_table`` accepts can overflow the table.
+    M(k^m) is the slice fold[:, m:m + n] of the fold table.  Its 1-norm
+    may pass the largest double (k^2 = 1e308 + 1e308 k), so it is summed
+    after scaling by the binade of the largest entry, where no column sum
+    can overflow.  |A|_1 lies in [1/2, 1), so row j is at most 1/j! in
+    every entry: no modulus that ``core._fold_table`` accepts can overflow
+    the table.
     """
     fold = core._fold_table(modulus_coeffs)
     n = len(modulus_coeffs)
     rep = fold[:, m : m + n]
-    norm = float(np.abs(rep).sum(axis=0).max())
-    scaled = np.ldexp(rep, -math.frexp(norm)[1])
+    entry = math.frexp(float(np.abs(rep).max()))[1]
+    norm, binade = math.frexp(float(np.abs(np.ldexp(rep, -entry)).sum(axis=0).max()))
+    sigma = entry + binade
+    scaled = np.ldexp(rep, -sigma)
     series = np.empty((_TAYLOR_DEGREE + 1, n))
     series[0] = np.eye(1, n)
     for j in range(1, _TAYLOR_DEGREE + 1):
-        series[j] = scaled @ series[j - 1] / j
+        np.matmul(scaled, series[j - 1], out=series[j])
+        series[j] /= j
     series.setflags(write=False)
-    return norm, series, fold
+    return sigma, norm, series, fold
 
 
-# |theta| |M(k^m)|_1 may overflow, which is refused, so numpy's warning
-# about it is noise.
-@np.errstate(over="ignore")
 def _exp_monomial(
-    thetas: np.ndarray, norms: np.ndarray, series: np.ndarray, fold: np.ndarray
+    thetas: np.ndarray, sigmas, norms, series: np.ndarray, fold: np.ndarray
 ) -> np.ndarray:
     """exp(theta k^m) for every theta of ``thetas`` (any shape), as a
     ``thetas.shape + (n,)`` array.
 
-    ``norms``, ``series`` and ``fold`` are the tables of
+    ``sigmas``, ``norms``, ``series`` and ``fold`` are the tables of
     ``_monomial_series``, for one (modulus, m) or stacked to broadcast
-    against the angles, such as (cases, 1), (cases, 1, 19, n) and
-    (cases, 1, n, 2n - 1) for (cases, samples) angles.  Each angle takes s
-    squarings, the fewest that bring |theta| |M(k^m)|_1 to _THETA or below,
-    by the rule ``_exp_coords`` applies to |M(z)|_1.  The Taylor stage is Horner in
-    t = theta 2^(sigma - s) over the rows of the series table, since
+    against the angles, such as (cases, 1), (cases, 1), (cases, 1, 19, n)
+    and (cases, 1, n, 2n - 1) for (cases, samples) angles.  Each angle
+    takes s squarings, the fewest that bring |theta| |M(k^m)|_1 =
+    |theta| |A|_1 2^sigma to _THETA or below, by the rule ``_exp_coords``
+    applies to |M(z)|_1; 2^sigma enters as an exponent, so the product
+    cannot overflow.  The Taylor stage is Horner in t = theta 2^(sigma - s)
+    over the rows of the series table, since
     (theta M(k^m) / 2^s)^j e_1 / j! = t^j A^j e_1 / j!; scaling by a power
     of two is exact and the rest is elementwise, so each angle gets the
     same bits in any batch.  The squarings are those of ``_exp_coords``.
@@ -277,10 +288,15 @@ def _exp_monomial(
         raise InvalidArgument("exp requires finite coordinates")
     if thetas.size == 0:
         return np.empty(thetas.shape + series.shape[-1:])
-    counts = _squarings(np.abs(thetas) * norms)
-    t = np.ldexp(thetas, np.frexp(norms)[1] - counts)
+    scaled_norms = np.abs(thetas) * norms  # at most |theta|, since |A|_1 < 1
+    counts = _squaring_count(scaled_norms, _THETA, sigmas)
+    most = int(counts.max())
+    if most > _MAX_SQUARINGS:
+        with np.errstate(over="ignore"):
+            raise _unscalable(float(np.ldexp(scaled_norms, sigmas).max()))
+    t = np.ldexp(thetas, sigmas - counts)
     # t spread over the coordinates once: numpy multiplies arrays of one
-    # shape faster than it broadcasts.
+    # shape faster than it broadcasts, for one angle as for 440.
     t = np.repeat(t[..., None], series.shape[-1], axis=-1)
     terms = np.moveaxis(series, -2, 0)
     out = terms[_TAYLOR_DEGREE] * t
@@ -288,7 +304,7 @@ def _exp_monomial(
         out += term
         out *= t
     out += terms[0]
-    return _squared(out, counts, fold)
+    return _squared(out, counts if most else None, fold)
 
 
 def exp(z: AlgebraElement) -> AlgebraElement:
@@ -317,9 +333,9 @@ def trig_components(pres: PrincipalPresentation, m: int, theta) -> np.ndarray:
     algebra (cosh/sinh-like for k^n = 1, cos/sin-like for k^n = -1).
     ``theta`` may be a real scalar or an array of reals; anything else
     raises ``InvalidArgument``.  The result has shape ``theta.shape + (n,)``
-    and comes from one stacked monomial exponential over a series table
-    cached per (modulus, m) (``_exp_monomial``), each row equal to the
-    result at that theta alone.  It takes the squaring counts of
+    and comes from one stacked monomial exponential over one series table
+    for (modulus, m) (``_exp_monomial``), each row equal to the result at
+    that theta alone.  It takes the squaring counts of
     ``exp(theta * k^m)`` but not its Taylor arithmetic, so the two agree to
     rounding, not bit for bit.
     """

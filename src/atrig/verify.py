@@ -170,21 +170,16 @@ def _report(suite: str, tol: float, rows, checks=()) -> SuiteReport:
     return SuiteReport(suite, tol, worst, all(d["pass"] for d in details), details)
 
 
-def _fold_of(modulus_coeffs) -> tuple[np.ndarray]:
-    return (core._fold_table(modulus_coeffs),)
-
-
-def _by_degree(batches, kernel, tables=_fold_of, row_axes: int = 1) -> list[np.ndarray]:
+def _by_degree(batches, kernel, tables) -> list[np.ndarray]:
     """``kernel(rows, *shared)`` over the rows of every ``(pres, *key, rows)``
     of ``batches``, as one array per batch.
 
     ``tables(pres.modulus_coeffs, *key)`` gives the arrays that a batch's
-    rows share, by default its fold table; each row has ``row_axes`` axes
-    of its own (1 for coordinates, 0 for angles).  The batches of one
-    degree, which share one shape, are stacked into one kernel call, with
-    every table stacked on a new first axis and broadcast over its batch's
-    rows (``folds`` has shape (cases, 1, ..., 1, n, 2n - 1)), so every row
-    equals its value from a call on its batch alone, bit for bit.
+    rows share.  The batches of one degree, whose rows share one shape
+    (samples, ...), are stacked into one kernel call, with every table
+    stacked on a new first axis and broadcast over its batch's samples
+    (fold tables have shape (cases, 1, n, 2n - 1)), so every row equals
+    its value from a call on its batch alone, bit for bit.
     """
     by_degree: dict[int, list[int]] = {}
     for i, (pres, *_) in enumerate(batches):
@@ -192,9 +187,8 @@ def _by_degree(batches, kernel, tables=_fold_of, row_axes: int = 1) -> list[np.n
     out = [None] * len(batches)
     for group in by_degree.values():
         rows = np.stack([batches[i][-1] for i in group])
-        spread = tuple(range(1, rows.ndim - row_axes))
         per_case = [tables(batches[i][0].modulus_coeffs, *batches[i][1:-1]) for i in group]
-        shared = [np.expand_dims(np.stack(table), spread) for table in zip(*per_case)]
+        shared = [np.stack(table)[:, None] for table in zip(*per_case)]
         for i, part in zip(group, kernel(rows, *shared)):
             out[i] = part
     return out
@@ -203,7 +197,7 @@ def _by_degree(batches, kernel, tables=_fold_of, row_axes: int = 1) -> list[np.n
 def _exps(batches) -> list[np.ndarray]:
     """exp of every row of every ``(pres, coords)`` of ``batches``, as one
     array per batch: one stacked exponential per degree."""
-    return _by_degree(batches, _exp_coords)
+    return _by_degree(batches, _exp_coords, lambda coeffs: (core._fold_table(coeffs),))
 
 
 def _unit_deviations(batches) -> list[np.ndarray]:
@@ -211,11 +205,11 @@ def _unit_deviations(batches) -> list[np.ndarray]:
     of ``batches``, as one array per batch: one stacked monomial exponential
     and one stacked determinant per degree."""
 
-    def deviations(thetas, norms, series, folds):
-        exps = _exp_monomial(thetas, norms, series, folds)
+    def deviations(thetas, sigmas, norms, series, folds):
+        exps = _exp_monomial(thetas, sigmas, norms, series, folds)
         return np.abs(np.linalg.det(core._rep_stack(exps, folds)) - 1.0)
 
-    return _by_degree(batches, deviations, _monomial_series, row_axes=0)
+    return _by_degree(batches, deviations, _monomial_series)
 
 
 def _ld_batches(rng, presentations, samples: int):

@@ -345,9 +345,9 @@ def _count_exponentials(monkeypatch):
         calls.append(("_exp_coords", coords[..., 0].size))
         return exp_coords(coords, fold)
 
-    def counted_monomial(thetas, norms, series, fold):
+    def counted_monomial(thetas, *tables):
         calls.append(("_exp_monomial", np.size(thetas)))
-        return exp_monomial(thetas, norms, series, fold)
+        return exp_monomial(thetas, *tables)
 
     def counted_trig(pres, m, theta):
         calls.append(("trig_components", np.size(theta)))
@@ -403,22 +403,22 @@ def test_by_degree_hands_the_kernel_one_fold_table_per_presentation():
     from atrig import verify
 
     cases = [preset("hyperbolic", 3), preset("nil", 2), make_presentation([0.5, -1, 0])]
-    batches = [(pres, np.full((2, 5, pres.degree), i + 1.0)) for i, pres in enumerate(cases)]
+    batches = [(pres, np.full((5, pres.degree), i + 1.0)) for i, pres in enumerate(cases)]
     seen = []
 
     def kernel(rows, folds):
         seen.append((rows, folds))
         return -rows
 
-    out = verify._by_degree(batches, kernel)
+    out = verify._by_degree(batches, kernel, lambda coeffs: (_fold_table(coeffs),))
     # The degree-3 cases stacked on a new axis, then the degree-2 case.
     assert [(rows.shape, folds.shape) for rows, folds in seen] == [
-        ((2, 2, 5, 3), (2, 1, 1, 3, 5)),
-        ((1, 2, 5, 2), (1, 1, 1, 2, 3)),
+        ((2, 5, 3), (2, 1, 3, 5)),
+        ((1, 5, 2), (1, 1, 2, 3)),
     ]
     tables = [_fold_table(pres.modulus_coeffs) for pres in cases]
-    assert np.array_equal(seen[0][1][:, 0, 0], np.stack([tables[0], tables[2]]))
-    assert np.array_equal(seen[1][1][0, 0, 0], tables[1])
+    assert np.array_equal(seen[0][1][:, 0], np.stack([tables[0], tables[2]]))
+    assert np.array_equal(seen[1][1][0, 0], tables[1])
     for (_, coords), part in zip(batches, out):
         assert np.array_equal(part, -coords)
 

@@ -834,12 +834,33 @@ def test_monomial_series_is_scaled_to_the_binade_of_the_norm():
     # squaring, so exp(theta k) = cos(theta 1e50) + sin(theta 1e50) / 1e50 k
     # to the bound of test_exp_scales_by_the_norm_of_the_representation.
     pres = make_presentation([1e100, 0.0])
-    norm, series, _ = _monomial_series(pres.modulus_coeffs, 1)
-    assert norm == 1e100 and np.abs(series).max() <= 1.0
+    sigma, norm, series, _ = _monomial_series(pres.modulus_coeffs, 1)
+    assert math.ldexp(norm, sigma) == 1e100 and np.abs(series).max() <= 1.0
     batch = trig_components(pres, 1, [0.0, 0.4e-100])
     np.testing.assert_array_equal(batch[0], [1.0, 0.0])
     phase = 0.4e-100 * 1e50
     np.testing.assert_allclose(batch[1], [math.cos(phase), math.sin(phase) / 1e50], rtol=2.0**-33)
+
+
+@pytest.mark.filterwarnings("error")
+def test_monomial_series_of_a_norm_past_the_largest_double():
+    # k^2 = 1e308 + 1e308 k: M(k) has the column (1e308, 1e308), whose sum
+    # 2e308 is not a double, yet every entry is.  The table is still finite,
+    # theta = 0 and 1e-310 (|theta| |M(k)|_1 = 0.02, no squaring) are
+    # answered as exp(theta k) answers them, to the Taylor-stage bound of
+    # test_taylor_stage_matches_the_exact_series on each side, and theta = 1
+    # asks for more squarings than a double can scale.
+    pres = make_presentation([-1e308, -1e308])
+    sigma, norm, series, _ = _monomial_series(pres.modulus_coeffs, 1)
+    assert 0.5 <= norm < 1.0 and math.ldexp(norm, sigma - 1) == 1e308
+    assert np.isfinite(series).all() and np.abs(series).max() <= 1.0
+    batch = trig_components(pres, 1, [0.0, 1e-310])
+    np.testing.assert_array_equal(batch[0], [1.0, 0.0])
+    want = exp(pres.element([0.0, 1e-310])).coords
+    bound = 2 * 4 * pres.degree * UNIT_ROUNDOFF * math.exp(1e-310 * 2e308)
+    assert np.abs(batch[1] - want).max() <= bound
+    with pytest.raises(InvalidArgument, match="squarings"):
+        trig_components(pres, 1, 1.0)
 
 
 @pytest.mark.filterwarnings("error")
@@ -959,7 +980,8 @@ def test_monomial_series_matches_the_exact_powers_of_k(seed):
         for column, e in _powers_of_k(pres.modulus_coeffs, _TAYLOR_DEGREE * (n - 1) + n - 1)
     ]
     for m in range(1, n):
-        norm, series, _ = _monomial_series(pres.modulus_coeffs, m)
+        sigma, norm, series, _ = _monomial_series(pres.modulus_coeffs, m)
+        norm = math.ldexp(norm, sigma)
         exact_norm = max(sum(abs(x) for x in powers[m + j]) for j in range(n))
         assert abs(Fraction(norm) - exact_norm) <= n * UNIT_ROUNDOFF * exact_norm
         scale = Fraction(1, 2 ** math.frexp(float(exact_norm))[1])
