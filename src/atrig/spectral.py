@@ -7,20 +7,22 @@ Comp. 64, 1995).  The variable is first scaled by a power of two near a
 root-radius bound, so that huge or tiny coefficients do not defeat the
 balancing.  Newton steps polish the roots on the original polynomial, each
 step one product of a power table 1, xi, ..., xi^n with the coefficients of
-p and p'; the same table of the roots, to xi^(n-1), is the Vandermonde matrix
-that both component maps multiply or solve against.  Multiple (or
-numerically near-multiple) roots are refused rather than approximated: the
-component logarithm degrades badly there, so the decomposition certifies
-semisimplicity up front, by a separation test and by a forward-error bound
-on each root that must be small against its distance to the others.
-Decompositions are memoized per presentation and tolerance, so every caller
-of a modulus shares one root finding.
+p and p'; one array, filled in place, holds that table for every step, for
+the error bound and for the residual.  The same table of the roots, to
+xi^(n-1), is the Vandermonde matrix that both component maps multiply or
+solve against.  Multiple (or numerically near-multiple) roots are refused
+rather than approximated: the component logarithm degrades badly there, so
+the decomposition certifies semisimplicity up front, by a separation test
+and by a forward-error bound on each root that must be small against its
+distance to the others.
+Decompositions are memoized per presentation and tolerance, 512 of them,
+so every caller of a modulus shares one root finding.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -49,12 +51,23 @@ class SpectralDecomposition:
 
     ``complex_roots`` stores one representative per conjugate pair, with
     strictly positive imaginary part.  r + 2c = degree.
+
+    ``find_roots`` also keeps the certificates it checked: the scale
+    exponent s of the companion matrix (k = 2^s t), the smallest distance
+    between two polished roots (inf for one root), the largest ratio of a
+    root's forward-error bound to that root's distance to the others, and
+    the largest relative residual |p(xi)| / max(1, |xi|^n).  They are None
+    on a decomposition built by hand, and take no part in equality.
     """
 
     presentation: PrincipalPresentation
     real_roots: tuple[float, ...]
     complex_roots: tuple[complex, ...]
     root_tolerance: float
+    scale_exponent: int | None = field(default=None, compare=False)
+    min_separation: float | None = field(default=None, compare=False)
+    max_error_ratio: float | None = field(default=None, compare=False)
+    max_residual: float | None = field(default=None, compare=False)
 
     @property
     def real_count(self) -> int:
@@ -95,14 +108,17 @@ class ComponentVector:
     complex_parts: tuple[complex, ...]
 
 
-def _powers(z: np.ndarray, n: int) -> np.ndarray:
+def _powers(z: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
     """Row i holds 1, z_i, ..., z_i^n, each power the one before it times z_i.
     The running product starts at z_i, as in numpy's Vandermonde builder,
-    because numpy rounds a two-term complex running product differently."""
-    table = np.empty((len(z), n + 1), dtype=z.dtype)
+    because numpy rounds a two-term complex running product differently.
+    With ``out``, an array of z's dtype and n + 1 columns, the table is its
+    first len(z) rows, filled in place."""
+    table = np.empty((len(z), n + 1), dtype=z.dtype) if out is None else out[: len(z)]
     table[:, 0] = 1.0
-    table[:, 1:] = z[:, None]
-    np.cumprod(table[:, 1:], axis=1, out=table[:, 1:])
+    body = table[:, 1:]
+    body[...] = z[:, None]
+    np.multiply.accumulate(body, axis=1, out=body)
     return table
 
 
@@ -127,28 +143,18 @@ def _radius_exponent(coeffs: np.ndarray) -> int:
     Rounding toward zero keeps s = 0 for every bound within (1/2, 2), the
     presets' bound 1 among them.
     """
-    nonzero = np.flatnonzero(coeffs)
+    nonzero = coeffs.nonzero()[0]
     if not nonzero.size:
         return 0
     log_bound = np.log2(np.abs(coeffs[nonzero])) / (len(coeffs) - nonzero)
-    return int(np.max(log_bound))
+    return int(log_bound.max())
 
 
 def _separations(roots: np.ndarray) -> np.ndarray:
     """Distance from each root to the nearest other one (inf when alone)."""
-    diff = np.abs(roots[:, None] - roots[None, :])
-    np.fill_diagonal(diff, np.inf)
+    diff = np.abs(roots[:, None] - roots)
+    diff.flat[:: len(roots) + 1] = np.inf
     return diff.min(axis=1)
-
-
-def _newton_polish(both: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Three Newton steps on every point of ``z``, for the p and p' of
-    ``_value_and_slope_coeffs``."""
-    for _ in range(3):
-        p, dp = (_powers(z, len(both) - 1) @ both).T
-        dp = np.where(dp == 0, 1e-300, dp)
-        z = z - p / dp
-    return z
 
 
 def find_roots(
@@ -167,24 +173,36 @@ def find_roots(
     roots, e.g. nil presentations); and NoConvergence when the eigenvalue
     solver fails, the roots do not pair into conjugates, or a residual
     |p(xi)| exceeds tol * max(1, |xi|^n).  Every evaluation of p, of p' and
-    of sum_j |c_j||xi|^j is a product with the power table 1, xi, ..., xi^n.
+    of sum_j |c_j||xi|^j is a product with the power table 1, xi, ..., xi^n,
+    refilled in place in one reused array.  The decomposition keeps the
+    scale exponent, the separation, the error ratio and the residual it
+    certified.
 
     Results are memoized on pres, label included, and on the value of tol,
-    so a returned decomposition always carries a presentation equal to the
-    caller's; refusals are not memoized and are raised again on every call.
+    for 512 entries, so a returned decomposition always carries a
+    presentation equal to the caller's; refusals are not memoized and are
+    raised again on every call.
     """
     if not 0.0 < tol < math.inf:
         raise InvalidArgument(f"root tolerance must be a positive finite number, got {tol!r}")
     return _decompose(pres, float(tol))
 
 
-@lru_cache(maxsize=128)
+# One entry holds the roots and, once a component map has run, the n x n
+# complex Vandermonde matrix: about 18 KB at n = 32 (tracemalloc), so 512
+# entries stay below about 9 MB.  That is room for a few fixed algebras to
+# keep their decompositions while a caller streams a few hundred fresh moduli
+# through.
+@lru_cache(maxsize=512)
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _decompose(pres: PrincipalPresentation, tol: float) -> SpectralDecomposition:
-    """The memoized body of ``find_roots``, for a validated float ``tol``."""
+    """The memoized body of ``find_roots``, for a validated float ``tol``.
+
+    Every power table, from the Newton steps to the residual, fills one
+    n x (n + 1) array of the roots' dtype in place."""
     n = pres.degree
-    coeffs = np.array(pres.modulus_coeffs)
-    full = np.append(coeffs, 1.0)
+    full = np.array(pres.modulus_coeffs + (1.0,))
+    coeffs = full[:-1]
     s = _radius_exponent(coeffs)
     companion = np.eye(n, k=-1)
     companion[:, -1] = -np.ldexp(coeffs, s * (np.arange(n) - n))
@@ -193,52 +211,63 @@ def _decompose(pres: PrincipalPresentation, tol: float) -> SpectralDecomposition
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"companion eigenvalues failed for {pres}: {exc}") from None
 
-    scale = max(1.0, float(np.max(np.abs(roots))))
-    separation = _separations(roots)
-    if float(separation.min()) <= SEPARATION_FACTOR * scale:
-        raise NonSemisimple(
-            f"root separation {separation.min():.3e} below threshold for {pres}"
-        )
+    scale = max(1.0, float(np.abs(roots).max()))
+    separation = float(_separations(roots).min())
+    if separation <= SEPARATION_FACTOR * scale:
+        raise NonSemisimple(f"root separation {separation:.3e} below threshold for {pres}")
 
+    # Three Newton steps on p itself; eigvals returns real roots as a real
+    # array, and the table follows their dtype.
     both = _value_and_slope_coeffs(full)
-    roots = _newton_polish(both, roots)
-    powers = _powers(roots, n)
+    table = np.empty((n, n + 1), dtype=roots.dtype)
+    for _ in range(3):
+        p, dp = (_powers(roots, n, table) @ both).T
+        dp = np.where(dp == 0, 1e-300, dp)
+        roots = roots - p / dp
+    powers = _powers(roots, n, table)
     p, dp = (powers @ both).T
     rounding = np.abs(powers) @ np.abs(full)
     if not np.isfinite(rounding).all():
         raise NoConvergence(f"root error bound overflowed for {pres}")
     error = (np.abs(p) + 2 * n * UNIT_ROUNDOFF * rounding) / np.abs(dp)
-    ratio = float(np.max(error / _separations(roots)))
+    polished = _separations(roots)
+    ratio = float((error / polished).max())
     if not ratio < ROOT_ERROR_FACTOR:  # also refuses a NaN ratio
         raise NonSemisimple(
             f"root error bound at {ratio:.3e} of the root separation for {pres}"
         )
 
+    # A root is real when |Im xi| <= snap; the others lie above or below.
     snap = REAL_SNAP_FACTOR * np.maximum(1.0, np.abs(roots))
-    is_real = np.abs(roots.imag) <= snap
-    real_roots = sorted(float(r) for r in roots[is_real].real)
-    pos = sorted(
-        (complex(r) for r in roots[~is_real] if r.imag > 0),
-        key=lambda w: (w.real, w.imag),
-    )
-    neg_conj = sorted(
-        (complex(r).conjugate() for r in roots[~is_real] if r.imag < 0),
-        key=lambda w: (w.real, w.imag),
-    )
-    if len(pos) != len(neg_conj):
+    real_roots = np.sort(roots[np.abs(roots.imag) <= snap].real)
+    upper = roots[roots.imag > snap]
+    lower = roots[roots.imag < -snap].conj()
+    if len(upper) != len(lower):
         raise NoConvergence(f"conjugate pairing failed for {pres}")
-    pairs = []
-    for a, b in zip(pos, neg_conj):
-        if abs(a - b) > 0.5 * SEPARATION_FACTOR * scale:
-            raise NoConvergence(f"conjugate pairing failed for {pres}")
-        pairs.append(0.5 * (a + b))
+    upper = upper[np.lexsort((upper.imag, upper.real))]
+    lower = lower[np.lexsort((lower.imag, lower.real))]
+    if (np.abs(upper - lower) > 0.5 * SEPARATION_FACTOR * scale).any():
+        raise NoConvergence(f"conjugate pairing failed for {pres}")
+    pairs = 0.5 * (upper + lower)
 
-    nodes = np.array(real_roots + pairs, dtype=complex)
-    residual = np.abs(_powers(nodes, n) @ full) / np.maximum(1.0, np.abs(nodes) ** n)
-    if not float(np.max(residual)) <= tol:  # also refuses a NaN residual
-        raise NoConvergence(f"relative root residual {np.max(residual):.3e} exceeds {tol:.3e}")
+    nodes = np.concatenate((real_roots, pairs)).astype(complex, copy=False)
+    # A real table, when every root is real, cannot hold the complex nodes.
+    out = table if table.dtype == nodes.dtype else None
+    residual = np.abs(_powers(nodes, n, out) @ full) / np.maximum(1.0, np.abs(nodes) ** n)
+    worst = float(residual.max())
+    if not worst <= tol:  # also refuses a NaN residual
+        raise NoConvergence(f"relative root residual {worst:.3e} exceeds {tol:.3e}")
 
-    return SpectralDecomposition(pres, tuple(real_roots), tuple(pairs), tol)
+    return SpectralDecomposition(
+        pres,
+        tuple(real_roots.tolist()),
+        tuple(pairs.tolist()),
+        tol,
+        scale_exponent=s,
+        min_separation=float(polished.min()),
+        max_error_ratio=ratio,
+        max_residual=worst,
+    )
 
 
 def _component_values(coords: np.ndarray, dec: SpectralDecomposition) -> np.ndarray:

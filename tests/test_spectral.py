@@ -29,6 +29,9 @@ from atrig.errors import (
 )
 from atrig.spectral import (
     DEFAULT_ROOT_TOLERANCE,
+    REAL_SNAP_FACTOR,
+    ROOT_ERROR_FACTOR,
+    SEPARATION_FACTOR,
     UNIT_ROUNDOFF,
     SpectralDecomposition,
     _component_values,
@@ -294,14 +297,166 @@ def test_refusals_are_not_memoized(h2, monkeypatch):
 
 def test_find_roots_memo_is_bounded():
     rng = np.random.default_rng(5)
-    for _ in range(200):
+    for _ in range(600):
         try:
             find_roots(random_depressed_presentation(rng, 3))
         except AlgebraError:
             pass
     info = _decompose.cache_info()
-    assert info.maxsize == 128
-    assert info.currsize <= 128
+    assert info.maxsize == 512
+    assert info.currsize <= 512
+
+
+@pytest.mark.parametrize("kind", ["hyperbolic", "complicated"])
+@pytest.mark.parametrize("n", [*range(2, 7), 16, 32])
+def test_decomposition_keeps_its_certificates(kind, n):
+    pres = preset(kind, n)
+    dec = find_roots(pres)
+    assert dec.scale_exponent == _radius_exponent(np.array(pres.modulus_coeffs))
+    assert 0.0 < dec.min_separation < math.inf
+    assert 0.0 <= dec.max_error_ratio < ROOT_ERROR_FACTOR
+    assert 0.0 <= dec.max_residual <= dec.root_tolerance
+    # The certificates take no part in equality or in the JSON form.
+    bare = SpectralDecomposition(pres, dec.real_roots, dec.complex_roots, dec.root_tolerance)
+    assert bare == dec and hash(bare) == hash(dec)
+    assert bare.max_residual is None
+    assert bare.to_json_dict() == dec.to_json_dict()
+
+
+# -- the root finder's arithmetic, kept bit for bit --------------------------------
+
+
+def _old_powers(z, n):
+    table = np.empty((len(z), n + 1), dtype=z.dtype)
+    table[:, 0] = 1.0
+    table[:, 1:] = z[:, None]
+    np.cumprod(table[:, 1:], axis=1, out=table[:, 1:])
+    return table
+
+
+def _old_separations(roots):
+    diff = np.abs(roots[:, None] - roots[None, :])
+    np.fill_diagonal(diff, np.inf)
+    return diff.min(axis=1)
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _old_decompose(pres, tol):
+    """The body of ``_decompose`` before its power tables shared one array
+    and its roots were sorted and paired in numpy: a fresh table for every
+    evaluation and Python sorts over the roots.  Returns the real roots and
+    the conjugate-pair representatives, or raises the refusal."""
+    n = pres.degree
+    coeffs = np.array(pres.modulus_coeffs)
+    full = np.append(coeffs, 1.0)
+    s = _radius_exponent(coeffs)
+    companion = np.eye(n, k=-1)
+    companion[:, -1] = -np.ldexp(coeffs, s * (np.arange(n) - n))
+    try:
+        roots = np.linalg.eigvals(companion) * 2.0**s
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"companion eigenvalues failed for {pres}: {exc}") from None
+
+    scale = max(1.0, float(np.max(np.abs(roots))))
+    separation = _old_separations(roots)
+    if float(separation.min()) <= SEPARATION_FACTOR * scale:
+        raise NonSemisimple(
+            f"root separation {separation.min():.3e} below threshold for {pres}"
+        )
+
+    both = _value_and_slope_coeffs(full)
+    for _ in range(3):
+        p, dp = (_old_powers(roots, n) @ both).T
+        dp = np.where(dp == 0, 1e-300, dp)
+        roots = roots - p / dp
+    powers = _old_powers(roots, n)
+    p, dp = (powers @ both).T
+    rounding = np.abs(powers) @ np.abs(full)
+    if not np.isfinite(rounding).all():
+        raise NoConvergence(f"root error bound overflowed for {pres}")
+    error = (np.abs(p) + 2 * n * UNIT_ROUNDOFF * rounding) / np.abs(dp)
+    ratio = float(np.max(error / _old_separations(roots)))
+    if not ratio < ROOT_ERROR_FACTOR:
+        raise NonSemisimple(
+            f"root error bound at {ratio:.3e} of the root separation for {pres}"
+        )
+
+    snap = REAL_SNAP_FACTOR * np.maximum(1.0, np.abs(roots))
+    is_real = np.abs(roots.imag) <= snap
+    real_roots = sorted(float(r) for r in roots[is_real].real)
+    pos = sorted(
+        (complex(r) for r in roots[~is_real] if r.imag > 0),
+        key=lambda w: (w.real, w.imag),
+    )
+    neg_conj = sorted(
+        (complex(r).conjugate() for r in roots[~is_real] if r.imag < 0),
+        key=lambda w: (w.real, w.imag),
+    )
+    if len(pos) != len(neg_conj):
+        raise NoConvergence(f"conjugate pairing failed for {pres}")
+    pairs = []
+    for a, b in zip(pos, neg_conj):
+        if abs(a - b) > 0.5 * SEPARATION_FACTOR * scale:
+            raise NoConvergence(f"conjugate pairing failed for {pres}")
+        pairs.append(0.5 * (a + b))
+
+    nodes = np.array(real_roots + pairs, dtype=complex)
+    residual = np.abs(_old_powers(nodes, n) @ full) / np.maximum(1.0, np.abs(nodes) ** n)
+    if not float(np.max(residual)) <= tol:
+        raise NoConvergence(f"relative root residual {np.max(residual):.3e} exceeds {tol:.3e}")
+    return tuple(real_roots), tuple(pairs)
+
+
+def _reference_sweep():
+    """(presentation, tolerance) pairs on which the root finder must keep
+    the old arithmetic: presets, fresh moduli, roots near the ends of the
+    double range, multiple roots and a near-double root."""
+    tol = DEFAULT_ROOT_TOLERANCE
+    degrees = (2, 3, 6, 16, 32)
+    for kind in ("hyperbolic", "complicated", "nil"):
+        for n in (*range(1, 7), 16, 32):
+            yield preset(kind, n), tol
+            yield preset(kind, n), 1e-15  # some refused by their residual
+    rng = np.random.default_rng(25)
+    for n in degrees:
+        for _ in range(40):
+            yield random_depressed_presentation(rng, n), tol
+    for n in degrees:
+        for e in (-300, -100, -30, 30, 100, 300):
+            for sign in (1.0, -1.0):
+                yield make_presentation([sign * 10.0**e] + [0.0] * (n - 1)), tol
+    poly = np.polynomial.polynomial
+    for _ in range(50):  # q(k) (k - a)^m, as in test_multiple_roots_are_refused
+        q = np.append(rng.integers(-16, 17, int(rng.integers(0, 7))) / 8, 1.0)
+        a, m = int(rng.integers(-16, 17)), int(rng.integers(2, 6))
+        yield make_presentation(poly.polymul(q, poly.polypow([-a / 8, 1.0], m))[:-1]), tol
+    # (k - 1)(k - 1 - 2^-40), exact in doubles, and k^2 = -1e-30.
+    yield make_presentation([1.0 + 2.0**-40, -(2.0 + 2.0**-40)]), tol
+    yield make_presentation([1e-30, 0.0]), tol
+
+
+def _outcome(decompose, pres, tol):
+    """Root bytes, real and complex apart, or the refusal's type and message."""
+    try:
+        real, cplx = decompose(pres, tol)
+    except AlgebraError as exc:
+        return type(exc), str(exc)
+    return np.array(real, dtype=float).tobytes(), np.array(cplx, dtype=complex).tobytes()
+
+
+def _new_roots(pres, tol):
+    dec = _decompose.__wrapped__(pres, tol)  # past the memo
+    return dec.real_roots, dec.complex_roots
+
+
+def test_root_finding_keeps_the_old_arithmetic_bit_for_bit():
+    outcomes = set()
+    for pres, tol in _reference_sweep():
+        got = _outcome(_new_roots, pres, tol)
+        assert got == _outcome(_old_decompose, pres, tol), pres
+        outcomes.add(got[0] if isinstance(got[0], type) else "answered")
+    # The sweep reaches every kind of outcome it is meant to compare.
+    assert outcomes == {"answered", NonSemisimple, NoConvergence}
 
 
 def test_root_residual_certificate(rng):
