@@ -7,7 +7,10 @@ table per modulus (the reduced coordinates of k^0, ..., k^{2n-2}, cached)
 by one matrix product with the Hankel matrix of z.  That is 2n^3 flops
 per matrix where a column recurrence takes 2n^2, but one BLAS call in
 place of n numpy calls, which is the cheaper trade at the degrees used
-here; the table is O(n^2) memory per modulus.  Everything here is
+here; the table is O(n^2) memory per modulus.  A caller that builds many
+M(z) on one modulus, as ``exp`` does, may gather a product table from
+the fold table once (up to degree 16) and get each M(z) as one
+vector-matrix product with no Hankel gather.  Everything here is
 immutable and safe to share.
 """
 
@@ -317,26 +320,75 @@ def _hankel_index(n: int) -> np.ndarray:
     return index
 
 
-def _rep_stack(coords: np.ndarray, fold: np.ndarray) -> np.ndarray:
+#: Largest degree at which ``_product_table`` gathers a product table.  A
+#: table holds n^3 doubles and is built on every call that asks for one:
+#: 32 KB at n = 16, 256 KB at n = 32.  At n = 32 it does not pay (one-row
+#: ``exp`` on C32 and H32, 2 shared vCPUs, one BLAS thread): 131 against
+#: 119 us with no squaring, 165 against 172 us with three, 289 us in a new
+#: process, where each table is a fresh mapping until the allocator raises
+#: its threshold; and the pointwise benchmark's peak RSS read 48.5 against
+#: 44.7 MB.  Above this degree the fold table serves instead.
+_PRODUCT_TABLE_DEGREE = 16
+
+
+@lru_cache(maxsize=128)
+def _product_index(n: int) -> np.ndarray:
+    """The (n, n^2) gather index whose entry [i, r n + j] is r (2n - 1) + i + j,
+    the flat position of fold[r, i + j] in an (n, 2n - 1) fold table."""
+    steps = np.arange(n)
+    index = steps[:, None] + ((2 * n - 1) * steps[:, None] + steps).reshape(n * n)
+    index.setflags(write=False)
+    return index
+
+
+def _product_table(fold: np.ndarray) -> np.ndarray:
+    """The product table of fold tables (..., n, 2n - 1), for ``_rep_stack``.
+
+    Its entry [..., i, r n + j] is fold[..., r, i + j], the coordinate r of
+    k^(i+j), so M(z) is z times the table, reshaped to (n, n).  It is one
+    gather through a cached flat index into a new C-contiguous array, so a
+    stack of tables lays each one out as a lone table would be.  Above
+    degree _PRODUCT_TABLE_DEGREE the fold table itself comes back.
+    """
+    n = fold.shape[-2]
+    if n > _PRODUCT_TABLE_DEGREE:
+        return fold
+    flat = fold.reshape(fold.shape[:-2] + (n * (2 * n - 1),))
+    return np.take(flat, _product_index(n), axis=-1)
+
+
+def _rep_stack(coords: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Left-multiplication matrices of stacked coordinates.
 
     ``coords`` has shape (..., n) and the result (..., n, n).  Column j of
-    M(z) is z * k^j = sum_i z_i k^{i+j}, so M(z) is the fold table of the
-    modulus (see ``_fold_table``) times the (2n - 1, n) Hankel matrix whose
-    entry [s, j] is z_{s-j}.  The product is one stacked matmul that runs
-    the same BLAS call on every row, so a row of a batch is bit for bit the
-    matrix it would get alone; each matrix is C-contiguous, so a later
-    matmul treats it like a standalone matrix too.
+    M(z) is z * k^j = sum_i z_i k^{i+j}.  ``table`` broadcasts against the
+    rows and is either of two tables of the modulus:
+
+    - a product table (``_product_table``), (..., n, n^2): M(z) is the row
+      vector z times it, one vector-matrix product per row;
+    - a fold table (``_fold_table``), (..., n, 2n - 1): M(z) is the table
+      times the (2n - 1, n) Hankel matrix whose entry [s, j] is z_{s-j},
+      gathered per row.
+
+    At n = 1 the two tables coincide, and above degree 16 ``_product_table``
+    hands back the fold table.  Either way the product is one stacked
+    matmul that runs the same BLAS call on every row, so a row of a batch
+    is bit for bit the matrix it would get alone; each matrix is
+    C-contiguous, so a later matmul treats it like a standalone matrix too.
     """
     n = coords.shape[-1]
-    ext = np.zeros(coords.shape[:-1] + (n + 1,))
-    ext[..., :n] = coords
-    return np.matmul(fold, ext[..., _hankel_index(n)])
+    if table.shape[-1] == 2 * n - 1:
+        ext = np.zeros(coords.shape[:-1] + (n + 1,))
+        ext[..., :n] = coords
+        return np.matmul(table, ext[..., _hankel_index(n)])
+    flat = np.matmul(coords[..., None, :], table)
+    return flat.reshape(flat.shape[:-2] + (n, n))
 
 
-def _mul_coords(a: np.ndarray, b: np.ndarray, fold: np.ndarray) -> np.ndarray:
-    """Algebra products a * b of stacked coordinates, row by row: (..., n)."""
-    return np.matmul(_rep_stack(a, fold), b[..., None])[..., 0]
+def _mul_coords(a: np.ndarray, b: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Algebra products a * b of stacked coordinates, row by row: (..., n),
+    with ``table`` either table of ``_rep_stack``."""
+    return np.matmul(_rep_stack(a, table), b[..., None])[..., 0]
 
 
 # -- public operations --------------------------------------------------------

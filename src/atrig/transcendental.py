@@ -7,6 +7,12 @@ count taken from the 1-norm of M(z).  The polynomial is evaluated by
 Paterson-Stockmeyer in the algebra: z^2, z^3, z^4 from three products,
 five blocks of four terms from one table of 1/k!, and Horner in M(z^4),
 seven matrix-vector products in all where term by term takes eighteen.
+Every M(.) of a call (M(z), M(z^4) and each squaring's) comes from one
+product table gathered per call, whose entry [i, r n + j] is the
+coordinate r of k^(i+j): M(z) is the row z times it, one vector-matrix
+product per row, with no Hankel gather.  The table holds n^3 doubles, so
+above degree 16 (256 KB at n = 32, built on every call) the fold table and
+its Hankel route serve instead.
 
 An exponential of a monomial theta k^m, behind ``trig_components``, has a
 second Taylor stage.  Its Taylor coefficients are the coordinates of
@@ -141,9 +147,10 @@ def _squaring_count(norms: np.ndarray, threshold: float, scale=0) -> np.ndarray:
     return np.where(norms > 0, np.maximum(expo + scale - t_expo + (mant > t_mant), 0), 0)
 
 
-def _taylor_e1(rep: np.ndarray, fold: np.ndarray) -> np.ndarray:
+def _taylor_e1(rep: np.ndarray, table: np.ndarray) -> np.ndarray:
     """The degree-18 Taylor polynomial of every M(z) of ``rep`` (..., n, n)
-    applied to e_1, as a (..., n) array, by Paterson-Stockmeyer.
+    applied to e_1, as a (..., n) array, by Paterson-Stockmeyer; ``table``
+    is the table that built ``rep`` (``core._rep_stack``).
 
     z is the first column of M(z); z^2, z^3, z^4 take three stacked
     matrix-vector products, the blocks B_j one stacked product of
@@ -157,7 +164,7 @@ def _taylor_e1(rep: np.ndarray, fold: np.ndarray) -> np.ndarray:
     for _ in range(_BLOCK - 1):
         powers.append(np.matmul(rep, powers[-1]))
     blocks = np.matmul(np.concatenate(powers[:-1], axis=-1), _TAYLOR_BLOCKS)
-    rep_top = core._rep_stack(powers[-1][..., 0], fold)
+    rep_top = core._rep_stack(powers[-1][..., 0], table)
     out = blocks[..., -1:]
     for j in range(blocks.shape[-1] - 2, -1, -1):
         out = np.matmul(rep_top, out)
@@ -175,21 +182,25 @@ def _unscalable(largest: float) -> InvalidArgument:
 # An overflowing squaring leaves a result that is not finite, which is
 # refused, so numpy's warnings about it are noise.
 @np.errstate(over="ignore", invalid="ignore")
-def _squared(out: np.ndarray, counts: np.ndarray | None, fold: np.ndarray) -> np.ndarray:
+def _squared(
+    out: np.ndarray, counts: np.ndarray | None, table: np.ndarray | None
+) -> np.ndarray:
     """Every row of ``out`` (..., n) squared in the algebra as many times as
-    its entry of ``counts`` (...) says, each with its own fold table, or
-    not at all if ``counts`` is None; a result that is not finite raises
-    ``InvalidArgument``."""
+    its entry of ``counts`` (...) says, each with its own table of
+    ``core._rep_stack`` (``table`` broadcasts against the rows), or not at
+    all if ``counts`` is None; a result that is not finite raises
+    ``InvalidArgument``.
+
+    Each step squares every row and keeps the square where the row's count
+    is not yet reached, so every row uses the table as it is broadcast.  A
+    row is still one BLAS call on its own operands, so it gets the bits it
+    would get alone.
+    """
     if counts is not None:
         least, most = int(counts.min()), int(counts.max())
         for step in range(most):
-            if step < least:
-                out = core._mul_coords(out, out, fold)
-            else:
-                need = counts > step
-                part = out[need]
-                folds = np.broadcast_to(fold, need.shape + fold.shape[-2:])[need]
-                out[need] = core._mul_coords(part, part, folds)
+            squares = core._mul_coords(out, out, table)
+            out = squares if step < least else np.where((counts > step)[..., None], squares, out)
     if not np.isfinite(out).all():
         raise InvalidArgument("exp overflowed: the result is not finite")
     return out
@@ -211,12 +222,18 @@ def _exp_coords(coords: np.ndarray, fold: np.ndarray) -> np.ndarray:
     the algebra.  Scaling by 2**-s is exact, and every product is a
     stacked matmul with the row's own table, so each row gets exactly the
     arithmetic it would get alone.
+
+    The call gathers one product table (``core._product_table``) and builds
+    M(z), M(z^4) and every squaring's M from it, one vector-matrix product
+    per row with no Hankel gather.  Above degree 16 that table is the fold
+    table: there, building an n^3 table per call costs more than it saves.
     """
     if coords.size == 0:
         return np.empty(coords.shape)
     if not np.isfinite(coords).all():
         raise InvalidArgument("exp requires finite coordinates")
-    rep = core._rep_stack(coords, fold)
+    table = core._product_table(fold)
+    rep = core._rep_stack(coords, table)
     norms = np.abs(rep).sum(axis=-2).max(axis=-1)
     largest = float(norms.max())
     if not largest <= _THETA * 2.0**_MAX_SQUARINGS:
@@ -225,7 +242,7 @@ def _exp_coords(coords: np.ndarray, fold: np.ndarray) -> np.ndarray:
     if largest > _THETA:
         counts = _squaring_count(norms, _THETA)
         rep = np.ldexp(rep, -counts[..., None, None])
-    return _squared(_taylor_e1(rep, fold), counts, fold)
+    return _squared(_taylor_e1(rep, table), counts, table)
 
 
 # A table costs 18 matrix-vector products.  Every angle of a call shares
@@ -282,7 +299,9 @@ def _exp_monomial(
     over the rows of the series table, since
     (theta M(k^m) / 2^s)^j e_1 / j! = t^j A^j e_1 / j!; scaling by a power
     of two is exact and the rest is elementwise, so each angle gets the
-    same bits in any batch.  The squarings are those of ``_exp_coords``.
+    same bits in any batch.  The squarings are those of ``_exp_coords``,
+    and the product table they use is gathered only when an angle needs
+    one.
     """
     if not np.isfinite(thetas).all():
         raise InvalidArgument("exp requires finite coordinates")
@@ -304,7 +323,9 @@ def _exp_monomial(
         out += term
         out *= t
     out += terms[0]
-    return _squared(out, counts if most else None, fold)
+    if not most:
+        return _squared(out, None, None)
+    return _squared(out, counts, core._product_table(fold))
 
 
 def exp(z: AlgebraElement) -> AlgebraElement:

@@ -576,7 +576,7 @@ def _rep_reference(coords, c):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 16, 32])
 def test_stacked_rep_matches_column_recurrence(n, rng):
-    from atrig.core import _fold_table, _rep_stack
+    from atrig.core import _fold_table, _product_table, _rep_stack
 
     moduli = [np.zeros(n), np.eye(n)[0], -np.eye(n)[0], rng.uniform(-2, 2, n)]
     for index, c in enumerate(moduli):
@@ -584,26 +584,29 @@ def test_stacked_rep_matches_column_recurrence(n, rng):
         batch = rng.uniform(-2, 2, (7, n))
         batch[1] = 0.0
         batch[2, ::2] = -0.0
-        stacked = _rep_stack(batch, fold)
-        assert stacked.shape == (7, n, n)
-        assert stacked.flags.c_contiguous
-        deeper = _rep_stack(batch[None], fold)[0]
-        assert np.array_equal(deeper.view(np.int64), stacked.view(np.int64))
-        for row, matrix in zip(batch, stacked):
-            reference = _rep_reference(row, c)
-            if index < 3:
-                # Preset moduli fold without rounding; only zero signs differ.
-                assert np.array_equal(matrix, reference)
-            else:
-                # sum_i |z_i| |M|(k^i), with the powers of k taken by the
-                # recurrence in absolute values (modulus -|c|), bounds the
-                # rounding of either route to first order.
-                bound = 4 * n * 2.0**-53 * _rep_reference(np.abs(row), -np.abs(c))
-                assert np.all(np.abs(matrix - reference) <= bound)
-            # bitwise, so signed zeros must agree too
-            single = _rep_stack(row, fold)
-            assert single.flags.c_contiguous
-            assert np.array_equal(single.view(np.int64), matrix.view(np.int64))
+        # The fold table's Hankel route and the product table's route (the
+        # fold table again above the cut at n = 16) meet the same checks.
+        for table in (fold, _product_table(fold)):
+            stacked = _rep_stack(batch, table)
+            assert stacked.shape == (7, n, n)
+            assert stacked.flags.c_contiguous
+            deeper = _rep_stack(batch[None], table)[0]
+            assert np.array_equal(deeper.view(np.int64), stacked.view(np.int64))
+            for row, matrix in zip(batch, stacked):
+                reference = _rep_reference(row, c)
+                if index < 3:
+                    # Preset moduli fold without rounding; only zero signs differ.
+                    assert np.array_equal(matrix, reference)
+                else:
+                    # sum_i |z_i| |M|(k^i), with the powers of k taken by the
+                    # recurrence in absolute values (modulus -|c|), bounds the
+                    # rounding of either route to first order.
+                    bound = 4 * n * 2.0**-53 * _rep_reference(np.abs(row), -np.abs(c))
+                    assert np.all(np.abs(matrix - reference) <= bound)
+                # bitwise, so signed zeros must agree too
+                single = _rep_stack(row, table)
+                assert single.flags.c_contiguous
+                assert np.array_equal(single.view(np.int64), matrix.view(np.int64))
 
 
 eighths = st.integers(-16, 16).map(lambda i: i / 8)
@@ -618,7 +621,7 @@ def test_fold_table_and_rep_are_exact_on_eighth_step_moduli(coeffs, z):
     # and every entry of M(z) within 53 bits, so the float kernel is exact.
     from fractions import Fraction
 
-    from atrig.core import _fold_table, _rep_stack
+    from atrig.core import _fold_table, _product_table, _rep_stack
     from atrig.identities import _powers_of_k
 
     n = len(coeffs)
@@ -631,6 +634,7 @@ def test_fold_table_and_rep_are_exact_on_eighth_step_moduli(coeffs, z):
         [sum(z[i] * powers[i + j][row] for i in range(n)) for j in range(n)]
         for row in range(n)
     ]
-    matrix = _rep_stack(np.array(z, dtype=float), fold)
-    assert [[Fraction(x) for x in row] for row in matrix.tolist()] == exact
+    for table in (fold, _product_table(fold)):
+        matrix = _rep_stack(np.array(z, dtype=float), table)
+        assert [[Fraction(x) for x in row] for row in matrix.tolist()] == exact
 

@@ -35,7 +35,7 @@ from atrig.errors import (
     UnsupportedAlgebra,
 )
 from atrig.spectral import UNIT_ROUNDOFF
-from atrig.core import _fold_table, _rep_stack
+from atrig.core import _fold_table, _product_table, _rep_stack
 from atrig.identities import _powers_of_k
 from atrig.transcendental import (
     _TAYLOR_BLOCKS,
@@ -718,7 +718,7 @@ def test_batched_trig_components_match_single_calls(source, seed, draws, data):
 
 
 @given(
-    n=st.sampled_from([2, 3, 5, 6, 16]),
+    n=st.sampled_from([2, 3, 5, 6, 16, 32]),
     seeds=st.lists(st.integers(0, 2**16), max_size=3),
     draws=st.lists(
         st.tuples(st.integers(0, 5), st.sampled_from([0.1, 1.0, 3.0, 12.0]), st.integers(0, 2**16)),
@@ -729,7 +729,8 @@ def test_batched_trig_components_match_single_calls(source, seed, draws, data):
 @settings(max_examples=60, deadline=None)
 def test_mixed_presentation_batch_matches_one_row_exp(n, seeds, draws):
     # One batch over presets and fresh depressed moduli of one degree, each
-    # row with its own fold table, against exp of each row alone.
+    # row with its own fold table, against exp of each row alone; degrees on
+    # both sides of the product table's cut at n = 16.
     choices = [preset(kind, n) for kind in ("hyperbolic", "complicated", "nil")]
     choices += [random_depressed_presentation(np.random.default_rng(s), n) for s in seeds]
     rows = []
@@ -741,6 +742,9 @@ def test_mixed_presentation_batch_matches_one_row_exp(n, seeds, draws):
     for pres in choices:
         rows += [(pres, np.zeros(n)), (pres, 6.0 * pres.generator(1).coords)]
     folds = np.stack([_fold_table(pres.modulus_coeffs) for pres, _ in rows])
+    # A stack of product tables is laid out as lone tables are, which BLAS
+    # needs to give each row its one-row bits.
+    assert _product_table(folds[:, None]).flags.c_contiguous
     coords = np.stack([z for _, z in rows])
     norms = np.abs(_rep_stack(coords, folds)).sum(axis=1).max(axis=1)
     assert len(set(_squaring_count(norms, _THETA).tolist())) > 1
