@@ -2,15 +2,13 @@
 regular representation.
 
 Elements are coordinate vectors over the power basis {1, k, ..., k^{n-1}}.
-Products go through the regular representation M(z), built from a fold
-table per modulus (the reduced coordinates of k^0, ..., k^{2n-2}, cached)
-by one matrix product with the Hankel matrix of z.  That is 2n^3 flops
-per matrix where a column recurrence takes 2n^2, but one BLAS call in
-place of n numpy calls, which is the cheaper trade at the degrees used
-here; the table is O(n^2) memory per modulus.  A caller that builds many
-M(z) on one modulus, as ``exp`` does, may gather a product table from
-the fold table once (up to degree 16) and get each M(z) as one
-vector-matrix product with no Hankel gather.  Everything here is
+Products go through the regular representation M(z), built from one
+multiplication table per modulus (``_rep_table``, cached), whose kind the
+degree picks once.  Up to degree 16 it is the product table, whose entry
+[i, r n + j] is the coordinate r of k^(i+j), so M(z) is the row z times
+it.  Above that it is the fold table (the reduced coordinates of k^0, ...,
+k^{2n-2}), and M(z) is the table times the Hankel matrix of z.  Either way
+every M(z), for one row or a batch, is one BLAS call.  Everything here is
 immutable and safe to share.
 """
 
@@ -47,12 +45,28 @@ PRESET_KINDS = ("hyperbolic", "complicated", "nil")
 _QUIET = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
+def _shown(value) -> str:
+    """``repr(value)`` cut to 80 characters, for a refusal message; an int past
+    Python's 4300-digit limit on ``str``, alone or in a sequence, shows its digit count."""
+    try:
+        return f"{value!r:.80}"
+    except ValueError:
+        pass
+    if _is_integer(value):
+        size = abs(int(value))
+        digits = int((size.bit_length() - 1) * math.log10(2)) + 1
+        return f"<int of {digits + (size >= 10**digits)} digits>"
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return f"[{', '.join(map(_shown, list(value)))}]"[:80]
+    return f"<{type(value).__name__} holding an int past the digit limit>"
+
+
 def _scalar(value: numbers.Real) -> float:
     """``value`` as a float; an integer past the double range raises ``InvalidArgument``."""
     try:
         return float(value)
     except OverflowError:
-        raise InvalidArgument(f"scalar {value!r:.80} is past the range of a double") from None
+        raise InvalidArgument(f"scalar {_shown(value)} is past the range of a double") from None
 
 
 def _real_array(coords) -> np.ndarray | None:
@@ -124,7 +138,7 @@ class PrincipalPresentation:
         power raises ``InvalidArgument``."""
         if not (_is_integer(power) and 0 <= power < self.degree):
             raise InvalidArgument(
-                f"power must be an integer in [0, {self.degree - 1}], got {power!r:.80}"
+                f"power must be an integer in [0, {self.degree - 1}], got {_shown(power)}"
             )
         coords = np.zeros(self.degree)
         coords[int(power)] = 1.0
@@ -141,7 +155,7 @@ class PrincipalPresentation:
     @staticmethod
     def from_json_dict(data: dict) -> "PrincipalPresentation":
         if not isinstance(data, dict) or "coeffs" not in data:
-            raise InvalidArgument(f'an algebra needs an object with "coeffs", got {data!r:.80}')
+            raise InvalidArgument(f'an algebra needs an object with "coeffs", got {_shown(data)}')
         return make_presentation(data["coeffs"], label=data.get("label"))
 
     def __str__(self) -> str:
@@ -156,13 +170,13 @@ def make_presentation(coeffs, label: str | None = None) -> PrincipalPresentation
     and ``label`` is a string or None.
     """
     if label is not None and not isinstance(label, str):
-        raise InvalidArgument(f"label must be a string, got {label!r:.80}")
+        raise InvalidArgument(f"label must be a string, got {_shown(label)}")
     try:
         array = np.asarray(coeffs)
     except ValueError:  # ragged nesting
         array = None
     if array is None or array.ndim != 1 or array.dtype.kind not in "iuf":
-        raise InvalidArgument(f"coefficients must be a flat list of numbers, got {coeffs!r:.80}")
+        raise InvalidArgument(f"coefficients must be a flat list of numbers, got {_shown(coeffs)}")
     values = tuple(array.astype(float).tolist())
     if not values:
         raise EmptyCoefficients("at least one modulus coefficient is required")
@@ -175,9 +189,11 @@ def make_presentation(coeffs, label: str | None = None) -> PrincipalPresentation
 def preset(kind: str, n: int) -> PrincipalPresentation:
     """Standard families: hyperbolic k^n = 1, complicated k^n = -1, nil k^n = 0."""
     if kind not in PRESET_KINDS:
-        raise InvalidKind(f"kind must be one of {PRESET_KINDS}, got {kind!r}")
+        raise InvalidKind(f"kind must be one of {PRESET_KINDS}, got {_shown(kind)}")
     if not _is_integer(n) or n < 1:
-        raise InvalidDegree(f"degree must be a positive integer, got {n!r}")
+        raise InvalidDegree(f"degree must be a positive integer, got {_shown(n)}")
+    if n > sys.maxsize:  # [0.0] * n would raise OverflowError
+        raise InvalidDegree(f"degree {_shown(n)} is past the largest list size")
     n = int(n)
     coeffs = [0.0] * n
     if kind == "hyperbolic":
@@ -208,7 +224,7 @@ class AlgebraElement:
             arr = _real_array(coords)
         if arr is None or arr.ndim != 1 or arr.size != presentation.degree:
             raise InvalidArgument(
-                f"expected {presentation.degree} real coordinates, got {coords!r:.80}"
+                f"expected {presentation.degree} real coordinates, got {_shown(coords)}"
             )
         arr.setflags(write=False)
         self.presentation = presentation
@@ -282,18 +298,17 @@ class AlgebraElement:
 # -- low-level kernels shared with the transcendental module -----------------
 
 
-@lru_cache(maxsize=128)
 def _fold_table(modulus_coeffs: tuple[float, ...]) -> np.ndarray:
     """The (n, 2n - 1) matrix whose column s holds the coordinates of k^s.
 
     The first n columns are the unit vectors.  From k^{n-1} on, each power
     is the one before it times k: shifted one place up, with the k^n that
     falls off the top folded back through k^n = -c_0 - c_1 k - ... -
-    c_{n-1} k^{n-1}.  Shared by every presentation with these coefficients.
+    c_{n-1} k^{n-1}.
 
-    A modulus whose reduced powers overflow raises ``InvalidArgument``: every
-    Hankel matrix has zeros that would meet the table's infinities, so no
-    M(z) on it is finite.
+    A modulus whose reduced powers overflow raises ``InvalidArgument``: the
+    last column of every M(z) weighs each of k^(n-1), ..., k^(2n-2), and an
+    infinity times any weight, zero included, is not finite.
     """
     c = np.array(modulus_coeffs, dtype=float)
     n = len(c)
@@ -320,17 +335,6 @@ def _hankel_index(n: int) -> np.ndarray:
     return index
 
 
-#: Largest degree at which ``_product_table`` gathers a product table.  A
-#: table holds n^3 doubles and is built on every call that asks for one:
-#: 32 KB at n = 16, 256 KB at n = 32.  At n = 32 it does not pay (one-row
-#: ``exp`` on C32 and H32, 2 shared vCPUs, one BLAS thread): 131 against
-#: 119 us with no squaring, 165 against 172 us with three, 289 us in a new
-#: process, where each table is a fresh mapping until the allocator raises
-#: its threshold; and the pointwise benchmark's peak RSS read 48.5 against
-#: 44.7 MB.  Above this degree the fold table serves instead.
-_PRODUCT_TABLE_DEGREE = 16
-
-
 @lru_cache(maxsize=128)
 def _product_index(n: int) -> np.ndarray:
     """The (n, n^2) gather index whose entry [i, r n + j] is r (2n - 1) + i + j,
@@ -341,39 +345,47 @@ def _product_index(n: int) -> np.ndarray:
     return index
 
 
-def _product_table(fold: np.ndarray) -> np.ndarray:
-    """The product table of fold tables (..., n, 2n - 1), for ``_rep_stack``.
+#: Largest degree whose table is the product table, n^3 doubles against the
+#: fold table's n (2n - 1): 32 KB at n = 16, 256 KB at n = 32.  Product
+#: tables at every degree raised the pointwise benchmark's peak RSS from
+#: 44.6-45.0 to 53.8-55.6 MB; fold tables at every degree cost the roundtrip
+#: benchmark throughput in 3 of 3 pairs (2 shared vCPUs).
+_PRODUCT_TABLE_DEGREE = 16
 
-    Its entry [..., i, r n + j] is fold[..., r, i + j], the coordinate r of
-    k^(i+j), so M(z) is z times the table, reshaped to (n, n).  It is one
-    gather through a cached flat index into a new C-contiguous array, so a
-    stack of tables lays each one out as a lone table would be.  Above
-    degree _PRODUCT_TABLE_DEGREE the fold table itself comes back.
-    """
-    n = fold.shape[-2]
+
+# 128 tables of at most 32 KB (n^3 doubles at n = 16) hold 4 MB; a fold
+# table passes 32 KB only above degree 45.
+@lru_cache(maxsize=128)
+def _rep_table(modulus_coeffs: tuple[float, ...]) -> np.ndarray:
+    """The read-only table for ``_rep_stack`` that every presentation of the
+    modulus shares: up to degree _PRODUCT_TABLE_DEGREE the product table
+    (n, n^2), whose entry [i, r n + j] is fold[r, i + j], the coordinate r
+    of k^(i+j); above it the fold table (n, 2n - 1) of ``_fold_table``."""
+    fold = _fold_table(modulus_coeffs)
+    n = len(modulus_coeffs)
     if n > _PRODUCT_TABLE_DEGREE:
         return fold
-    flat = fold.reshape(fold.shape[:-2] + (n * (2 * n - 1),))
-    return np.take(flat, _product_index(n), axis=-1)
+    table = fold.reshape(n * (2 * n - 1))[_product_index(n)]
+    table.setflags(write=False)
+    return table
 
 
 def _rep_stack(coords: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Left-multiplication matrices of stacked coordinates.
 
     ``coords`` has shape (..., n) and the result (..., n, n).  Column j of
-    M(z) is z * k^j = sum_i z_i k^{i+j}.  ``table`` broadcasts against the
-    rows and is either of two tables of the modulus:
+    M(z) is z * k^j = sum_i z_i k^{i+j}.  ``table`` is the modulus's
+    ``_rep_table``, or a stack of them that broadcasts against the rows:
 
-    - a product table (``_product_table``), (..., n, n^2): M(z) is the row
-      vector z times it, one vector-matrix product per row;
-    - a fold table (``_fold_table``), (..., n, 2n - 1): M(z) is the table
-      times the (2n - 1, n) Hankel matrix whose entry [s, j] is z_{s-j},
-      gathered per row.
+    - a product table, (..., n, n^2): M(z) is the row vector z times it,
+      one vector-matrix product per row;
+    - a fold table, (..., n, 2n - 1): M(z) is the table times the
+      (2n - 1, n) Hankel matrix whose entry [s, j] is z_{s-j}, gathered per
+      row.
 
-    At n = 1 the two tables coincide, and above degree 16 ``_product_table``
-    hands back the fold table.  Either way the product is one stacked
-    matmul that runs the same BLAS call on every row, so a row of a batch
-    is bit for bit the matrix it would get alone; each matrix is
+    At n = 1 the two tables coincide.  Either way the product is one
+    stacked matmul that runs the same BLAS call on every row, so a row of a
+    batch is bit for bit the matrix it would get alone; each matrix is
     C-contiguous, so a later matmul treats it like a standalone matrix too.
     """
     n = coords.shape[-1]
@@ -387,7 +399,7 @@ def _rep_stack(coords: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 def _mul_coords(a: np.ndarray, b: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Algebra products a * b of stacked coordinates, row by row: (..., n),
-    with ``table`` either table of ``_rep_stack``."""
+    with ``table`` as for ``_rep_stack``."""
     return np.matmul(_rep_stack(a, table), b[..., None])[..., 0]
 
 
@@ -400,7 +412,7 @@ def _rep_of_finite(z: AlgebraElement, operation: str) -> np.ndarray:
     ``InvalidArgument``."""
     if not np.isfinite(z.coords).all():
         raise InvalidArgument(f"{operation} requires finite coordinates")
-    return _rep_stack(z.coords, _fold_table(z.presentation.modulus_coeffs))
+    return _rep_stack(z.coords, _rep_table(z.presentation.modulus_coeffs))
 
 
 @_QUIET
@@ -423,7 +435,7 @@ def mul(z: AlgebraElement, w: AlgebraElement) -> AlgebraElement:
     z._require_same(w)
     # Any entry of z, w or M(z) that is not finite leaves the product not finite.
     with np.errstate(over="ignore", invalid="ignore"):
-        coords = _rep_stack(z.coords, _fold_table(z.presentation.modulus_coeffs)) @ w.coords
+        coords = _rep_stack(z.coords, _rep_table(z.presentation.modulus_coeffs)) @ w.coords
     return z._finite(coords)
 
 

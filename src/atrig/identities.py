@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import PrincipalPresentation, _is_integer
+from .core import PrincipalPresentation, _is_integer, _shown
 from .errors import InvalidArgument, InvalidPower, NonRationalCoefficients
 from .transcendental import trig_components
 
@@ -292,7 +292,7 @@ def _powers_of_k(coeffs, top: int) -> list[tuple[list[int], int]]:
     integer over a power of two, so with c_j = f_j / 2**s the powers stay
     integers: each is the one before it times k, shifted one place up, with
     the k^n that falls off the top folded back through k^n = -sum c_j k^j
-    (the recurrence behind the float fold table of ``core._fold_table``),
+    (the recurrence behind the float tables of ``core._rep_table``),
     which scales the power by 2**s.
     """
     ratios = [float(c).as_integer_ratio() for c in coeffs]
@@ -403,10 +403,10 @@ def de_moivre(pres: PrincipalPresentation, power: int, *, _k_powers=None) -> Ide
 
     ``_k_powers`` is as for ``adding_angle``, up to at least power·(n - 1)."""
     if not _is_integer(power) or power < 1:
-        raise InvalidPower(f"power must be a positive integer, got {power!r}")
+        raise InvalidPower(f"power must be a positive integer, got {_shown(power)}")
     power = int(power)
     if power > POWER_CAP:
-        raise InvalidPower(f"power {power} exceeds the cap {POWER_CAP}")
+        raise InvalidPower(f"power {_shown(power)} exceeds the cap {POWER_CAP}")
     return _expand(pres, "de_moivre", power, InvalidPower, _k_powers)
 
 
@@ -525,7 +525,7 @@ def render(ids: IdentitySet, format: str = "latex") -> str:
     string raises ``InvalidArgument``; the limit itself is left as it is.
     """
     if format not in ("latex", "json"):
-        raise InvalidArgument(f"unknown render format {format!r}")
+        raise InvalidArgument(f"unknown render format {_shown(format)}")
     try:
         if format == "latex":
             names = _symbol_latex_names(ids.presentation)

@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import AlgebraElement, PrincipalPresentation
+from .core import AlgebraElement, PrincipalPresentation, _scalar, _shown
 from .errors import IllConditioned, InvalidArgument, NoConvergence, NonSemisimple
 from .errors import PresentationMismatch, ShapeMismatch
 
@@ -184,8 +184,8 @@ def find_roots(
     raised again on every call.
     """
     if not 0.0 < tol < math.inf:
-        raise InvalidArgument(f"root tolerance must be a positive finite number, got {tol!r}")
-    return _decompose(pres, float(tol))
+        raise InvalidArgument(f"root tolerance must be a positive finite number, got {_shown(tol)}")
+    return _decompose(pres, _scalar(tol))
 
 
 # One entry holds the roots and, once a component map has run, the n x n

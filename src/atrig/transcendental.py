@@ -7,12 +7,9 @@ count taken from the 1-norm of M(z).  The polynomial is evaluated by
 Paterson-Stockmeyer in the algebra: z^2, z^3, z^4 from three products,
 five blocks of four terms from one table of 1/k!, and Horner in M(z^4),
 seven matrix-vector products in all where term by term takes eighteen.
-Every M(.) of a call (M(z), M(z^4) and each squaring's) comes from one
-product table gathered per call, whose entry [i, r n + j] is the
-coordinate r of k^(i+j): M(z) is the row z times it, one vector-matrix
-product per row, with no Hankel gather.  The table holds n^3 doubles, so
-above degree 16 (256 KB at n = 32, built on every call) the fold table and
-its Hankel route serve instead.
+Every M(.) of a call (M(z), M(z^4) and each squaring's) comes from the
+modulus's one cached table (``core._rep_table``), whose kind the degree
+picks: the product table up to degree 16, the fold table above it.
 
 An exponential of a monomial theta k^m, behind ``trig_components``, has a
 second Taylor stage.  Its Taylor coefficients are the coordinates of
@@ -42,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import core
-from .core import AlgebraElement, PrincipalPresentation
+from .core import AlgebraElement, PrincipalPresentation, _shown
 from .errors import (
     InvalidArgument,
     InvalidPower,
@@ -75,10 +72,10 @@ class BranchSpec:
         if indices is not None and not (
             isinstance(indices, (tuple, list)) and all(map(core._is_integer, indices))
         ):
-            raise InvalidArgument(f"branch indices must be integers, got {indices!r:.80}")
+            raise InvalidArgument(f"branch indices must be integers, got {_shown(indices)}")
         if indices is not None and any(abs(int(b)) > _MAX_BRANCH_INDEX for b in indices):
             raise InvalidArgument(
-                f"branch indices must be at most 2**53 in magnitude, got {indices!r:.80}"
+                f"branch indices must be at most 2**53 in magnitude, got {_shown(indices)}"
             )
 
     def indices_for(self, count: int) -> tuple[int, ...]:
@@ -182,25 +179,21 @@ def _unscalable(largest: float) -> InvalidArgument:
 # An overflowing squaring leaves a result that is not finite, which is
 # refused, so numpy's warnings about it are noise.
 @np.errstate(over="ignore", invalid="ignore")
-def _squared(
-    out: np.ndarray, counts: np.ndarray | None, table: np.ndarray | None
-) -> np.ndarray:
+def _squared(out: np.ndarray, counts: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Every row of ``out`` (..., n) squared in the algebra as many times as
     its entry of ``counts`` (...) says, each with its own table of
-    ``core._rep_stack`` (``table`` broadcasts against the rows), or not at
-    all if ``counts`` is None; a result that is not finite raises
-    ``InvalidArgument``.
+    ``core._rep_stack`` (``table`` broadcasts against the rows); a result
+    that is not finite raises ``InvalidArgument``.
 
     Each step squares every row and keeps the square where the row's count
     is not yet reached, so every row uses the table as it is broadcast.  A
     row is still one BLAS call on its own operands, so it gets the bits it
     would get alone.
     """
-    if counts is not None:
-        least, most = int(counts.min()), int(counts.max())
-        for step in range(most):
-            squares = core._mul_coords(out, out, table)
-            out = squares if step < least else np.where((counts > step)[..., None], squares, out)
+    least, most = int(counts.min()), int(counts.max())
+    for step in range(most):
+        squares = core._mul_coords(out, out, table)
+        out = squares if step < least else np.where((counts > step)[..., None], squares, out)
     if not np.isfinite(out).all():
         raise InvalidArgument("exp overflowed: the result is not finite")
     return out
@@ -209,38 +202,32 @@ def _squared(
 # An M(z) that overflows has a norm that is not finite, which is refused,
 # so numpy's warnings about it are noise.
 @np.errstate(over="ignore", invalid="ignore")
-def _exp_coords(coords: np.ndarray, fold: np.ndarray) -> np.ndarray:
+def _exp_coords(coords: np.ndarray, table: np.ndarray) -> np.ndarray:
     """exp of every row of ``coords`` (shape (..., n)), in the same shape.
 
-    ``fold`` is the fold table (``core._fold_table``), (n, 2n - 1) for one
-    modulus or a stack that broadcasts against the rows, such as
-    (cases, 1, n, 2n - 1) for (cases, samples, n) rows, so one call may
-    mix presentations of one degree.  exp(z) is exp(M(z)) e_1.  Each row's
+    ``table`` is the multiplication table (``core._rep_table``) of one
+    modulus, or a stack of them that broadcasts against the rows, such as
+    (cases, 1, n, n^2) for (cases, samples, n) rows, so one call may mix
+    presentations of one degree.  exp(z) is exp(M(z)) e_1.  Each row's
     M(z) is halved s times, s the fewest that bring its 1-norm to _THETA
     or below, the degree-18 Taylor polynomial of the scaled matrix is
     applied to e_1 (``_taylor_e1``), and the result is squared s times in
     the algebra.  Scaling by 2**-s is exact, and every product is a
     stacked matmul with the row's own table, so each row gets exactly the
-    arithmetic it would get alone.
-
-    The call gathers one product table (``core._product_table``) and builds
-    M(z), M(z^4) and every squaring's M from it, one vector-matrix product
-    per row with no Hankel gather.  Above degree 16 that table is the fold
-    table: there, building an n^3 table per call costs more than it saves.
+    arithmetic it would get alone.  M(z), M(z^4) and every squaring's M
+    come from ``table``.
     """
     if coords.size == 0:
         return np.empty(coords.shape)
     if not np.isfinite(coords).all():
         raise InvalidArgument("exp requires finite coordinates")
-    table = core._product_table(fold)
     rep = core._rep_stack(coords, table)
     norms = np.abs(rep).sum(axis=-2).max(axis=-1)
     largest = float(norms.max())
     if not largest <= _THETA * 2.0**_MAX_SQUARINGS:
         raise _unscalable(largest)
-    counts = None
+    counts = _squaring_count(norms, _THETA)
     if largest > _THETA:
-        counts = _squaring_count(norms, _THETA)
         rep = np.ldexp(rep, -counts[..., None, None])
     return _squared(_taylor_e1(rep, table), counts, table)
 
@@ -248,27 +235,24 @@ def _exp_coords(coords: np.ndarray, fold: np.ndarray) -> np.ndarray:
 # A table costs 18 matrix-vector products.  Every angle of a call shares
 # it, and a caller that returns to a modulus, say one angle per call on one
 # algebra, finds it built: a one-angle trig_components takes about 36 us
-# with the table cached and 90 us without.  An entry holds 19 n doubles
-# and keeps its fold table, n (2n - 1) doubles, so 512 entries of degree
-# 32 hold at most 11 MB.
+# with the table cached and 90 us without.  An entry holds 19 n doubles,
+# so 512 entries of degree 32 hold about 2.5 MB; with them the pointwise
+# benchmark's peak RSS reads 45.5 MB (median of 10 runs, 2 shared vCPUs).
 @lru_cache(maxsize=512)
-def _monomial_series(
-    modulus_coeffs: tuple[float, ...], m: int
-) -> tuple[int, float, np.ndarray, np.ndarray]:
+def _monomial_series(modulus_coeffs: tuple[float, ...], m: int) -> tuple[int, float, np.ndarray]:
     """The tables behind exp(theta k^m) on one modulus: sigma and |A|_1 for
-    A = M(k^m) / 2^sigma, 2^sigma the binade of |M(k^m)|_1, the read-only
-    (19, n) series table whose row j is A^j e_1 / j!, and the fold table.
+    A = M(k^m) / 2^sigma, 2^sigma the binade of |M(k^m)|_1, and the
+    read-only (19, n) series table whose row j is A^j e_1 / j!.
 
-    M(k^m) is the slice fold[:, m:m + n] of the fold table.  Its 1-norm
+    M(k^m) is exact, a copy of columns of the modulus's table.  Its 1-norm
     may pass the largest double (k^2 = 1e308 + 1e308 k), so it is summed
     after scaling by the binade of the largest entry, where no column sum
     can overflow.  |A|_1 lies in [1/2, 1), so row j is at most 1/j! in
-    every entry: no modulus that ``core._fold_table`` accepts can overflow
+    every entry: no modulus that ``core._rep_table`` accepts can overflow
     the table.
     """
-    fold = core._fold_table(modulus_coeffs)
     n = len(modulus_coeffs)
-    rep = fold[:, m : m + n]
+    rep = core._rep_stack(np.eye(n)[m], core._rep_table(modulus_coeffs))
     entry = math.frexp(float(np.abs(rep).max()))[1]
     norm, binade = math.frexp(float(np.abs(np.ldexp(rep, -entry)).sum(axis=0).max()))
     sigma = entry + binade
@@ -279,19 +263,20 @@ def _monomial_series(
         np.matmul(scaled, series[j - 1], out=series[j])
         series[j] /= j
     series.setflags(write=False)
-    return sigma, norm, series, fold
+    return sigma, norm, series
 
 
 def _exp_monomial(
-    thetas: np.ndarray, sigmas, norms, series: np.ndarray, fold: np.ndarray
+    thetas: np.ndarray, sigmas, norms, series: np.ndarray, table: np.ndarray
 ) -> np.ndarray:
     """exp(theta k^m) for every theta of ``thetas`` (any shape), as a
     ``thetas.shape + (n,)`` array.
 
-    ``sigmas``, ``norms``, ``series`` and ``fold`` are the tables of
-    ``_monomial_series``, for one (modulus, m) or stacked to broadcast
-    against the angles, such as (cases, 1), (cases, 1), (cases, 1, 19, n)
-    and (cases, 1, n, 2n - 1) for (cases, samples) angles.  Each angle
+    ``sigmas``, ``norms`` and ``series`` are the tables of
+    ``_monomial_series`` and ``table`` that of ``core._rep_table``, for one
+    (modulus, m) or stacked to broadcast against the angles, such as
+    (cases, 1), (cases, 1), (cases, 1, 19, n) and (cases, 1, n, n^2) for
+    (cases, samples) angles.  Each angle
     takes s squarings, the fewest that bring |theta| |M(k^m)|_1 =
     |theta| |A|_1 2^sigma to _THETA or below, by the rule ``_exp_coords``
     applies to |M(z)|_1; 2^sigma enters as an exponent, so the product
@@ -300,8 +285,7 @@ def _exp_monomial(
     (theta M(k^m) / 2^s)^j e_1 / j! = t^j A^j e_1 / j!; scaling by a power
     of two is exact and the rest is elementwise, so each angle gets the
     same bits in any batch.  The squarings are those of ``_exp_coords``,
-    and the product table they use is gathered only when an angle needs
-    one.
+    on ``table``.
     """
     if not np.isfinite(thetas).all():
         raise InvalidArgument("exp requires finite coordinates")
@@ -323,9 +307,7 @@ def _exp_monomial(
         out += term
         out *= t
     out += terms[0]
-    if not most:
-        return _squared(out, None, None)
-    return _squared(out, counts, core._product_table(fold))
+    return _squared(out, counts, table)
 
 
 def exp(z: AlgebraElement) -> AlgebraElement:
@@ -343,8 +325,8 @@ def exp(z: AlgebraElement) -> AlgebraElement:
     ``InvalidArgument``.
     """
     pres = z.presentation
-    fold = core._fold_table(pres.modulus_coeffs)
-    return AlgebraElement(pres, _exp_coords(z.coords[None, :], fold)[0])
+    table = core._rep_table(pres.modulus_coeffs)
+    return AlgebraElement(pres, _exp_coords(z.coords[None, :], table)[0])
 
 
 def trig_components(pres: PrincipalPresentation, m: int, theta) -> np.ndarray:
@@ -362,11 +344,12 @@ def trig_components(pres: PrincipalPresentation, m: int, theta) -> np.ndarray:
     """
     n = pres.degree
     if not core._is_integer(m) or not 1 <= m <= n - 1:
-        raise InvalidPower(f"m must be an integer in [1, {n - 1}], got {m!r}")
+        raise InvalidPower(f"m must be an integer in [1, {n - 1}], got {_shown(m)}")
     thetas = core._real_array(theta)
     if thetas is None:
-        raise InvalidArgument(f"theta must be real numbers, got {theta!r:.80}")
-    return _exp_monomial(thetas, *_monomial_series(pres.modulus_coeffs, int(m)))
+        raise InvalidArgument(f"theta must be real numbers, got {_shown(theta)}")
+    coeffs = pres.modulus_coeffs
+    return _exp_monomial(thetas, *_monomial_series(coeffs, int(m)), core._rep_table(coeffs))
 
 
 def _modulus_coords(coords: np.ndarray, pres: PrincipalPresentation) -> np.ndarray:
@@ -374,11 +357,11 @@ def _modulus_coords(coords: np.ndarray, pres: PrincipalPresentation) -> np.ndarr
     determinant over the stacked regular representations."""
     if not pres.is_pure_power():
         raise UnsupportedAlgebra(f"modulus needs a pure-power presentation, not {pres}")
-    fold = core._fold_table(pres.modulus_coeffs)
+    table = core._rep_table(pres.modulus_coeffs)
     # NaN, overflow and a determinant that is zero or underflows to zero are
     # refused below, so numpy's warnings about them are noise.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        values = np.linalg.det(core._rep_stack(coords, fold))
+        values = np.linalg.det(core._rep_stack(coords, table))
     lowest = values.min(initial=np.inf)
     if not lowest > 0.0:
         raise NonPositivePythagorean(f"Pythagorean value {lowest:.3e} is not positive")

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core
-from .core import AlgebraElement, PrincipalPresentation, make_presentation, preset
+from .core import AlgebraElement, PrincipalPresentation, _shown, make_presentation, preset
 from .errors import InvalidArgument, NonSemisimple
 from .identities import _powers_of_k, _verify_sets, adding_angle, de_moivre
 from .spectral import SpectralDecomposition, _component_values, _interpolate, find_roots
@@ -114,7 +114,7 @@ def random_ld_samples(
 
     The draws are those of ``count`` successive ``random_ld_sample`` calls.
     """
-    return _exp_coords(_ld_draws(rng, pres, dec, count), core._fold_table(pres.modulus_coeffs))
+    return _exp_coords(_ld_draws(rng, pres, dec, count), core._rep_table(pres.modulus_coeffs))
 
 
 def random_ld_sample(
@@ -178,8 +178,9 @@ def _by_degree(batches, kernel, tables) -> list[np.ndarray]:
     rows share.  The batches of one degree, whose rows share one shape
     (samples, ...), are stacked into one kernel call, with every table
     stacked on a new first axis and broadcast over its batch's samples
-    (fold tables have shape (cases, 1, n, 2n - 1)), so every row equals
-    its value from a call on its batch alone, bit for bit.
+    (``core._rep_table`` stacks to (cases, 1, n, n^2), or (cases, 1, n,
+    2n - 1) above degree 16), so every row equals its value from a call on
+    its batch alone, bit for bit.
     """
     by_degree: dict[int, list[int]] = {}
     for i, (pres, *_) in enumerate(batches):
@@ -197,7 +198,7 @@ def _by_degree(batches, kernel, tables) -> list[np.ndarray]:
 def _exps(batches) -> list[np.ndarray]:
     """exp of every row of every ``(pres, coords)`` of ``batches``, as one
     array per batch: one stacked exponential per degree."""
-    return _by_degree(batches, _exp_coords, lambda coeffs: (core._fold_table(coeffs),))
+    return _by_degree(batches, _exp_coords, lambda coeffs: (core._rep_table(coeffs),))
 
 
 def _unit_deviations(batches) -> list[np.ndarray]:
@@ -205,11 +206,14 @@ def _unit_deviations(batches) -> list[np.ndarray]:
     of ``batches``, as one array per batch: one stacked monomial exponential
     and one stacked determinant per degree."""
 
-    def deviations(thetas, sigmas, norms, series, folds):
-        exps = _exp_monomial(thetas, sigmas, norms, series, folds)
-        return np.abs(np.linalg.det(core._rep_stack(exps, folds)) - 1.0)
+    def deviations(thetas, sigmas, norms, series, tables):
+        exps = _exp_monomial(thetas, sigmas, norms, series, tables)
+        return np.abs(np.linalg.det(core._rep_stack(exps, tables)) - 1.0)
 
-    return _by_degree(batches, deviations, _monomial_series)
+    def tables(coeffs, m):
+        return *_monomial_series(coeffs, m), core._rep_table(coeffs)
+
+    return _by_degree(batches, deviations, tables)
 
 
 def _ld_batches(rng, presentations, samples: int):
@@ -287,7 +291,7 @@ def lemma_suite(samples: int = 20, tol: float = 1e-6, seed: int = 0) -> SuiteRep
         c = np.array(pres.modulus_coeffs)
         thetas = rng.uniform(-1.5, 1.5, 3)
         exps = trig_components(pres, 1, np.stack([thetas + h, thetas - h, thetas]))
-        plus, minus, centre = core._rep_stack(exps, core._fold_table(pres.modulus_coeffs))
+        plus, minus, centre = core._rep_stack(exps, core._rep_table(pres.modulus_coeffs))
         derivative = (plus - minus) / (2.0 * h)
         expected = np.empty_like(centre)
         expected[..., : degree - 1] = centre[..., 1:]
@@ -400,8 +404,8 @@ def crt_suite(samples: int = 500, tol: float = 1e-9, seed: int = 0) -> SuiteRepo
         v[:, r + 1 :: 2] = np.conj(v[:, r::2])
 
         pz, pw = _component_values(z, dec), _component_values(w, dec)
-        fold = core._fold_table(pres.modulus_coeffs)
-        pzw = _component_values(core._mul_coords(z, w, fold), dec)
+        table = core._rep_table(pres.modulus_coeffs)
+        pzw = _component_values(core._mul_coords(z, w, table), dec)
         residual = max(
             _relative_deviation(pzw, pz * pw),
             _worst_deviation(_interpolate(pz, dec), z),
@@ -445,14 +449,14 @@ def run_suite(
     try:
         function = _SUITES[name]
     except KeyError:
-        raise InvalidArgument(f"unknown suite {name!r}; choose from {SUITE_NAMES}") from None
+        raise InvalidArgument(f"unknown suite {_shown(name)}; choose from {SUITE_NAMES}") from None
     if samples is not None and not (core._is_integer(samples) and samples > 0):
-        raise InvalidArgument(f"samples must be a positive integer, got {samples!r:.80}")
+        raise InvalidArgument(f"samples must be a positive integer, got {_shown(samples)}")
     if tol is not None and not (
         isinstance(tol, numbers.Real) and not isinstance(tol, bool) and 0.0 < tol < math.inf
     ):
-        raise InvalidArgument(f"tol must be a positive finite number, got {tol!r:.80}")
+        raise InvalidArgument(f"tol must be a positive finite number, got {_shown(tol)}")
     if not (core._is_integer(seed) and seed >= 0):
-        raise InvalidArgument(f"seed must be a non-negative integer, got {seed!r:.80}")
+        raise InvalidArgument(f"seed must be a non-negative integer, got {_shown(seed)}")
     given = {"samples": samples, "tol": tol}
     return globals()[function](seed=seed, **{k: v for k, v in given.items() if v is not None})

@@ -164,6 +164,32 @@ def test_every_call_answers_finite_or_refuses(name, data):
         _assert_finite(result)
 
 
+# An int past Python's limit on converting ints to strings (4300 digits).
+HUGE = 10**5000
+H3 = atrig.preset("hyperbolic", 3)
+
+PAST_THE_DIGIT_LIMIT = {
+    "trig_components m": lambda: atrig.trig_components(H3, HUGE, 0.5),
+    "trig_components theta": lambda: atrig.trig_components(H3, 1, HUGE),
+    "de_moivre": lambda: atrig.de_moivre(H3, HUGE),
+    "generator": lambda: H3.generator(HUGE),
+    "BranchSpec": lambda: atrig.BranchSpec((HUGE,)),
+    "element": lambda: H3.element([HUGE, 0, 0]),
+    "make_presentation": lambda: atrig.make_presentation([HUGE, 0]),
+    "scalar product": lambda: H3.one() * HUGE,
+    "preset": lambda: atrig.preset("hyperbolic", HUGE),
+}
+
+
+@STRICT
+@pytest.mark.parametrize("name", PAST_THE_DIGIT_LIMIT)
+def test_an_int_past_the_digit_limit_is_refused_and_shown_by_its_digit_count(name):
+    with pytest.raises(AlgebraError, match="<int of 5001 digits>") as excinfo:
+        PAST_THE_DIGIT_LIMIT[name]()
+    if name == "preset":
+        assert isinstance(excinfo.value, atrig.errors.InvalidDegree)
+
+
 def _literal(coords):
     return ",".join(repr(float(x)) for x in coords)
 

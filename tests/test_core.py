@@ -574,19 +574,36 @@ def _rep_reference(coords, c):
     return cols
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 6, 16, 32])
+def _routes(coeffs):
+    """The fold table, the product table built from it, and the table
+    ``_rep_table`` serves: the product table up to degree 16, the fold table
+    above it, one read-only object per modulus."""
+    from atrig.core import _fold_table, _rep_table
+
+    n = len(coeffs)
+    fold = _fold_table(tuple(coeffs))
+    # product[i, r n + j] = fold[r, i + j], stacked over i
+    product = np.stack([fold[:, i : i + n] for i in range(n)]).reshape(n, n * n)
+    served = _rep_table(tuple(coeffs))
+    assert served is _rep_table(tuple(coeffs)) and not served.flags.writeable
+    # (16, 256) at n = 16, (17, 33) at n = 17
+    assert served.shape == ((n, n * n) if n <= 16 else (n, 2 * n - 1))
+    assert np.array_equal(served, product if n <= 16 else fold)
+    return fold, product, served
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 16, 17, 32])
 def test_stacked_rep_matches_column_recurrence(n, rng):
-    from atrig.core import _fold_table, _product_table, _rep_stack
+    from atrig.core import _rep_stack
 
     moduli = [np.zeros(n), np.eye(n)[0], -np.eye(n)[0], rng.uniform(-2, 2, n)]
     for index, c in enumerate(moduli):
-        fold = _fold_table(tuple(c))
         batch = rng.uniform(-2, 2, (7, n))
         batch[1] = 0.0
         batch[2, ::2] = -0.0
-        # The fold table's Hankel route and the product table's route (the
-        # fold table again above the cut at n = 16) meet the same checks.
-        for table in (fold, _product_table(fold)):
+        # The fold table's Hankel route, the product table's route and the
+        # table the library serves meet the same checks.
+        for table in _routes(c):
             stacked = _rep_stack(batch, table)
             assert stacked.shape == (7, n, n)
             assert stacked.flags.c_contiguous
@@ -621,20 +638,21 @@ def test_fold_table_and_rep_are_exact_on_eighth_step_moduli(coeffs, z):
     # and every entry of M(z) within 53 bits, so the float kernel is exact.
     from fractions import Fraction
 
-    from atrig.core import _fold_table, _product_table, _rep_stack
+    from atrig.core import _rep_stack
     from atrig.identities import _powers_of_k
 
     n = len(coeffs)
     powers = _powers_of_k(coeffs, 2 * n - 2)
     powers = [[Fraction(a, 1 << e) for a in column] for column, e in powers]
-    fold = _fold_table(tuple(coeffs))
+    routes = _routes(coeffs)
+    fold = routes[0]
     assert [[Fraction(x) for x in column] for column in fold.T.tolist()] == powers
     z = [Fraction(x) for x in z[:n]]
     exact = [
         [sum(z[i] * powers[i + j][row] for i in range(n)) for j in range(n)]
         for row in range(n)
     ]
-    for table in (fold, _product_table(fold)):
+    for table in routes:
         matrix = _rep_stack(np.array(z, dtype=float), table)
         assert [[Fraction(x) for x in row] for row in matrix.tolist()] == exact
 

@@ -23,7 +23,7 @@ from atrig import (
     pythagorean,
     to_components,
 )
-from atrig.core import _fold_table
+from atrig.core import _rep_table
 from atrig.errors import AlgebraError, IllConditioned, OutsideLogDomain
 from atrig.spectral import UNIT_ROUNDOFF, _component_values, _interpolate, _powers
 from atrig.transcendental import _exp_coords, _log_coords, _modulus_coords
@@ -341,9 +341,9 @@ def _count_exponentials(monkeypatch):
     exp_coords, trig_components = transcendental._exp_coords, transcendental.trig_components
     exp_monomial = transcendental._exp_monomial
 
-    def counted_exp(coords, fold):
+    def counted_exp(coords, table):
         calls.append(("_exp_coords", coords[..., 0].size))
-        return exp_coords(coords, fold)
+        return exp_coords(coords, table)
 
     def counted_monomial(thetas, *tables):
         calls.append(("_exp_monomial", np.size(thetas)))
@@ -399,24 +399,24 @@ def _unit_deviation(pres, exps):
     return np.array([abs(pythagorean(AlgebraElement(pres, e)) - 1.0) for e in exps])
 
 
-def test_by_degree_hands_the_kernel_one_fold_table_per_presentation():
+def test_by_degree_hands_the_kernel_one_table_per_presentation():
     from atrig import verify
 
     cases = [preset("hyperbolic", 3), preset("nil", 2), make_presentation([0.5, -1, 0])]
     batches = [(pres, np.full((5, pres.degree), i + 1.0)) for i, pres in enumerate(cases)]
     seen = []
 
-    def kernel(rows, folds):
-        seen.append((rows, folds))
+    def kernel(rows, tables):
+        seen.append((rows, tables))
         return -rows
 
-    out = verify._by_degree(batches, kernel, lambda coeffs: (_fold_table(coeffs),))
+    out = verify._by_degree(batches, kernel, lambda coeffs: (_rep_table(coeffs),))
     # The degree-3 cases stacked on a new axis, then the degree-2 case.
-    assert [(rows.shape, folds.shape) for rows, folds in seen] == [
-        ((2, 5, 3), (2, 1, 3, 5)),
-        ((1, 5, 2), (1, 1, 2, 3)),
+    assert [(rows.shape, tables.shape) for rows, tables in seen] == [
+        ((2, 5, 3), (2, 1, 3, 9)),
+        ((1, 5, 2), (1, 1, 2, 4)),
     ]
-    tables = [_fold_table(pres.modulus_coeffs) for pres in cases]
+    tables = [_rep_table(pres.modulus_coeffs) for pres in cases]
     assert np.array_equal(seen[0][1][:, 0], np.stack([tables[0], tables[2]]))
     assert np.array_equal(seen[1][1][0, 0], tables[1])
     for (_, coords), part in zip(batches, out):
@@ -496,7 +496,7 @@ def test_one_stacked_exponential_per_polar_degree(monkeypatch):
 
 
 def _exp_one_case(coords, pres):
-    return _exp_coords(coords, _fold_table(pres.modulus_coeffs))
+    return _exp_coords(coords, _rep_table(pres.modulus_coeffs))
 
 
 def _worst(got, want):

@@ -35,7 +35,7 @@ from atrig.errors import (
     UnsupportedAlgebra,
 )
 from atrig.spectral import UNIT_ROUNDOFF
-from atrig.core import _fold_table, _product_table, _rep_stack
+from atrig.core import _rep_stack, _rep_table
 from atrig.identities import _powers_of_k
 from atrig.transcendental import (
     _TAYLOR_BLOCKS,
@@ -718,7 +718,7 @@ def test_batched_trig_components_match_single_calls(source, seed, draws, data):
 
 
 @given(
-    n=st.sampled_from([2, 3, 5, 6, 16, 32]),
+    n=st.sampled_from([2, 3, 5, 6, 16, 17, 32]),
     seeds=st.lists(st.integers(0, 2**16), max_size=3),
     draws=st.lists(
         st.tuples(st.integers(0, 5), st.sampled_from([0.1, 1.0, 3.0, 12.0]), st.integers(0, 2**16)),
@@ -729,8 +729,8 @@ def test_batched_trig_components_match_single_calls(source, seed, draws, data):
 @settings(max_examples=60, deadline=None)
 def test_mixed_presentation_batch_matches_one_row_exp(n, seeds, draws):
     # One batch over presets and fresh depressed moduli of one degree, each
-    # row with its own fold table, against exp of each row alone; degrees on
-    # both sides of the product table's cut at n = 16.
+    # row with its own table, against exp of each row alone; degrees on both
+    # sides of the product table's cut at n = 16.
     choices = [preset(kind, n) for kind in ("hyperbolic", "complicated", "nil")]
     choices += [random_depressed_presentation(np.random.default_rng(s), n) for s in seeds]
     rows = []
@@ -741,12 +741,9 @@ def test_mixed_presentation_batch_matches_one_row_exp(n, seeds, draws):
     # 1-norm is 6 on the presets), so the counts differ within the batch.
     for pres in choices:
         rows += [(pres, np.zeros(n)), (pres, 6.0 * pres.generator(1).coords)]
-    folds = np.stack([_fold_table(pres.modulus_coeffs) for pres, _ in rows])
-    # A stack of product tables is laid out as lone tables are, which BLAS
-    # needs to give each row its one-row bits.
-    assert _product_table(folds[:, None]).flags.c_contiguous
+    tables = np.stack([_rep_table(pres.modulus_coeffs) for pres, _ in rows])
     coords = np.stack([z for _, z in rows])
-    norms = np.abs(_rep_stack(coords, folds)).sum(axis=1).max(axis=1)
+    norms = np.abs(_rep_stack(coords, tables)).sum(axis=1).max(axis=1)
     assert len(set(_squaring_count(norms, _THETA).tolist())) > 1
     singles = []
     with np.errstate(all="ignore"):
@@ -757,25 +754,25 @@ def test_mixed_presentation_batch_matches_one_row_exp(n, seeds, draws):
                 singles.append(None)
         if any(single is None for single in singles):
             with pytest.raises(InvalidArgument):  # the batch refuses as a row does
-                _exp_coords(coords, folds)
+                _exp_coords(coords, tables)
             return
-        batch = _exp_coords(coords, folds)
+        batch = _exp_coords(coords, tables)
     for row, single in zip(batch, singles):
         assert np.array_equal(_bits(row), _bits(single))
 
 
-def test_stack_of_cases_with_broadcast_folds_matches_one_row_exp():
-    # (cases, samples, n) rows, each case's fold table broadcast over its
-    # samples as (cases, 1, n, 2n - 1), against exp of each row alone.
+def test_stack_of_cases_with_broadcast_tables_matches_one_row_exp():
+    # (cases, samples, n) rows, each case's table broadcast over its
+    # samples as (cases, 1, n, n^2), against exp of each row alone.
     cases = [preset("hyperbolic", 4), preset("complicated", 4), preset("nil", 4)]
     cases.append(random_depressed_presentation(np.random.default_rng(21), 4))
     scales = np.geomspace(0.1, 40.0, 9)  # no squaring up to about eight
     coords = np.random.default_rng(7).uniform(-1.0, 1.0, (len(cases), 9, 4)) * scales[:, None]
-    folds = np.stack([_fold_table(pres.modulus_coeffs) for pres in cases])[:, None]
-    norms = np.abs(_rep_stack(coords, folds)).sum(axis=-2).max(axis=-1)
+    tables = np.stack([_rep_table(pres.modulus_coeffs) for pres in cases])[:, None]
+    norms = np.abs(_rep_stack(coords, tables)).sum(axis=-2).max(axis=-1)
     counts = _squaring_count(norms, _THETA)
     assert counts.min() == 0 and len(set(counts.ravel().tolist())) > 3
-    batch = _exp_coords(coords, folds)
+    batch = _exp_coords(coords, tables)
     assert batch.shape == coords.shape
     for pres, rows, values in zip(cases, coords, batch):
         for z, value in zip(rows, values):
@@ -783,10 +780,10 @@ def test_stack_of_cases_with_broadcast_folds_matches_one_row_exp():
 
 
 def test_exp_of_an_empty_batch_is_empty_in_its_shape(h3):
-    fold = _fold_table(h3.modulus_coeffs)
-    assert _exp_coords(np.zeros((0, 3)), fold).shape == (0, 3)
-    folds = np.stack([fold] * 4)[:, None]
-    assert _exp_coords(np.zeros((4, 0, 3)), folds).shape == (4, 0, 3)
+    table = _rep_table(h3.modulus_coeffs)
+    assert _exp_coords(np.zeros((0, 3)), table).shape == (0, 3)
+    tables = np.stack([table] * 4)[:, None]
+    assert _exp_coords(np.zeros((4, 0, 3)), tables).shape == (4, 0, 3)
 
 
 def test_trig_components_shapes(h3):
@@ -838,7 +835,7 @@ def test_monomial_series_is_scaled_to_the_binade_of_the_norm():
     # squaring, so exp(theta k) = cos(theta 1e50) + sin(theta 1e50) / 1e50 k
     # to the bound of test_exp_scales_by_the_norm_of_the_representation.
     pres = make_presentation([1e100, 0.0])
-    sigma, norm, series, _ = _monomial_series(pres.modulus_coeffs, 1)
+    sigma, norm, series = _monomial_series(pres.modulus_coeffs, 1)
     assert math.ldexp(norm, sigma) == 1e100 and np.abs(series).max() <= 1.0
     batch = trig_components(pres, 1, [0.0, 0.4e-100])
     np.testing.assert_array_equal(batch[0], [1.0, 0.0])
@@ -855,7 +852,7 @@ def test_monomial_series_of_a_norm_past_the_largest_double():
     # test_taylor_stage_matches_the_exact_series on each side, and theta = 1
     # asks for more squarings than a double can scale.
     pres = make_presentation([-1e308, -1e308])
-    sigma, norm, series, _ = _monomial_series(pres.modulus_coeffs, 1)
+    sigma, norm, series = _monomial_series(pres.modulus_coeffs, 1)
     assert 0.5 <= norm < 1.0 and math.ldexp(norm, sigma - 1) == 1e308
     assert np.isfinite(series).all() and np.abs(series).max() <= 1.0
     batch = trig_components(pres, 1, [0.0, 1e-310])
@@ -944,7 +941,7 @@ def test_taylor_stage_matches_the_exact_series(pres):
     rng = np.random.default_rng(pres.degree)
     n = pres.degree
     coords = rng.integers(-(2**10), 2**10 + 1, size=(6, n)) / 2.0**10
-    norms = np.abs(_rep_stack(coords, _fold_table(pres.modulus_coeffs))).sum(axis=1).max(axis=1)
+    norms = np.abs(_rep_stack(coords, _rep_table(pres.modulus_coeffs))).sum(axis=1).max(axis=1)
     # Halve each row (exactly) to |M(z)|_1 <= theta, some rows further still.
     halvings = _squaring_count(norms, _THETA) + rng.integers(0, 3, size=len(coords))
     coords = np.ldexp(coords, -halvings[:, None])
@@ -952,7 +949,7 @@ def test_taylor_stage_matches_the_exact_series(pres):
         [Fraction(a, 1 << e) for a in column]
         for column, e in _powers_of_k(pres.modulus_coeffs, 2 * n - 2)
     ]
-    for row, out in zip(coords, _exp_coords(coords, _fold_table(pres.modulus_coeffs))):
+    for row, out in zip(coords, _exp_coords(coords, _rep_table(pres.modulus_coeffs))):
         z = [Fraction(x) for x in row]
         rep = [[sum(z[i] * powers[i + j][r] for i in range(n)) for j in range(n)] for r in range(n)]
         norm = max(sum(abs(rep[r][j]) for r in range(n)) for j in range(n))
@@ -984,7 +981,7 @@ def test_monomial_series_matches_the_exact_powers_of_k(seed):
         for column, e in _powers_of_k(pres.modulus_coeffs, _TAYLOR_DEGREE * (n - 1) + n - 1)
     ]
     for m in range(1, n):
-        sigma, norm, series, _ = _monomial_series(pres.modulus_coeffs, m)
+        sigma, norm, series = _monomial_series(pres.modulus_coeffs, m)
         norm = math.ldexp(norm, sigma)
         exact_norm = max(sum(abs(x) for x in powers[m + j]) for j in range(n))
         assert abs(Fraction(norm) - exact_norm) <= n * UNIT_ROUNDOFF * exact_norm
