@@ -40,6 +40,12 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 PRESET_KINDS = ("hyperbolic", "complicated", "nil")
 
+#: Largest degree of a presentation.  At it one M(z) holds 8 MB, the fold
+#: table 16 MB and one mul, exp, log or trig_components call peaks at 56 MiB
+#: or less (tracemalloc); each doubling of the degree quadruples these.  A
+#: degree past it is refused before anything of its size is allocated.
+MAX_DEGREE = 1024
+
 #: A decorator turning numpy's floating-point warnings off, for functions that
 #: check their results and refuse those that are not finite.
 _QUIET = np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -167,7 +173,8 @@ def make_presentation(coeffs, label: str | None = None) -> PrincipalPresentation
 
     Raises InvalidArgument unless ``coeffs`` makes a flat numpy array of
     floats or 64-bit integers (so no strings, None, bools alone or nesting)
-    and ``label`` is a string or None.
+    and ``label`` is a string or None; more than ``MAX_DEGREE`` coefficients
+    raise ``InvalidDegree``.
     """
     if label is not None and not isinstance(label, str):
         raise InvalidArgument(f"label must be a string, got {_shown(label)}")
@@ -177,6 +184,8 @@ def make_presentation(coeffs, label: str | None = None) -> PrincipalPresentation
         array = None
     if array is None or array.ndim != 1 or array.dtype.kind not in "iuf":
         raise InvalidArgument(f"coefficients must be a flat list of numbers, got {_shown(coeffs)}")
+    if array.size > MAX_DEGREE:
+        raise InvalidDegree(f"degree {array.size} exceeds the cap {MAX_DEGREE}")
     values = tuple(array.astype(float).tolist())
     if not values:
         raise EmptyCoefficients("at least one modulus coefficient is required")
@@ -187,13 +196,15 @@ def make_presentation(coeffs, label: str | None = None) -> PrincipalPresentation
 
 
 def preset(kind: str, n: int) -> PrincipalPresentation:
-    """Standard families: hyperbolic k^n = 1, complicated k^n = -1, nil k^n = 0."""
+    """Standard families: hyperbolic k^n = 1, complicated k^n = -1, nil k^n = 0.
+
+    A degree that is not an integer in [1, ``MAX_DEGREE``] raises ``InvalidDegree``."""
     if kind not in PRESET_KINDS:
         raise InvalidKind(f"kind must be one of {PRESET_KINDS}, got {_shown(kind)}")
     if not _is_integer(n) or n < 1:
         raise InvalidDegree(f"degree must be a positive integer, got {_shown(n)}")
-    if n > sys.maxsize:  # [0.0] * n would raise OverflowError
-        raise InvalidDegree(f"degree {_shown(n)} is past the largest list size")
+    if n > MAX_DEGREE:
+        raise InvalidDegree(f"degree {_shown(n)} exceeds the cap {MAX_DEGREE}")
     n = int(n)
     coeffs = [0.0] * n
     if kind == "hyperbolic":

@@ -204,16 +204,19 @@ class IdentitySet:
         return values @ coeffs
 
 
-def _dense_form(index: np.ndarray, rows, formulas: int) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only dense form of gather ``index`` whose row t has the
-    coefficients ``numerators / denominator`` of ``rows[t]``.  Python int true
-    division rounds correctly, so each coefficient is the double nearest its
-    rational, whichever integers feed it."""
+def _coefficients(rows, formulas: int) -> np.ndarray:
+    """The (rows, formulas) doubles whose row t is ``numerators / denominator``
+    of ``rows[t]``.  Python int true division rounds correctly, so each
+    coefficient is the double nearest its rational, whichever integers feed it."""
     try:
-        coeffs = np.array([[a / d for a in numerators] for numerators, d in rows], dtype=float)
+        coeffs = np.array([a / d for numerators, d in rows for a in numerators], dtype=float)
     except OverflowError:
         raise InvalidArgument("a coefficient exceeds the largest double") from None
-    coeffs = coeffs.reshape(len(index), formulas)
+    return coeffs.reshape(len(rows), formulas)
+
+
+def _dense_form(index: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The dense form of gather ``index`` and ``coeffs``, both made read-only."""
     index.flags.writeable = coeffs.flags.writeable = False
     return index, coeffs
 
@@ -223,18 +226,18 @@ def _expansion_dense(shape: _Shape, powers: list) -> tuple[np.ndarray, np.ndarra
     for ``(a, e)`` the power of k at term t's index sum.  A row is kept where
     that power is not zero, and rows are ordered first by the first formula
     the term appears in, then in shape order, as the terms of the formulas
-    would order them."""
+    would order them.  A row depends only on the term's (count, index sum),
+    so each of the shape's ``pairs`` is divided out once and its row
+    gathered for every term that shares it.  A pair whose power of k is
+    zero gives a zero row that no kept term gathers: dividing its zeros
+    costs less than sorting it out."""
     n = len(powers[0][0])
-    # The first nonzero coordinate of each power of k, n for a zero power.
-    leads = [next(compress(range(n), column), n) for column, _ in powers]
-    keys = [leads[degree] for degree in shape.degrees]
-    order = sorted(range(len(keys)), key=keys.__getitem__)[: len(keys) - keys.count(n)]
-    rows = []
-    for t in order:
-        column, exponent = powers[shape.degrees[t]]
-        count = shape.counts[t]
-        rows.append(([count * a for a in column], 1 << exponent))
-    return _dense_form(shape.index[order], rows, n)
+    # The first nonzero coordinate of each pair's power of k, n for a zero power.
+    leads = [next(compress(range(n), powers[degree][0]), n) for _, degree in shape.pairs]
+    keys = np.array(leads)[shape.pair_of]
+    order = np.argsort(keys, kind="stable")[: np.count_nonzero(keys < n)]
+    rows = [([count * a for a in powers[d][0]], 1 << powers[d][1]) for count, d in shape.pairs]
+    return _dense_form(shape.index[order], _coefficients(rows, n)[shape.pair_of[order]])
 
 
 def _formulas_dense(ids: IdentitySet) -> tuple[np.ndarray, np.ndarray]:
@@ -261,7 +264,7 @@ def _formulas_dense(ids: IdentitySet) -> tuple[np.ndarray, np.ndarray]:
     for row in rows.values():
         d = math.lcm(*(q.denominator for q in row))
         common.append(([q.numerator * (d // q.denominator) for q in row], d))
-    return _dense_form(index.reshape(len(rows), width), common, len(ids.formulas))
+    return _dense_form(index.reshape(len(rows), width), _coefficients(common, len(ids.formulas)))
 
 
 @dataclass(frozen=True)
@@ -327,12 +330,16 @@ def _multinomial(pick: tuple[int, ...]) -> int:
 class _Shape(NamedTuple):
     """The terms of one expansion shape: monomial t is ``monomials[t]``, with
     multinomial count ``counts[t]``, index sum ``degrees[t]`` and the columns
-    ``index[t]`` of the value table ``[s(alpha) | s(beta) | 1]`` it multiplies."""
+    ``index[t]`` of the value table ``[s(alpha) | s(beta) | 1]`` it multiplies.
+    Its (count, index sum) is ``pairs[pair_of[t]]``: ``pairs`` holds each
+    distinct one once, in order of its first term."""
 
     monomials: tuple[tuple[TrigSymbol, ...], ...]
     counts: tuple[int, ...]
     degrees: tuple[int, ...]
     index: np.ndarray  # read-only, (terms, total degree)
+    pairs: tuple[tuple[int, int], ...]
+    pair_of: np.ndarray  # read-only, (terms,)
 
 
 @lru_cache(maxsize=32)
@@ -350,8 +357,10 @@ def _shape_table(n: int, powers: tuple[tuple[str, int], ...]) -> _Shape:
         degrees.append(sum(map(sum, picks)))
         index.append([p * n + i for p, pick in enumerate(picks) for i in pick])
     index = np.array(index, dtype=np.intp)
-    index.flags.writeable = False
-    return _Shape(tuple(monomials), tuple(counts), tuple(degrees), index)
+    places: dict = {}  # (count, index sum) -> its place in pairs
+    pair_of = np.array([places.setdefault(pair, len(places)) for pair in zip(counts, degrees)])
+    index.flags.writeable = pair_of.flags.writeable = False
+    return _Shape(tuple(monomials), tuple(counts), tuple(degrees), index, tuple(places), pair_of)
 
 
 def _expansion_formulas(shape: _Shape, powers: list) -> tuple[SymPoly, ...]:

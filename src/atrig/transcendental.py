@@ -183,17 +183,27 @@ def _squared(out: np.ndarray, counts: np.ndarray, table: np.ndarray) -> np.ndarr
     """Every row of ``out`` (..., n) squared in the algebra as many times as
     its entry of ``counts`` (...) says, each with its own table of
     ``core._rep_stack`` (``table`` broadcasts against the rows); a result
-    that is not finite raises ``InvalidArgument``.
+    that is not finite raises ``InvalidArgument``.  ``out`` may be written
+    in place.
 
-    Each step squares every row and keeps the square where the row's count
-    is not yet reached, so every row uses the table as it is broadcast.  A
-    row is still one BLAS call on its own operands, so it gets the bits it
-    would get alone.
+    Each step past the smallest count squares only the rows still short
+    of theirs where one 2-D table serves every row.  A stack of tables
+    squares every row and keeps the square where the row's count is not
+    yet reached, since gathering one table per row costs more than the
+    squares it saves.  Either way a squared row is one BLAS call on its own
+    operands, so it gets the bits it would get alone.
     """
     least, most = int(counts.min()), int(counts.max())
     for step in range(most):
-        squares = core._mul_coords(out, out, table)
-        out = squares if step < least else np.where((counts > step)[..., None], squares, out)
+        if step < least:
+            out = core._mul_coords(out, out, table)
+        elif table.ndim == 2:
+            need = counts > step
+            rows = out[need]
+            out[need] = core._mul_coords(rows, rows, table)
+        else:
+            squares = core._mul_coords(out, out, table)
+            out = np.where((counts > step)[..., None], squares, out)
     if not np.isfinite(out).all():
         raise InvalidArgument("exp overflowed: the result is not finite")
     return out

@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 import sys
+import tracemalloc
 
 import pytest
 
@@ -198,6 +199,33 @@ def test_run_suite_refuses_samples_that_are_not_a_positive_integer(samples):
     # 0 and -1 used to give a report that passed with no lemma rows.
     with pytest.raises(InvalidArgument, match="samples"):
         verify.run_suite("lemma", samples)
+
+
+@pytest.mark.parametrize("samples", [10**30, verify.MAX_SAMPLES + 1])
+def test_run_suite_refuses_samples_past_the_cap_before_allocating(samples):
+    # 10**30 used to end in numpy's "Maximum allowed dimension exceeded".
+    tracemalloc.start()
+    try:
+        for suite in verify.SUITE_NAMES:
+            with pytest.raises(InvalidArgument, match="exceeds the cap"):
+                verify.run_suite(suite, samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_samples_past_the_cap_exit_three(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "crt", "--samples", str(10**30))
+    assert code == 3
+    assert json.loads(out)["error"] == "InvalidArgument"
+
+
+def test_a_preset_degree_past_the_cap_exits_two(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli(capsys, "--algebra", f"Gamma{2**62}", "roots")
+    assert excinfo.value.code == 2
+    assert "exceeds the cap" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-9, True, "1e-9"])

@@ -6,6 +6,7 @@ oracles defined at the top of this file (plain expand-and-reduce for
 products, numpy polynomial composition for generator shifts).
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +29,7 @@ from atrig import (
     rep_matrix,
     shift_element,
 )
-from atrig.core import PRESET_KINDS, PrincipalPresentation
+from atrig.core import MAX_DEGREE, PRESET_KINDS, PrincipalPresentation
 from atrig.errors import (
     EmptyCoefficients,
     InvalidArgument,
@@ -124,6 +125,24 @@ def test_preset_errors():
     for degree in (True, False, 2.0):
         with pytest.raises(InvalidDegree):
             preset("hyperbolic", degree)
+
+
+def test_degrees_past_the_cap_are_refused_before_allocating():
+    # preset("nil", 2**62) used to raise an untyped MemoryError from [0.0] * n.
+    too_long = [0.0] * (MAX_DEGREE + 1)
+    tracemalloc.start()
+    try:
+        for degree in (2**62, MAX_DEGREE + 1):
+            with pytest.raises(InvalidDegree, match="exceeds the cap"):
+                preset("nil", degree)
+        with pytest.raises(InvalidDegree, match="exceeds the cap"):
+            make_presentation(too_long)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+    assert preset("nil", MAX_DEGREE).degree == MAX_DEGREE
+    assert make_presentation(too_long[1:]).degree == MAX_DEGREE
 
 
 @pytest.mark.parametrize("degree", [np.int64(3), np.uint8(3), np.int32(3)])

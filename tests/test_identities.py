@@ -5,7 +5,7 @@ import math
 import sys
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, compress, product
 from pathlib import Path
 
 import numpy as np
@@ -616,6 +616,66 @@ def test_the_integer_feed_equals_the_formula_feed(pres, power):
     assert index.shape == want_index.shape and np.array_equal(index, want_index)
     assert coeffs.shape == want_coeffs.shape and np.array_equal(coeffs, want_coeffs)
     assert np.array_equal(np.signbit(coeffs), np.signbit(want_coeffs))
+
+
+def _old_expansion_dense(shape, powers):
+    """The dense form of an expansion as it was built with one division per
+    term, before terms of one (count, index sum) shared their row."""
+    n = len(powers[0][0])
+    leads = [next(compress(range(n), column), n) for column, _ in powers]
+    keys = [leads[degree] for degree in shape.degrees]
+    order = sorted(range(len(keys)), key=keys.__getitem__)[: len(keys) - keys.count(n)]
+    rows = []
+    for t in order:
+        column, exponent = powers[shape.degrees[t]]
+        count = shape.counts[t]
+        rows.append(([count * a for a in column], 1 << exponent))
+    try:
+        coeffs = np.array([[a / d for a in numerators] for numerators, d in rows], dtype=float)
+    except OverflowError:
+        raise InvalidArgument("a coefficient exceeds the largest double") from None
+    return shape.index[order], coeffs.reshape(len(order), n)
+
+
+@pytest.mark.parametrize(
+    "pres",
+    verify.preset_grid(dims=range(2, 6))
+    + [
+        random_rational_presentation(np.random.default_rng(seed), n)
+        for seed in range(4)
+        for n in range(2, 6)
+    ]
+    + [make_presentation([5e-324, 1e300, -1e-300])],
+    ids=str,
+)
+def test_expansion_dense_divides_each_shared_row_once_with_the_old_bits(monkeypatch, pres):
+    divided, original = [], identities._coefficients
+
+    def counted(rows, formulas):
+        divided.append(len(rows))
+        return original(rows, formulas)
+
+    monkeypatch.setattr(identities, "_coefficients", counted)
+    for ids in [adding_angle(pres)] + [de_moivre(pres, p) for p in range(1, 5)]:
+        shape, powers = ids._expansion
+        try:
+            want_index, want_coeffs = _old_expansion_dense(shape, powers)
+        except InvalidArgument as refusal:
+            with pytest.raises(type(refusal)) as excinfo:
+                identities._expansion_dense(shape, powers)
+            assert str(excinfo.value) == str(refusal)
+            continue
+        divided.clear()
+        index, coeffs = identities._expansion_dense(shape, powers)
+        assert np.array_equal(index, want_index)
+        assert coeffs.shape == want_coeffs.shape
+        assert np.array_equal(coeffs.view(np.int64), want_coeffs.view(np.int64))
+        assert np.array_equal(np.signbit(coeffs), np.signbit(want_coeffs))
+        # One division per distinct (count, index sum) of the shape.
+        pairs = list(zip(shape.counts, shape.degrees))
+        assert list(shape.pairs) == list(dict.fromkeys(pairs))
+        assert [shape.pairs[p] for p in shape.pair_of] == pairs
+        assert divided == [len(shape.pairs)]
 
 
 def test_both_feeds_refuse_a_coefficient_past_the_largest_double():

@@ -35,7 +35,8 @@ from atrig.errors import (
     UnsupportedAlgebra,
 )
 from atrig.spectral import UNIT_ROUNDOFF
-from atrig.core import _rep_stack, _rep_table
+from atrig import core
+from atrig.core import _mul_coords, _rep_stack, _rep_table
 from atrig.identities import _powers_of_k
 from atrig.transcendental import (
     _TAYLOR_BLOCKS,
@@ -44,9 +45,11 @@ from atrig.transcendental import (
     _exp_coords,
     _log_coords,
     _monomial_series,
+    _squared,
     _squaring_count,
 )
 from atrig.verify import (
+    identities_suite,
     random_depressed_presentation,
     random_ld_sample,
     random_rational_presentation,
@@ -711,8 +714,13 @@ def test_batched_trig_components_match_single_calls(source, seed, draws, data):
                 trig_components(pres, m, thetas)
             return
         batch = trig_components(pres, m, thetas)
+        # A (cases, samples) stack and a 0-d angle on the same table.
+        stacked = trig_components(pres, m, np.stack([thetas, thetas[::-1]]))
+        point = trig_components(pres, m, np.array(thetas[0]))
     assert batch.shape == (thetas.size, n)
-    for row, single in zip(batch, singles):
+    assert stacked.shape == (2, thetas.size, n) and point.shape == (n,)
+    rows = [*batch, *stacked[0], *stacked[1][::-1], point]
+    for row, single in zip(rows, singles * 3 + singles[:1]):
         # the same arithmetic row by row, so equal to the last bit
         assert np.array_equal(_bits(row), _bits(single))
 
@@ -777,6 +785,70 @@ def test_stack_of_cases_with_broadcast_tables_matches_one_row_exp():
     for pres, rows, values in zip(cases, coords, batch):
         for z, value in zip(rows, values):
             assert np.array_equal(_bits(value), _bits(exp(AlgebraElement(pres, z)).coords))
+
+
+def test_stack_of_rows_on_one_table_matches_one_row_exp():
+    # (cases, samples, n) rows that share one 2-D table, with squaring
+    # counts from 0 to several, against exp of each row alone.
+    for pres in (preset("complicated", 4), preset("hyperbolic", 17)):
+        n = pres.degree
+        scales = np.geomspace(0.1, 40.0, 9) / n
+        coords = np.random.default_rng(8).uniform(-1.0, 1.0, (3, 9, n)) * scales[:, None]
+        table = _rep_table(pres.modulus_coeffs)
+        norms = np.abs(_rep_stack(coords, table)).sum(axis=-2).max(axis=-1)
+        counts = _squaring_count(norms, _THETA)
+        assert counts.min() == 0 and len(set(counts.ravel().tolist())) > 3
+        batch = _exp_coords(coords, table)
+        assert batch.shape == coords.shape
+        for z, value in zip(coords.reshape(-1, n), batch.reshape(-1, n)):
+            assert np.array_equal(_bits(value), _bits(exp(AlgebraElement(pres, z)).coords))
+
+
+def _counting_squarings(monkeypatch) -> list:
+    """The row count of every product ``core._mul_coords`` makes from now on."""
+    squared, original = [], core._mul_coords
+
+    def counted(a, b, table):
+        squared.append(math.prod(a.shape[:-1]))
+        return original(a, b, table)
+
+    monkeypatch.setattr(core, "_mul_coords", counted)
+    return squared
+
+
+@pytest.mark.parametrize("n", [3, 17])
+def test_a_shared_table_squares_each_row_only_its_count(monkeypatch, n):
+    # Counts 0-3 on one 2-D table (the product table at n = 3, the fold
+    # table at n = 17): each row is squared exactly its count, with the bits
+    # of squaring it alone.  A stack of tables squares every row each step.
+    table = _rep_table(preset("complicated", n).modulus_coeffs)
+    rng = np.random.default_rng(5)
+    counts = rng.permutation(np.repeat(np.arange(4), [3, 5, 2, 4])).reshape(2, 7)
+    rows = rng.uniform(-1.0, 1.0, counts.shape + (n,))
+    alone = np.empty_like(rows)
+    for place in np.ndindex(counts.shape):
+        row = rows[place][None]
+        for _ in range(counts[place]):
+            row = _mul_coords(row, row, table)
+        alone[place] = row[0]
+    squared = _counting_squarings(monkeypatch)
+    # _squared may write into its rows, so each call gets a copy.
+    shared = _squared(rows.copy(), counts, table)
+    assert sum(squared) == counts.sum() == 21
+    squared.clear()
+    stacked = _squared(rows.copy(), counts, np.stack([table, table])[:, None])
+    assert sum(squared) == counts.size * counts.max()
+    for got in (shared, stacked):
+        assert got.shape == rows.shape
+        assert np.array_equal(_bits(got), _bits(alone))
+
+
+def test_identities_suite_squares_only_the_rows_short_of_their_count(monkeypatch):
+    # Squaring every row of a batch up to the batch's largest count, and
+    # keeping the squares of the rows that need them, took 42680 rows here.
+    squared = _counting_squarings(monkeypatch)
+    identities_suite(samples=40, seed=0)
+    assert sum(squared) == 11414
 
 
 def test_exp_of_an_empty_batch_is_empty_in_its_shape(h3):
