@@ -7,22 +7,23 @@ coefficients: by the multinomial theorem, each coefficient is a multinomial
 count times one coordinate of a reduced power of k.  This module generates
 those identities from a table of monomials, counts and gather indices per
 shape, with the reduced powers of k worked out in integers (every finite
-double is an integer over a power of two).  A generated set certifies from
-a dense form whose coefficients are divided straight from those integers,
-from one stacked exponential per presentation and, per set, one gather,
-product and matmul; its ``Fraction`` formulas are made only when read, for
-rendering, comparison and tests.
+double is an integer over a power of two).  A generated set certifies by
+index sum, its monomial products summed by their exact counts times that
+power of k rounded once, from one stacked exponential per presentation and,
+per set, one gather, product and two matmuls; its ``Fraction`` formulas are
+made only when read, for rendering, comparison and tests.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from itertools import combinations_with_replacement, compress, groupby, product
+from itertools import combinations_with_replacement, groupby, product
 from operator import or_
 from typing import NamedTuple
 
@@ -176,7 +177,7 @@ class IdentitySet:
         return _expansion_formulas(*self._expansion)
 
     @cached_property
-    def _dense(self) -> tuple[np.ndarray, np.ndarray]:
+    def _dense(self) -> tuple[np.ndarray, ...]:
         """The formulas as read-only arrays over a value table
         ``[s(alpha) | s(beta) | 1]`` of one sampled row per case
         (``[s(alpha) | 1]`` for De Moivre), built on first certification:
@@ -184,10 +185,12 @@ class IdentitySet:
         terms otherwise, so that a parsed set is certified as it renders.
 
         Monomial t is the product of the table columns ``index[t]``, padded
-        with -1, the column of ones; formula i is ``sum_t coeffs[t, i]`` times
-        it.  Each coefficient is the correctly rounded double of its exact
-        rational; one past the largest double, or a symbol the set's kind has
-        no column for, raises ``InvalidArgument``.
+        with -1, the column of ones; the formulas are those products times
+        each later matrix in turn: a held set's (terms, n) coefficients, or a
+        generated set's count matrix and its (index sums, n) powers of k, each
+        entry the double nearest its exact value.  A coefficient past the
+        largest double, or a symbol the set's kind has no column for, raises
+        ``InvalidArgument``.
         """
         if self._expansion is not None:
             return _expansion_dense(*self._expansion)
@@ -195,54 +198,43 @@ class IdentitySet:
 
     def _dense_values(self, table: np.ndarray) -> np.ndarray:
         """All formulas at each row of ``table``: one column per formula."""
-        index, coeffs = self._dense
+        index, *matrices = self._dense
         # A product over the degree axis, one gathered column at a time, so
         # that only (rows, terms) values are ever held.
         values = table[:, index[:, 0]]
         for column in index.T[1:]:
             values *= table[:, column]
-        return values @ coeffs
+        return reduce(np.matmul, matrices, values)
 
 
-def _coefficients(rows, formulas: int) -> np.ndarray:
-    """The (rows, formulas) doubles whose row t is ``numerators / denominator``
-    of ``rows[t]``.  Python int true division rounds correctly, so each
-    coefficient is the double nearest its rational, whichever integers feed it."""
+def _dense_form(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The dense form of ``arrays``, each made read-only."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+def _expansion_dense(shape: _Shape, powers: list) -> tuple[np.ndarray, ...]:
+    """The dense form of an expansion: the shape's index and count matrix,
+    then the powers of k, row d holding the coordinates ``a_i / 2**e`` of k^d
+    each rounded once.  No coefficient ``count_t * a_i / 2**e`` is rounded;
+    one that would pass the largest double refuses the set, as it refuses a
+    set holding the same formulas."""
+    sums = shape.weights.shape[1]
     try:
-        coeffs = np.array([a / d for numerators, d in rows for a in numerators], dtype=float)
+        rounded = [a / (1 << e) for column, e in powers[:sums] for a in column]
+        if max(map(abs, rounded)) * max(shape.counts) >= 2.0**1023:
+            # Within a factor 2 of the largest double: the largest count of
+            # each index sum times its largest coordinate, divided to raise past it.
+            tops = shape.weights.max(axis=0).astype(int).tolist()
+            [top * max(map(abs, c)) / (1 << e) for top, (c, e) in zip(tops, powers)]
     except OverflowError:
         raise InvalidArgument("a coefficient exceeds the largest double") from None
-    return coeffs.reshape(len(rows), formulas)
-
-
-def _dense_form(index: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The dense form of gather ``index`` and ``coeffs``, both made read-only."""
-    index.flags.writeable = coeffs.flags.writeable = False
-    return index, coeffs
-
-
-def _expansion_dense(shape: _Shape, powers: list) -> tuple[np.ndarray, np.ndarray]:
-    """The dense form of an expansion: entry (t, i) is ``count_t * a_i / 2**e``
-    for ``(a, e)`` the power of k at term t's index sum.  A row is kept where
-    that power is not zero, and rows are ordered first by the first formula
-    the term appears in, then in shape order, as the terms of the formulas
-    would order them.  A row depends only on the term's (count, index sum),
-    so each of the shape's ``pairs`` is divided out once and its row
-    gathered for every term that shares it.  A pair whose power of k is
-    zero gives a zero row that no kept term gathers: dividing its zeros
-    costs less than sorting it out."""
-    n = len(powers[0][0])
-    # The first nonzero coordinate of each pair's power of k, n for a zero power.
-    leads = [next(compress(range(n), powers[degree][0]), n) for _, degree in shape.pairs]
-    keys = np.array(leads)[shape.pair_of]
-    order = np.argsort(keys, kind="stable")[: np.count_nonzero(keys < n)]
-    rows = [([count * a for a in powers[d][0]], 1 << powers[d][1]) for count, d in shape.pairs]
-    return _dense_form(shape.index[order], _coefficients(rows, n)[shape.pair_of[order]])
+    return _dense_form(shape.index, shape.weights, np.array(rounded).reshape(sums, -1))
 
 
 def _formulas_dense(ids: IdentitySet) -> tuple[np.ndarray, np.ndarray]:
-    """The dense form of a set's own terms, rows in order of first appearance,
-    each row's rationals put over their least common denominator."""
+    """The dense form of a set's own terms, rows in order of first appearance."""
     n, tags = ids.presentation.degree, "ab" if ids.kind == "adding_angle" else "a"
     columns = {TrigSymbol(t, i + 1): p * n + i for p, t in enumerate(tags) for i in range(n)}
     rows: dict = {}  # monomial -> its row of coefficients
@@ -260,11 +252,12 @@ def _formulas_dense(ids: IdentitySet) -> tuple[np.ndarray, np.ndarray]:
             row[i] = q
     width = max(map(len, index), default=0) or 1
     index = np.array([cols + [-1] * (width - len(cols)) for cols in index], dtype=np.intp)
-    common = []
-    for row in rows.values():
-        d = math.lcm(*(q.denominator for q in row))
-        common.append(([q.numerator * (d // q.denominator) for q in row], d))
-    return _dense_form(index.reshape(len(rows), width), _coefficients(common, len(ids.formulas)))
+    try:  # Python int true division rounds each rational to its nearest double
+        coeffs = [q.numerator / q.denominator for row in rows.values() for q in row]
+    except OverflowError:
+        raise InvalidArgument("a coefficient exceeds the largest double") from None
+    coeffs = np.array(coeffs, dtype=float).reshape(len(rows), len(ids.formulas))
+    return _dense_form(index.reshape(len(rows), width), coeffs)
 
 
 @dataclass(frozen=True)
@@ -330,18 +323,18 @@ def _multinomial(pick: tuple[int, ...]) -> int:
 class _Shape(NamedTuple):
     """The terms of one expansion shape: monomial t is ``monomials[t]``, with
     multinomial count ``counts[t]``, index sum ``degrees[t]`` and the columns
-    ``index[t]`` of the value table ``[s(alpha) | s(beta) | 1]`` it multiplies.
-    Its (count, index sum) is ``pairs[pair_of[t]]``: ``pairs`` holds each
-    distinct one once, in order of its first term."""
+    ``index[t]`` of the value table ``[s(alpha) | s(beta) | 1]`` it multiplies."""
 
     monomials: tuple[tuple[TrigSymbol, ...], ...]
     counts: tuple[int, ...]
     degrees: tuple[int, ...]
     index: np.ndarray  # read-only, (terms, total degree)
-    pairs: tuple[tuple[int, int], ...]
-    pair_of: np.ndarray  # read-only, (terms,)
+    weights: np.ndarray  # read-only, counts[t] at (t, degrees[t]) and zero elsewhere
 
 
+# Count matrices: at most 9.5 KB each for n <= 5 and power <= 4, 6.3 MiB at the
+# largest accepted expansion (n = 7, power 11: 12376 terms, 67 index sums, whose
+# certification at 200 samples holds 18.9 MiB of products); the 32 largest, 68 MiB.
 @lru_cache(maxsize=32)
 def _shape_table(n: int, powers: tuple[tuple[str, int], ...]) -> _Shape:
     """The terms of the product over (tag, power) of exp(k tag)^power at degree n,
@@ -357,10 +350,10 @@ def _shape_table(n: int, powers: tuple[tuple[str, int], ...]) -> _Shape:
         degrees.append(sum(map(sum, picks)))
         index.append([p * n + i for p, pick in enumerate(picks) for i in pick])
     index = np.array(index, dtype=np.intp)
-    places: dict = {}  # (count, index sum) -> its place in pairs
-    pair_of = np.array([places.setdefault(pair, len(places)) for pair in zip(counts, degrees)])
-    index.flags.writeable = pair_of.flags.writeable = False
-    return _Shape(tuple(monomials), tuple(counts), tuple(degrees), index, tuple(places), pair_of)
+    weights = np.zeros((len(counts), max(degrees) + 1))
+    weights[np.arange(len(counts)), degrees] = counts
+    _dense_form(index, weights)
+    return _Shape(tuple(monomials), tuple(counts), tuple(degrees), index, weights)
 
 
 def _expansion_formulas(shape: _Shape, powers: list) -> tuple[SymPoly, ...]:
@@ -419,6 +412,24 @@ def de_moivre(pres: PrincipalPresentation, power: int, *, _k_powers=None) -> Ide
     return _expand(pres, "de_moivre", power, InvalidPower, _k_powers)
 
 
+#: Largest ``samples`` a check runs, 20 times the largest suite default (500).
+#: At it the suite that allocates most, roundtrip, peaks at 122 MiB (tracemalloc).
+MAX_SAMPLES = 10_000
+
+
+def _check_sampling(samples, tol, seed) -> None:
+    """``InvalidArgument`` unless ``samples`` is an integer in [1, ``MAX_SAMPLES``],
+    ``tol`` a positive finite number and ``seed`` a non-negative integer."""
+    if not (_is_integer(samples) and samples > 0):
+        raise InvalidArgument(f"samples must be a positive integer, got {_shown(samples)}")
+    if samples > MAX_SAMPLES:
+        raise InvalidArgument(f"samples {_shown(samples)} exceeds the cap {MAX_SAMPLES}")
+    if not (isinstance(tol, numbers.Real) and not isinstance(tol, bool) and 0.0 < tol < math.inf):
+        raise InvalidArgument(f"tol must be a positive finite number, got {_shown(tol)}")
+    if not (_is_integer(seed) and seed >= 0):
+        raise InvalidArgument(f"seed must be a non-negative integer, got {_shown(seed)}")
+
+
 def _draw_angles(ids: IdentitySet, samples: int, seed: int) -> tuple[np.ndarray, ...]:
     """alpha, beta, alpha+beta or alpha, power*alpha; alpha, beta from ``default_rng(seed)``."""
     rng = np.random.default_rng(seed)
@@ -458,7 +469,9 @@ def verify_identity(
     The left side is the exponential at the combined argument, the right
     side the formulas at sampled component values; reports the worst absolute
     residual per formula.  The one-set case of ``identities_suite``'s check.
+    Arguments outside ``_check_sampling``'s ranges raise ``InvalidArgument``.
     """
+    _check_sampling(samples, tol, seed)
     return _verify_sets([ids], [seed], samples, tol)[0]
 
 

@@ -5,8 +5,6 @@ residuals so tolerance behaviour stays observable.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,7 +12,8 @@ import numpy as np
 from . import core
 from .core import AlgebraElement, PrincipalPresentation, _shown, make_presentation, preset
 from .errors import InvalidArgument, NonSemisimple
-from .identities import _powers_of_k, _verify_sets, adding_angle, de_moivre
+from .identities import MAX_SAMPLES, _check_sampling, _powers_of_k, _verify_sets  # noqa: F401
+from .identities import adding_angle, de_moivre
 from .spectral import SpectralDecomposition, _component_values, _interpolate, find_roots
 from .transcendental import (
     BranchSpec,
@@ -438,10 +437,6 @@ _SUITES = {
 
 SUITE_NAMES = tuple(_SUITES)
 
-#: Largest ``samples`` a suite runs, 20 times the largest default (500).  At
-#: it the suite that allocates most, roundtrip, peaks at 122 MiB (tracemalloc).
-MAX_SAMPLES = 10_000
-
 
 def run_suite(
     name: str, samples: int | None = None, tol: float | None = None, seed: int = 0
@@ -454,15 +449,6 @@ def run_suite(
         function = _SUITES[name]
     except KeyError:
         raise InvalidArgument(f"unknown suite {_shown(name)}; choose from {SUITE_NAMES}") from None
-    if samples is not None and not (core._is_integer(samples) and samples > 0):
-        raise InvalidArgument(f"samples must be a positive integer, got {_shown(samples)}")
-    if samples is not None and samples > MAX_SAMPLES:
-        raise InvalidArgument(f"samples {_shown(samples)} exceeds the cap {MAX_SAMPLES}")
-    if tol is not None and not (
-        isinstance(tol, numbers.Real) and not isinstance(tol, bool) and 0.0 < tol < math.inf
-    ):
-        raise InvalidArgument(f"tol must be a positive finite number, got {_shown(tol)}")
-    if not (core._is_integer(seed) and seed >= 0):
-        raise InvalidArgument(f"seed must be a non-negative integer, got {_shown(seed)}")
+    _check_sampling(1 if samples is None else samples, 1.0 if tol is None else tol, seed)
     given = {"samples": samples, "tol": tol}
     return globals()[function](seed=seed, **{k: v for k, v in given.items() if v is not None})

@@ -1,9 +1,10 @@
 """The public surface's contract: every call ends in a finite answer or a
 typed ``AlgebraError``, with no warning and no traceback.
 
-Presentations are presets or random moduli of degree 1-32; coordinates are
-special values (signed zeros and ones, subnormals, the edges of the double
-range, NaN, infinities) or uniform values scaled by 10^+-300.  Only
+Presentations are presets or random moduli of degree 1-32 (1-6 for the
+identity calls); coordinates are special values (signed zeros and ones,
+subnormals, the edges of the double range, NaN, infinities) or uniform
+values scaled by 10^+-300.  Only
 ``pythagorean`` may answer inf or NaN: it returns the determinant as it
 comes out, which the benchmark's checks read.
 """
@@ -22,6 +23,7 @@ import atrig
 from atrig import cli
 from atrig.core import AlgebraElement, PrincipalPresentation
 from atrig.errors import AlgebraError
+from atrig.identities import IdentitySet, VerificationReport
 from atrig.spectral import ComponentVector, SpectralDecomposition
 from atrig.transcendental import PolarForm
 
@@ -45,8 +47,8 @@ finite_values = values.filter(math.isfinite)
 
 
 @st.composite
-def presentations(draw):
-    n = draw(st.integers(1, 32))
+def presentations(draw, max_degree=32):
+    n = draw(st.integers(1, max_degree))
     if draw(st.booleans()):
         return atrig.preset(draw(st.sampled_from(atrig.core.PRESET_KINDS)), n)
     return atrig.make_presentation(draw(st.lists(finite_values, min_size=n, max_size=n)))
@@ -75,6 +77,10 @@ def _assert_finite(result):
         _assert_finite((result.real_roots, result.complex_roots))
     elif isinstance(result, ComponentVector):
         _assert_finite((result.real_parts, result.complex_parts))
+    elif isinstance(result, VerificationReport):
+        _assert_finite(result.residuals)
+    elif isinstance(result, IdentitySet):  # exact rational formulas, one per component
+        assert len(result.formulas) == result.presentation.degree
     elif isinstance(result, tuple):
         for part in result:
             _assert_finite(part)
@@ -127,6 +133,18 @@ def _from_components(draw):
     return atrig.from_components(_components(draw, dec), dec)
 
 
+# Identity sets are drawn at degree 1-6, where generating and certifying one
+# takes milliseconds: the size cap refuses only larger expansions.
+def _verify_identity(draw):
+    pres = draw(presentations(max_degree=6))
+    power = draw(st.sampled_from([None, 1, 2, 3, 4]))
+    ids = atrig.adding_angle(pres) if power is None else atrig.de_moivre(pres, power)
+    samples = draw(st.integers(1, 50) | st.sampled_from([0, -1, 10**30, 2.5, True, None]))
+    tol = draw(st.floats(1e-12, 1.0) | st.sampled_from(["x", 0.0, -1.0, math.inf, math.nan]))
+    seed = draw(st.integers(0, 2**64) | st.sampled_from([-1, 2.5, None]))
+    return atrig.verify_identity(ids, samples=samples, tol=tol, seed=seed)
+
+
 # Each entry draws its inputs and makes one call; find_roots may refuse the
 # modulus before a component map is reached.
 CALLS = {
@@ -146,6 +164,11 @@ CALLS = {
     "find_roots": lambda draw: atrig.find_roots(draw(presentations())),
     "to_components": _to_components,
     "from_components": _from_components,
+    "adding_angle": lambda draw: atrig.adding_angle(draw(presentations(max_degree=6))),
+    "de_moivre": lambda draw: atrig.de_moivre(
+        draw(presentations(max_degree=6)), draw(st.integers(1, 4) | st.sampled_from([0, -1, 2.5]))
+    ),
+    "verify_identity": _verify_identity,
 }
 
 

@@ -5,7 +5,7 @@ import math
 import sys
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations_with_replacement, compress, product
+from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 import numpy as np
@@ -527,8 +527,8 @@ def test_identities_suite_builds_each_dense_form_once(monkeypatch):
     assert len(built) == len({id(ids) for ids in built}) == report.cases
     dense = built[0]._dense
     assert built[0]._dense is dense and len(built) == report.cases  # cached, not rebuilt
-    index, coeffs = dense
-    assert not index.flags.writeable and not coeffs.flags.writeable
+    assert len(dense) == 3  # index, count matrix, powers of k
+    assert not any(array.flags.writeable for array in dense)
 
 
 def test_certification_builds_no_formulas(monkeypatch, h3):
@@ -561,21 +561,35 @@ def test_dense_form_agrees_with_evaluate_within_the_summation_bound(ids):
     # coefficient by each value in turn and sums term by term.  Each errs by
     # at most (T + d) u sum_t |q_t| |m_t| to first order, so they differ by
     # at most twice that.
-    n = ids.presentation.degree
-    rng = np.random.default_rng(n)
-    tags = "ab" if ids.kind == "adding_angle" else "a"
-    table = np.concatenate([rng.uniform(-3.0, 3.0, (50, len(tags) * n)), np.ones((50, 1))], axis=1)
-    values = {sym(tag, i + 1): table[:, p * n + i] for p, tag in enumerate(tags) for i in range(n)}
+    table, values = _sampled_table(ids, np.random.default_rng(ids.presentation.degree))
     dense = ids._dense_values(table)
-    unit = np.finfo(float).eps / 2
     for i, formula in enumerate(ids.formulas):
-        terms = formula.terms()
-        degree = max(len(mono) for mono, _ in terms)
-        magnitude = sum(
-            abs(float(q)) * np.prod([np.abs(values[s]) for s in mono], axis=0) for mono, q in terms
-        )
-        bound = 2 * (len(terms) + degree) * unit * magnitude
+        bound = _summation_bound(formula, values)
         assert np.all(np.abs(dense[:, i] - formula.evaluate(values)) <= bound)
+
+
+def _sampled_table(ids, rng, rows=50):
+    """A value table ``[s(alpha) | s(beta) | 1]`` of ``rows`` uniform rows in
+    [-3, 3], and its columns by symbol."""
+    n = ids.presentation.degree
+    tags = "ab" if ids.kind == "adding_angle" else "a"
+    drawn = rng.uniform(-3.0, 3.0, (rows, len(tags) * n))
+    table = np.concatenate([drawn, np.ones((rows, 1))], axis=1)
+    values = {sym(tag, i + 1): table[:, p * n + i] for p, tag in enumerate(tags) for i in range(n)}
+    return table, values
+
+
+def _summation_bound(formula, values, extra=0):
+    """``(2 (T + d) + extra) u sum_t |q_t| |m_t|`` for a formula of T terms of
+    degree at most d at ``values``: 0 where it has no terms."""
+    terms = formula.terms()
+    if not terms:
+        return 0.0
+    degree = max(len(mono) for mono, _ in terms)
+    magnitude = sum(
+        abs(float(q)) * np.prod([np.abs(values[s]) for s in mono], axis=0) for mono, q in terms
+    )
+    return (2 * (len(terms) + degree) + extra) * np.finfo(float).eps / 2 * magnitude
 
 
 @st.composite
@@ -591,100 +605,90 @@ def _feed_moduli(draw):
     return preset(kind, degree)
 
 
-def _dense_or_refusal(ids):
+def _refusal(ids):
+    """The type and message of the refusal of a set's dense form, None if it is built."""
     try:
-        return ids._dense
+        ids._dense
     except InvalidArgument as exc:
-        return str(exc)
+        return type(exc), str(exc)
+    return None
+
+
+# On the first, k^5 holds 1e600 (1e300 squared): De Moivre 3 and 4 reach it.
+# On the modulus k^2 - c, k^2 is c, a double, and De Moivre 3 multiplies it by
+# its count 3: past the largest double at c = 1.5e308 and 1e308, below it at
+# 5e307, where only power 4 (k^4 = c^2) is refused.
+_EDGE_MODULI = [[5e-324, 1e300, -1e-300], [-1.5e308, 0.0], [-5e307, 0.0], [-1e308, 0.0]]
 
 
 @given(pres=_feed_moduli(), power=st.sampled_from([None, 1, 2, 3, 4]))
 @settings(max_examples=150, deadline=None)
-@example(pres=make_presentation([5e-324, 1e300, -1e-300]), power=4)
-def test_the_integer_feed_equals_the_formula_feed(pres, power):
-    # A generated set's dense form, divided from the integer powers of k, equals
-    # that of a set holding the same formulas, to the bit and the sign of zero,
-    # and both refuse a coefficient past the largest double alike.
+@example(pres=make_presentation(_EDGE_MODULI[0]), power=4)
+@example(pres=make_presentation(_EDGE_MODULI[1]), power=3)
+@example(pres=make_presentation(_EDGE_MODULI[2]), power=3)
+def test_the_integer_feed_agrees_with_the_formula_feed(pres, power):
+    # A generated set's dense form sums each index sum's monomials by their
+    # exact counts and multiplies by the powers of k, each rounded once; a
+    # set holding the same formulas rounds each coefficient.  Both refuse a
+    # coefficient past the largest double alike, and their values differ by
+    # at most the sum of their summation bounds: (T + d) u sum_t |q_t| |m_t|
+    # for the held form, and one u more for the generated one, which rounds
+    # each count times its monomial.
     generated = adding_angle(pres) if power is None else de_moivre(pres, power)
     held = IdentitySet(pres, generated.kind, power, generated.formulas)
     assert held._expansion is None and generated._expansion is not None
-    got, want = _dense_or_refusal(generated), _dense_or_refusal(held)
-    if isinstance(want, str):
-        assert got == want == "a coefficient exceeds the largest double"
+    assert _refusal(generated) == _refusal(held)
+    if _refusal(held) is not None:
         return
-    (index, coeffs), (want_index, want_coeffs) = got, want
-    assert index.shape == want_index.shape and np.array_equal(index, want_index)
-    assert coeffs.shape == want_coeffs.shape and np.array_equal(coeffs, want_coeffs)
-    assert np.array_equal(np.signbit(coeffs), np.signbit(want_coeffs))
+    table, values = _sampled_table(generated, np.random.default_rng(0), rows=20)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = generated._dense_values(table), held._dense_values(table)
+        for i, formula in enumerate(generated.formulas):
+            bound = _summation_bound(formula, values, extra=1)
+            finite = np.isfinite(bound)
+            assert np.all(np.abs(got[finite, i] - want[finite, i]) <= bound[finite])
 
 
-def _old_expansion_dense(shape, powers):
-    """The dense form of an expansion as it was built with one division per
-    term, before terms of one (count, index sum) shared their row."""
-    n = len(powers[0][0])
-    leads = [next(compress(range(n), column), n) for column, _ in powers]
-    keys = [leads[degree] for degree in shape.degrees]
-    order = sorted(range(len(keys)), key=keys.__getitem__)[: len(keys) - keys.count(n)]
-    rows = []
-    for t in order:
-        column, exponent = powers[shape.degrees[t]]
-        count = shape.counts[t]
-        rows.append(([count * a for a in column], 1 << exponent))
-    try:
-        coeffs = np.array([[a / d for a in numerators] for numerators, d in rows], dtype=float)
-    except OverflowError:
-        raise InvalidArgument("a coefficient exceeds the largest double") from None
-    return shape.index[order], coeffs.reshape(len(order), n)
+def test_powers_of_k_are_rounded_once_per_coordinate():
+    for coeffs in _EDGE_MODULI[1:] + [[0.1, -0.2, 0.3], [-0.0, 0.0, 0.5], [1e-300, -0.125, 3.0]]:
+        pres = make_presentation(coeffs)
+        for ids in [adding_angle(pres)] + [de_moivre(pres, p) for p in range(1, 5)]:
+            if _refusal(ids) is not None:  # the refusals are checked below
+                continue
+            shape, powers = ids._expansion
+            index, weights, rounded = ids._dense
+            sums = max(shape.degrees) + 1
+            assert rounded.shape == (sums, pres.degree) and not rounded.flags.writeable
+            want = [[float(Fraction(a, 2**e)) for a in column] for column, e in powers[:sums]]
+            assert rounded.tolist() == want
+            assert np.array_equal(np.signbit(rounded), np.signbit(want))
+            assert index is shape.index and weights is shape.weights
 
 
-@pytest.mark.parametrize(
-    "pres",
-    verify.preset_grid(dims=range(2, 6))
-    + [
-        random_rational_presentation(np.random.default_rng(seed), n)
-        for seed in range(4)
-        for n in range(2, 6)
-    ]
-    + [make_presentation([5e-324, 1e300, -1e-300])],
-    ids=str,
-)
-def test_expansion_dense_divides_each_shared_row_once_with_the_old_bits(monkeypatch, pres):
-    divided, original = [], identities._coefficients
+@pytest.mark.parametrize("n", range(1, 6))
+def test_the_count_matrix_holds_each_count_at_its_index_sum(n):
+    for powers in [(("a", 1), ("b", 1))] + [(("a", p),) for p in range(1, 5)]:
+        shape = _shape_table(n, powers)
+        want = np.zeros((len(shape.counts), max(shape.degrees) + 1))
+        for t, (count, degree) in enumerate(zip(shape.counts, shape.degrees)):
+            want[t, degree] = count
+        assert np.array_equal(shape.weights, want)
+        assert not shape.weights.flags.writeable and not shape.index.flags.writeable
+        with pytest.raises(ValueError):
+            shape.weights[0, 0] = 2.0
 
-    def counted(rows, formulas):
-        divided.append(len(rows))
-        return original(rows, formulas)
 
-    monkeypatch.setattr(identities, "_coefficients", counted)
+@pytest.mark.parametrize("coeffs, refused", zip(_EDGE_MODULI, [[3, 4], [3, 4], [4], [3, 4]]))
+def test_both_feeds_refuse_a_coefficient_past_the_largest_double_alike(coeffs, refused):
+    pres = make_presentation(coeffs)
+    powers = []
     for ids in [adding_angle(pres)] + [de_moivre(pres, p) for p in range(1, 5)]:
-        shape, powers = ids._expansion
-        try:
-            want_index, want_coeffs = _old_expansion_dense(shape, powers)
-        except InvalidArgument as refusal:
-            with pytest.raises(type(refusal)) as excinfo:
-                identities._expansion_dense(shape, powers)
-            assert str(excinfo.value) == str(refusal)
-            continue
-        divided.clear()
-        index, coeffs = identities._expansion_dense(shape, powers)
-        assert np.array_equal(index, want_index)
-        assert coeffs.shape == want_coeffs.shape
-        assert np.array_equal(coeffs.view(np.int64), want_coeffs.view(np.int64))
-        assert np.array_equal(np.signbit(coeffs), np.signbit(want_coeffs))
-        # One division per distinct (count, index sum) of the shape.
-        pairs = list(zip(shape.counts, shape.degrees))
-        assert list(shape.pairs) == list(dict.fromkeys(pairs))
-        assert [shape.pairs[p] for p in shape.pair_of] == pairs
-        assert divided == [len(shape.pairs)]
-
-
-def test_both_feeds_refuse_a_coefficient_past_the_largest_double():
-    # k^5 on this modulus holds 1e600 (1e300 squared): De Moivre power 3 reaches it.
-    pres = make_presentation([5e-324, 1e300, -1e-300])
-    generated = de_moivre(pres, 3)
-    for ids in (generated, IdentitySet(pres, "de_moivre", 3, generated.formulas)):
-        with pytest.raises(InvalidArgument, match="largest double"):
-            ids._dense
+        refusal = _refusal(ids)
+        assert refusal == _refusal(IdentitySet(pres, ids.kind, ids.power, ids.formulas))
+        if refusal is not None:
+            assert refusal == (InvalidArgument, "a coefficient exceeds the largest double")
+            powers.append(ids.power)
+    assert powers == refused
 
 
 def test_certification_refuses_a_coefficient_past_the_largest_double(h2):
@@ -697,6 +701,30 @@ def test_certification_refuses_a_coefficient_past_the_largest_double(h2):
     assert str(10**400) in render(ids, "json") and render(ids, "latex")
     with pytest.raises(InvalidArgument, match="largest double"):
         verify_identity(ids, samples=5)
+
+
+@pytest.mark.parametrize(
+    "arguments",
+    [{"samples": v} for v in (0, -1, 10**30, verify.MAX_SAMPLES + 1, 2.5, True, None)]
+    + [{"tol": v} for v in ("x", math.inf, math.nan, 0.0, -1e-9, True, None)]
+    + [{"seed": v} for v in (-1, 2.5, None, True)],
+    ids=repr,
+)
+def test_verify_identity_refuses_what_run_suite_refuses(h3, arguments):
+    ids = adding_angle(h3)
+    with pytest.raises(InvalidArgument) as excinfo:
+        verify_identity(ids, **arguments)
+    ((name, value),) = arguments.items()
+    if value is not None or name == "seed":  # run_suite keeps its defaults for None
+        with pytest.raises(InvalidArgument) as suite:
+            verify.run_suite("identities", **arguments)
+        assert str(suite.value) == str(excinfo.value)
+
+
+def test_verify_identity_certifies_from_one_sample(h3):
+    report = verify_identity(adding_angle(h3), samples=1, tol=1e-12, seed=np.int64(3))
+    assert report.passed and report.samples == 1 and len(report.residuals) == 3
+    assert verify_identity(de_moivre(h3, 2), samples=verify.MAX_SAMPLES // 100).passed
 
 
 @pytest.mark.parametrize("name, kind", [("s3a", "adding_angle"), ("s1b", "de_moivre")])
